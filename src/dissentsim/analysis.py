@@ -10,7 +10,6 @@ instead of cascading.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,13 +18,14 @@ import numpy as np
 from .engine import (
     Environment,
     IntegritySpec,
+    ParamArrays,
     StepRecord,
+    _integrity_arrays,
     effective_params,
-    integrity_value,
     perceived_probability,
 )
 from .errors import InvalidParameterError
-from .model import AgentParams, Position, SoftTerms, decide, threshold_r_over_nj
+from .model import AgentParams, Position, PrivateType, SoftTerms, decide, threshold_r_over_nj
 
 #: Iteration safety margin; a monotone map on the (n+1)-point lattice must fix
 #: within n+1 productive updates.
@@ -130,16 +130,27 @@ def zero_support_soft_terms(
     """Soft terms for an agent deciding before any public signal exists.
 
     No stance has an audience yet, so every reputation term is zero;
-    integrity is evaluated at a zero falsification streak.
+    integrity is evaluated at a zero falsification streak.  ``x`` is one
+    agent's PrivateType or a population's boolean ``x_rebel`` array, in which
+    case the integrity terms are arrays.
     """
+    x_rebel = np.asarray(
+        x is PrivateType.PRO_REBELLION if isinstance(x, PrivateType) else x, dtype=bool
+    )
+    integ_nj, integ_u, integ_r = _integrity_arrays(integrity, x_rebel, 0)
     return {
-        pos: SoftTerms(rep=0.0, integ=integrity_value(integrity, pos, x, 0))
-        for pos in (Position.NJ, Position.U, Position.R)
+        Position.NJ: SoftTerms(rep=0.0, integ=integ_nj),
+        Position.U: SoftTerms(rep=0.0, integ=integ_u),
+        Position.R: SoftTerms(rep=0.0, integ=integ_r),
     }
 
 
+def _arrays(agents: Sequence[AgentParams] | ParamArrays) -> ParamArrays:
+    return agents if isinstance(agents, ParamArrays) else ParamArrays.from_params(agents)
+
+
 def first_movers(
-    agents: Sequence[AgentParams],
+    agents: Sequence[AgentParams] | ParamArrays,
     env0: Environment,
     integrity: IntegritySpec,
 ) -> list[int]:
@@ -148,57 +159,54 @@ def first_movers(
     Each agent decides at previous rebel share 0 under the t=0 environment,
     zero reputation terms, and a fresh integrity state.  These are the
     cascade's sparks: agents whose own stakes and tastes already favor
-    rebelling before anyone else has moved.
+    rebelling before anyone else has moved.  One elementwise pass over the
+    population.
     """
-    movers = []
-    for i, params in enumerate(agents):
-        eff = effective_params(params, env0)
-        p0 = perceived_probability(params, 0.0, env0)
-        soft = zero_support_soft_terms(integrity, params.x)
-        if decide(eff, p0, soft, previous=Position.NJ) is Position.R:
-            movers.append(i)
-    return movers
+    pa = _arrays(agents)
+    codes = decide(
+        effective_params(pa, env0),
+        perceived_probability(pa, 0.0, env0),
+        zero_support_soft_terms(integrity, pa.x_rebel),
+        previous=Position.NJ,
+    )
+    return np.flatnonzero(codes == Position.R).tolist()
 
 
 def rebellion_thresholds_zero_support(
-    agents: Sequence[AgentParams],
+    agents: Sequence[AgentParams] | ParamArrays,
     env0: Environment,
     integrity: IntegritySpec,
-) -> list[float]:
-    """Per-agent rebel-over-abstain probability thresholds at zero public support."""
-    out = []
-    for params in agents:
-        eff = effective_params(params, env0)
-        soft = zero_support_soft_terms(integrity, params.x)
-        out.append(threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ]))
-    return out
+) -> np.ndarray:
+    """Per-agent rebel-over-abstain probability thresholds at zero public support, in id order."""
+    pa = _arrays(agents)
+    soft = zero_support_soft_terms(integrity, pa.x_rebel)
+    return threshold_r_over_nj(effective_params(pa, env0), soft[Position.R], soft[Position.NJ])
 
 
 def share_space_thresholds(
-    agents: Sequence[AgentParams],
+    agents: Sequence[AgentParams] | ParamArrays,
     env0: Environment,
     integrity: IntegritySpec,
-) -> list[float]:
-    """Rebellion thresholds re-expressed in previous-rebel-share space.
+) -> np.ndarray:
+    """Rebellion thresholds re-expressed in previous-rebel-share space, in id order.
 
     Inverts p(s) = clamp(p_base + beta_share*s + dp) around each agent's
     probability threshold so the cascade iteration can run on the identity
     share->p map: an agent moves exactly when the current share strictly
-    exceeds the returned value.
+    exceeds the returned value.  An agent already past the threshold with
+    zero support gets -inf; one whose threshold is at least 1 (perceived
+    probability is capped at 1, never strictly above) or who cannot be moved
+    because share feedback is off (``beta_share == 0``) gets +inf.
     """
-    out = []
-    prob_thresholds = rebellion_thresholds_zero_support(agents, env0, integrity)
-    for params, thr in zip(agents, prob_thresholds):
-        p0 = perceived_probability(params, 0.0, env0)
-        if p0 > thr:
-            out.append(-math.inf)  # already past the threshold with zero support
-        elif thr >= 1.0:
-            out.append(math.inf)  # perceived probability is capped at 1, never strictly above
-        elif env0.beta_share == 0.0:
-            out.append(math.inf)  # share feedback disabled; support can never tip this agent
-        else:
-            out.append((thr - (params.p_base + env0.dp)) / env0.beta_share)
-    return out
+    pa = _arrays(agents)
+    thr = rebellion_thresholds_zero_support(pa, env0, integrity)
+    p0 = perceived_probability(pa, 0.0, env0)
+    if env0.beta_share == 0.0:
+        reachable = np.full(thr.shape, np.inf)
+    else:
+        with np.errstate(over="ignore"):  # a tiny beta_share overflows to inf: unreachable
+            reachable = (thr - (pa.p_base + env0.dp)) / env0.beta_share
+    return np.where(p0 > thr, -np.inf, np.where(thr >= 1.0, np.inf, reachable))
 
 
 def falsification_series(records: Sequence[StepRecord]) -> list[tuple[int, int]]:

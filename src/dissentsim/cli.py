@@ -32,7 +32,15 @@ from .analysis import (
     share_space_thresholds,
     zero_support_soft_terms,
 )
-from .engine import apply_events, init_state, perceived_probability, run, effective_params
+from .engine import (
+    Environment,
+    apply_events,
+    effective_params,
+    init_state,
+    perceived_probability,
+    run,
+    sample_population,
+)
 from .errors import (
     ConvergenceError,
     GenerationError,
@@ -41,7 +49,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .model import Position, threshold_nj_over_u, threshold_r_over_nj
+from .model import Position, PrivateType, threshold_nj_over_u, threshold_r_over_nj
 from .scenario import parse_scenario, write_csv
 
 _MAX_SEED = 2**64 - 1
@@ -69,12 +77,9 @@ def _final_shares(records):
     return 0.0, 0.0, 1.0, 0
 
 
-def _population_and_env0(scenario):
-    """Agent parameters in id order plus the t=0 environment (step-0 events applied)."""
-    state = init_state(scenario)
-    agents = [a.params for a in state.agents]
-    env0 = apply_events(state.env, scenario.events, 0)
-    return agents, env0
+def _env0(scenario) -> Environment:
+    """The environment the t=0 decisions see: the baseline plus step-0 events."""
+    return apply_events(Environment(beta_share=scenario.beta_share), scenario.events, 0)
 
 
 def cmd_run(args) -> int:
@@ -83,15 +88,15 @@ def cmd_run(args) -> int:
         if not 0 <= args.seed <= _MAX_SEED:
             raise InvalidParameterError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
-    records = run(scenario)
+    state = init_state(scenario)
+    records = run(scenario, state)
     with open(args.out, "wb") as sink:
         if args.seed is not None:
             sink.write(f"# seed={args.seed}\n".encode("utf-8"))
         write_csv(records, sink)
     if args.svg is not None:
         Path(args.svg).write_text(render_svg(records), encoding="utf-8")
-    agents, env0 = _population_and_env0(scenario)
-    movers = first_movers(agents, env0, scenario.integrity)
+    movers = first_movers(state.params, _env0(scenario), scenario.integrity)
     r, u, nj, exited = _final_shares(records)
     print(
         f"share_R={r:.6f} share_U={u:.6f} share_NJ={nj:.6f} "
@@ -102,26 +107,30 @@ def cmd_run(args) -> int:
 
 def cmd_thresholds(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
-    agents, env0 = _population_and_env0(scenario)
+    pa = sample_population(scenario)
+    env0 = _env0(scenario)
+    eff = effective_params(pa, env0)
+    soft = zero_support_soft_terms(scenario.integrity, pa.x_rebel)
+    thr_r = threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ])
+    thr_nj = threshold_nj_over_u(eff, soft[Position.NJ], soft[Position.U])
+    p0 = perceived_probability(pa, 0.0, env0)
+    rebel, loyal = PrivateType.PRO_REBELLION.value, PrivateType.PRO_STATUS_QUO.value
     lines = [THRESHOLDS_HEADER]
-    for i, params in enumerate(agents):
-        eff = effective_params(params, env0)
-        soft = zero_support_soft_terms(scenario.integrity, params.x)
-        thr_r = threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ])
-        thr_nj = threshold_nj_over_u(eff, soft[Position.NJ], soft[Position.U])
-        p0 = perceived_probability(params, 0.0, env0)
+    rows = zip(pa.x_rebel.tolist(), thr_r.tolist(), thr_nj.tolist(), p0.tolist())
+    for i, (x_rebel, r, nj, p) in enumerate(rows):
         lines.append(
-            f"{i},{params.x.value},{_fmt_ext(thr_r)},{_fmt_ext(thr_nj)},{p0:.6f}"
+            f"{i},{rebel if x_rebel else loyal},{_fmt_ext(r)},{_fmt_ext(nj)},{p:.6f}"
         )
     Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"thresholds for {len(agents)} agents csv={args.out}")
+    print(f"thresholds for {len(p0)} agents csv={args.out}")
     return 0
 
 
 def cmd_equilibrium(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
-    agents, env0 = _population_and_env0(scenario)
-    thresholds = share_space_thresholds(agents, env0, scenario.integrity)
+    thresholds = share_space_thresholds(
+        sample_population(scenario), _env0(scenario), scenario.integrity
+    )
     report = cascade_equilibria(thresholds, lambda s: s)
     n = len(thresholds)
     eq = " ".join(f"{e:.6f}" for e in report.equilibria)

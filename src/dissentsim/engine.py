@@ -7,10 +7,12 @@ share, previous neighbor stances), consecutive-falsification counters and
 exit streaks update, and time advances.  Decisions never see anything from
 the current step, so update order within a step cannot matter.
 
-The per-agent contract operations (``effective_params``, ``integrity_value``,
-``check_exit``...) are plain scalar functions; :func:`step` evaluates the
-same formulas over numpy arrays so large populations stay fast, and the two
-paths are pinned together by equivalence tests.
+``effective_params`` and ``perceived_probability`` are elementwise: they take
+one agent's ``AgentParams`` or the whole population's ``ParamArrays``, and
+:func:`step` and the cascade analysis call them on the arrays.  The remaining
+per-agent contract operations (``integrity_value``, ``check_exit``...) are
+scalar functions that :func:`step` mirrors over arrays, pinned together by
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -185,8 +187,12 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class _ParamArrays:
-    """Struct-of-arrays mirror of a list of AgentParams (engine-internal)."""
+class ParamArrays:
+    """Struct-of-arrays population: one float64 array per AgentParams field, in id order.
+
+    The private preference is stored as the boolean ``x_rebel``.  The
+    elementwise model formulas accept it wherever they accept AgentParams.
+    """
 
     F: np.ndarray
     S: np.ndarray
@@ -201,7 +207,7 @@ class _ParamArrays:
     x_rebel: np.ndarray
 
     @classmethod
-    def from_params(cls, params: Sequence[AgentParams]) -> "_ParamArrays":
+    def from_params(cls, params: Sequence[AgentParams]) -> "ParamArrays":
         def col(name):
             return np.asarray([getattr(a, name) for a in params], dtype=np.float64)
 
@@ -217,7 +223,7 @@ class _ParamArrays:
 
 @dataclass
 class SimState:
-    """Simulation state: time, environment, population arrays, and RNG.
+    """Simulation state: time, environment, network, and population arrays.
 
     Canonical storage is struct-of-arrays for speed; the ``agents`` property
     materializes the per-agent view on demand.
@@ -225,9 +231,8 @@ class SimState:
 
     t: int
     env: Environment
-    rng: np.random.Generator
     network: SocialNetwork
-    _params: _ParamArrays
+    params: ParamArrays
     y: np.ndarray
     d_falsify: np.ndarray
     exited: np.ndarray
@@ -241,7 +246,7 @@ class SimState:
 
     @property
     def agents(self) -> list[AgentState]:
-        pa = self._params
+        pa = self.params
         out = []
         for i in range(self.n):
             params = AgentParams(
@@ -267,19 +272,17 @@ class SimState:
         network: SocialNetwork,
         env: Environment | None = None,
         t: int = 0,
-        rng: np.random.Generator | None = None,
     ) -> "SimState":
         if len(agents) != network.n:
             raise InvalidParameterError(
                 f"{len(agents)} agents but network of size {network.n}"
             )
-        params = _ParamArrays.from_params([a.params for a in agents])
+        params = ParamArrays.from_params([a.params for a in agents])
         return cls(
             t=t,
             env=env if env is not None else Environment(),
-            rng=rng if rng is not None else np.random.default_rng(0),
             network=network,
-            _params=params,
+            params=params,
             y=np.asarray([int(a.y) for a in agents], dtype=np.int8),
             d_falsify=np.asarray([a.d_falsify for a in agents], dtype=np.int64),
             exited=np.asarray([a.exited for a in agents], dtype=bool),
@@ -289,33 +292,36 @@ class SimState:
         )
 
 
-def effective_params(params: AgentParams, env: Environment) -> AgentParams:
+def effective_params(params: AgentParams | ParamArrays, env: Environment):
     """Hard factors after environment offsets, floored at zero.
 
     Tastes, private preference, and the probability baseline are untouched.
+    Elementwise: returns the same type it is given (AgentParams or ParamArrays).
     """
     return replace(
         params,
-        F=max(0.0, params.F + env.dF),
-        S=max(0.0, params.S + env.dS),
-        C=max(0.0, params.C + env.dC),
-        c=max(0.0, params.c + env.dc),
-        A_U=max(0.0, params.A_U + env.dA_U),
-        A_R=max(0.0, params.A_R + env.dA_R),
+        F=np.maximum(0.0, params.F + env.dF),
+        S=np.maximum(0.0, params.S + env.dS),
+        C=np.maximum(0.0, params.C + env.dC),
+        c=np.maximum(0.0, params.c + env.dc),
+        A_U=np.maximum(0.0, params.A_U + env.dA_U),
+        A_R=np.maximum(0.0, params.A_R + env.dA_R),
     )
 
 
 def perceived_probability(
-    params: AgentParams, share_R_prev: float, env: Environment
-) -> float:
-    """Perceived rebellion-win probability: baseline + share coupling + shock, clamped to [0, 1]."""
+    params: AgentParams | ParamArrays, share_R_prev: float, env: Environment
+):
+    """Perceived rebellion-win probability: baseline + share coupling + shock, clamped to [0, 1].
+
+    Elementwise over ``params.p_base``; ``share_R_prev`` is the population's
+    previous rebel share, one number for everyone.
+    """
     if not 0.0 <= share_R_prev <= 1.0:
         raise InvalidParameterError(
             f"share_R_prev must lie in [0, 1], got {share_R_prev!r}"
         )
-    return float(
-        np.clip(params.p_base + env.beta_share * share_R_prev + env.dp, 0.0, 1.0)
-    )
+    return np.clip(params.p_base + env.beta_share * share_R_prev + env.dp, 0.0, 1.0)
 
 
 def integrity_value(
@@ -426,14 +432,9 @@ def step(state: SimState, scenario) -> SimState:
     y_prev = state.y
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / n_active
 
-    pa = state._params
-    F_eff = np.maximum(0.0, pa.F + env.dF)
-    S_eff = np.maximum(0.0, pa.S + env.dS)
-    C_eff = np.maximum(0.0, pa.C + env.dC)
-    c_eff = np.maximum(0.0, pa.c + env.dc)
-    A_U_eff = np.maximum(0.0, pa.A_U + env.dA_U)
-    A_R_eff = np.maximum(0.0, pa.A_R + env.dA_R)
-    p = np.clip(pa.p_base + env.beta_share * share_R_prev + env.dp, 0.0, 1.0)
+    pa = state.params
+    eff = effective_params(pa, env)
+    p = perceived_probability(pa, share_R_prev, env)
 
     rep_nj, rep_u, rep_r = _reputation_arrays(
         state.network, scenario.reputation, y_prev, state.exited
@@ -442,9 +443,9 @@ def step(state: SimState, scenario) -> SimState:
         scenario.integrity, pa.x_rebel, state.d_falsify
     )
 
-    e_nj = payoff_nojoin(S_eff, c_eff, p, SoftTerms(rep_nj, integ_nj), pa.V_NJ)
-    e_u = payoff_statusquo(S_eff, A_R_eff, C_eff, p, SoftTerms(rep_u, integ_u), pa.V_U)
-    e_r = payoff_rebel(F_eff, A_U_eff, p, SoftTerms(rep_r, integ_r), pa.V_R)
+    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep_nj, integ_nj), pa.V_NJ)
+    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep_u, integ_u), pa.V_U)
+    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep_r, integ_r), pa.V_R)
 
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     y_new = np.where(active, chosen, y_prev).astype(np.int8)
@@ -490,7 +491,7 @@ def _record_from(state: SimState) -> StepRecord:
             events=state._last_events,
         )
     y = state.y
-    x_rebel = state._params.x_rebel
+    x_rebel = state.params.x_rebel
     share_R = float((y[active] == int(Position.R)).sum()) / n_active
     share_U = float((y[active] == int(Position.U)).sum()) / n_active
     share_NJ = float((y[active] == int(Position.NJ)).sum()) / n_active
@@ -511,23 +512,36 @@ def _record_from(state: SimState) -> StepRecord:
     )
 
 
-def init_state(scenario) -> SimState:
-    """Fresh t=0 state: population and network drawn from the scenario seed, everyone abstaining."""
+def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
+    """The master seed's two streams: child 0 draws the population, child 1 the network."""
+    return np.random.SeedSequence(seed).spawn(2)
+
+
+def sample_population(scenario) -> ParamArrays:
+    """The scenario's population in id order, drawn from its population stream alone.
+
+    Analyses that need only the agents' parameters call this instead of
+    :func:`init_state`, which also builds the network.
+    """
     from .scenario import generate_population  # deferred: scenario-io depends on engine types
 
+    pop_seq, _ = _seed_streams(scenario.seed)
+    return ParamArrays.from_params(generate_population(scenario.population, pop_seq))
+
+
+def init_state(scenario) -> SimState:
+    """Fresh t=0 state: population and network drawn from the scenario seed, everyone abstaining."""
     if scenario.update != "synchronous":
         raise InvalidParameterError(f"unsupported update discipline {scenario.update!r}")
-    pop_seq, net_seq, state_seq = np.random.SeedSequence(scenario.seed).spawn(3)
-    population = generate_population(scenario.population, pop_seq)
-    network = generate_network(scenario.network, len(population), net_seq)
-    params = _ParamArrays.from_params(population)
-    n = len(population)
+    params = sample_population(scenario)
+    n = len(params.F)
+    _, net_seq = _seed_streams(scenario.seed)
+    network = generate_network(scenario.network, n, net_seq)
     return SimState(
         t=0,
         env=Environment(beta_share=scenario.beta_share),
-        rng=np.random.default_rng(state_seq),
         network=network,
-        _params=params,
+        params=params,
         y=np.full(n, int(Position.NJ), dtype=np.int8),
         d_falsify=np.zeros(n, dtype=np.int64),
         exited=np.zeros(n, dtype=bool),
@@ -535,12 +549,15 @@ def init_state(scenario) -> SimState:
     )
 
 
-def run(scenario) -> list[StepRecord]:
-    """Simulate ``scenario.horizon`` steps from scratch; one record per step.
+def run(scenario, state: SimState | None = None) -> list[StepRecord]:
+    """Simulate ``scenario.horizon`` steps; one record per step.
 
-    Bit-identical across repeated calls with the same scenario.
+    Starts from ``state`` when given (it is not modified), otherwise from
+    ``init_state(scenario)``.  Bit-identical across repeated calls with the
+    same scenario.
     """
-    state = init_state(scenario)
+    if state is None:
+        state = init_state(scenario)
     records = []
     for _ in range(scenario.horizon):
         state = step(state, scenario)

@@ -10,10 +10,10 @@ quo) and publicly shows one of three stances:
 Expected payoffs for the three stances combine hard contextual factors
 (stakes, punishments, participation costs), soft social terms (reputation
 among observed neighbors, personal-integrity value), and a fixed taste term
-per stance.  All payoff functions are written as plain elementwise
-arithmetic, so they accept Python floats or numpy arrays interchangeably;
-the simulation engine relies on that to evaluate whole populations at once
-through the exact same expressions.
+per stance.  The payoff, decision and threshold functions are written as
+plain elementwise arithmetic, so they accept Python floats or numpy arrays
+interchangeably; the simulation engine and the cascade analysis rely on that
+to evaluate whole populations at once through the exact same expressions.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import InvalidParameterError
 
 #: Absolute tolerance under which two stance payoffs count as tied.
 TIE_EPS = 1e-9
-
-_ENV_NEG_INF = -math.inf
 
 
 class Position(enum.IntEnum):
@@ -199,37 +197,37 @@ def choose_positions(e_nj, e_u, e_r, previous) -> np.ndarray:
 
 def decide(
     params: AgentParams,
-    p: float,
+    p,
     soft_by_position,
-    previous: Position = Position.NJ,
-) -> Position:
+    previous=Position.NJ,
+):
     """Pick the stance with the highest expected payoff at win-probability ``p``.
 
     ``soft_by_position`` maps each Position to its SoftTerms.  Delegates to
     :func:`choose_positions` so the scalar and vectorized paths share one rule.
+    Elementwise: with scalar inputs it returns a Position; when ``params``
+    holds arrays (a ``ParamArrays``), ``p``, the soft terms and ``previous``
+    may be arrays too and it returns the int8 Position codes.
     """
     e_nj = payoff_nojoin(params.S, params.c, p, soft_by_position[Position.NJ], params.V_NJ)
     e_u = payoff_statusquo(
         params.S, params.A_R, params.C, p, soft_by_position[Position.U], params.V_U
     )
     e_r = payoff_rebel(params.F, params.A_U, p, soft_by_position[Position.R], params.V_R)
-    code = choose_positions(
-        np.asarray([e_nj]), np.asarray([e_u]), np.asarray([e_r]),
-        np.asarray([int(previous)], dtype=np.int8),
-    )[0]
-    return Position(int(code))
+    codes = choose_positions(e_nj, e_u, e_r, previous)
+    return Position(int(codes)) if codes.ndim == 0 else codes
 
 
-def _extended_ratio(numerator: float, denominator: float) -> float:
-    """numerator/denominator on the extended reals.
+def _extended_ratio(numerator, denominator):
+    """numerator/denominator on the extended reals, elementwise.
 
     A zero denominator means p never influences the comparison: the sign of
     the numerator alone decides, so the threshold degenerates to -inf (the
     favored stance wins for every p) or +inf (it never wins).
     """
-    if denominator == 0.0:
-        return math.inf if numerator > 0.0 else _ENV_NEG_INF
-    return numerator / denominator
+    with np.errstate(all="ignore"):  # zero denominators are replaced below; overflow is +-inf
+        ratio = np.divide(numerator, denominator)
+    return np.where(denominator == 0.0, np.where(numerator > 0.0, np.inf, -np.inf), ratio)[()]
 
 
 def threshold_nj_over_u(
@@ -239,6 +237,7 @@ def threshold_nj_over_u(
 
     Closed form of payoff_nojoin > payoff_statusquo solved for p.  Returns an
     extended real; -inf means abstention (weakly) dominates for every p.
+    Elementwise over array-valued ``params`` and soft terms.
     """
     _check_finite(c=params.c, C=params.C, A_R=params.A_R, V_NJ=params.V_NJ, V_U=params.V_U)
     numerator = (

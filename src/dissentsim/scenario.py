@@ -639,9 +639,9 @@ def parse_scenario(text: str) -> Scenario:
         check.fail("network.k", f"must be < total population, got k={network.k}, n={population.n_total}")
     if horizon is not None:
         for idx, event in enumerate(events):
-            if event.step > horizon:
+            if event.step >= horizon:  # steps run 0..horizon-1; a later event would never fire
                 check.fail(f"events[{idx}].step",
-                           f"must be <= horizon ({horizon}), got {event.step}")
+                           f"must be < horizon ({horizon}), got {event.step}")
     steps = [e.step for e in events]
     if steps != sorted(steps):
         check.fail("events", "must be sorted by step (ascending)")

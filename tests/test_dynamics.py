@@ -9,6 +9,7 @@ so float rounding cannot flip any decision.
 
 import io
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from dissentsim import (
     Event,
     IntegritySpec,
     InvalidParameterError,
+    PopulationSpec,
     Position,
     PrivateType,
     ReputationSpec,
@@ -30,6 +32,7 @@ from dissentsim import (
     apply_events,
     check_exit,
     consistent,
+    donbass_baseline,
     effective_params,
     generate_network,
     init_state,
@@ -172,6 +175,23 @@ def test_apply_events():
     assert apply_events(env, [ev], 1) == env  # different step: untouched
     two = [Event(step=0, label="a", deltas={"dC": 1.0}), Event(step=0, label="b", deltas={"dC": 2.0})]
     assert apply_events(env, two, 0).dC == 3.0
+
+
+def test_event_offsets_persist_after_their_step():
+    """The engine carries offsets forward.  On the baseline timeline dC is 0.4
+    from the step-0 beating until the next dC shock at step 12, and at every
+    step it is the sum of the dC deltas fired so far."""
+    baseline = donbass_baseline()
+    small = PopulationSpec(tuple(replace(g, count=20) for g in baseline.population.groups))
+    scenario = replace(baseline, population=small)
+    state = init_state(scenario)
+    dC = []
+    for t in range(scenario.horizon):
+        state = step(state, scenario)
+        dC.append(state.env.dC)
+        assert state.env.dC == sum(ev.deltas.get("dC", 0.0) for ev in scenario.events if ev.step <= t)
+    assert dC[:12] == [0.4] * 12
+    assert dC[12] == 0.8
 
 
 def test_event_validation():

@@ -24,6 +24,7 @@ from dissentsim import (
     donbass_baseline,
     generate_population,
     parse_scenario,
+    run,
     serialize_scenario,
     write_csv,
 )
@@ -183,6 +184,15 @@ def test_event_ordering_and_horizon():
         parse_scenario(_doc(events=events))
     with pytest.raises(ScenarioValidationError, match="horizon"):
         parse_scenario(_doc(events=[{"step": 99, "label": "late", "deltas": {}}]))
+
+
+def test_event_at_horizon_rejected():
+    """Steps run 0..horizon-1, so an event at step == horizon would never fire."""
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_scenario(_doc(events=[{"step": 3, "label": "late", "deltas": {"dC": 1.0}}]))
+    assert excinfo.value.violations == ["events[0].step: must be < horizon (3), got 3"]
+    last = parse_scenario(_doc(events=[{"step": 2, "label": "last", "deltas": {"dC": 1.0}}]))
+    assert [r.events for r in run(last)] == [(), (), ("last",)]
 
 
 def test_small_world_k_must_fit_population():
