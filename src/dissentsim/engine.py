@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .model import (
+    FACTOR_NAMES,
     AgentParams,
     Position,
     PrivateType,
@@ -208,17 +209,22 @@ class ParamArrays:
 
     @classmethod
     def from_params(cls, params: Sequence[AgentParams]) -> "ParamArrays":
-        def col(name):
-            return np.asarray([getattr(a, name) for a in params], dtype=np.float64)
-
         return cls(
-            F=col("F"), S=col("S"), A_U=col("A_U"), A_R=col("A_R"),
-            c=col("c"), C=col("C"), V_R=col("V_R"), V_U=col("V_U"),
-            V_NJ=col("V_NJ"), p_base=col("p_base"),
-            x_rebel=np.asarray(
-                [a.x is PrivateType.PRO_REBELLION for a in params], dtype=bool
-            ),
+            x_rebel=np.asarray([a.x is PrivateType.PRO_REBELLION for a in params], dtype=bool),
+            **{
+                name: np.asarray([getattr(a, name) for a in params], dtype=np.float64)
+                for name in FACTOR_NAMES
+            },
         )
+
+    def to_params(self) -> list[AgentParams]:
+        """The per-agent view: one AgentParams per agent, in id order."""
+        columns = [getattr(self, name).tolist() for name in FACTOR_NAMES]
+        return [
+            AgentParams(x=PrivateType.PRO_REBELLION if rebel else PrivateType.PRO_STATUS_QUO,
+                        **dict(zip(FACTOR_NAMES, row)))
+            for rebel, *row in zip(self.x_rebel.tolist(), *columns)
+        ]
 
 
 @dataclass
@@ -246,24 +252,15 @@ class SimState:
 
     @property
     def agents(self) -> list[AgentState]:
-        pa = self.params
-        out = []
-        for i in range(self.n):
-            params = AgentParams(
-                F=float(pa.F[i]), S=float(pa.S[i]), A_U=float(pa.A_U[i]),
-                A_R=float(pa.A_R[i]), c=float(pa.c[i]), C=float(pa.C[i]),
-                V_R=float(pa.V_R[i]), V_U=float(pa.V_U[i]), V_NJ=float(pa.V_NJ[i]),
-                x=PrivateType.PRO_REBELLION if pa.x_rebel[i] else PrivateType.PRO_STATUS_QUO,
-                p_base=float(pa.p_base[i]),
-            )
-            out.append(
-                AgentState(
-                    id=i, params=params, y=Position(int(self.y[i])),
-                    d_falsify=int(self.d_falsify[i]), exited=bool(self.exited[i]),
-                    low_payoff_streak=int(self.low_payoff_streak[i]),
-                )
-            )
-        return out
+        rows = zip(
+            self.params.to_params(), self.y.tolist(), self.d_falsify.tolist(),
+            self.exited.tolist(), self.low_payoff_streak.tolist(),
+        )
+        return [
+            AgentState(id=i, params=params, y=Position(y), d_falsify=d, exited=exited,
+                       low_payoff_streak=streak)
+            for i, (params, y, d, exited, streak) in enumerate(rows)
+        ]
 
     @classmethod
     def from_agents(
@@ -369,6 +366,11 @@ def apply_events(
     return out
 
 
+def _consistent(y: np.ndarray, x_rebel: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`consistent` over Position codes and the ``x_rebel`` flags."""
+    return ((y == Position.R) & x_rebel) | ((y == Position.U) & ~x_rebel)
+
+
 def _integrity_arrays(spec: IntegritySpec, x_rebel: np.ndarray, d: np.ndarray):
     penalty = -np.minimum(spec.cap, spec.nu0 + spec.kappa * d)
     integ_r = np.where(x_rebel, spec.nu_match, penalty)
@@ -384,7 +386,7 @@ def _reputation_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-agent reputation terms for (NJ, U, R) from the previous public state."""
     n = network.n
-    src, dst, w = network._arrays
+    src, dst, w = network.src, network.dst, network.w
     if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
         base = np.ones_like(w)
     elif spec.variant is ReputationVariant.WEIGHTED_FRACTION:
@@ -394,18 +396,14 @@ def _reputation_arrays(
         base = w * scores[dst]
     wm = np.where(exited[dst], 0.0, base)
     denom = np.bincount(src, weights=wm, minlength=n)
-    has_obs = denom > 0.0
-    reps = []
-    for pos in (Position.NJ, Position.U, Position.R):
-        num = np.bincount(src, weights=wm * (y[dst] == int(pos)), minlength=n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(has_obs, num / np.where(has_obs, denom, 1.0), 0.0)
-        if spec.centered:
-            rep = spec.alpha * (frac - 0.5)
-        else:
-            rep = spec.alpha * frac
-        reps.append(np.where(has_obs, rep, 0.0))
-    return reps[0], reps[1], reps[2]
+    # One keyed pass sums each agent's observed weight per stance; column = Position code.
+    num = np.bincount(src * 3 + y[dst], weights=wm, minlength=3 * n).reshape(n, 3)
+    has_obs = (denom > 0.0)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(has_obs, num / np.where(has_obs, denom[:, None], 1.0), 0.0)
+    rep = spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
+    rep = np.where(has_obs, rep, 0.0)
+    return rep[:, Position.NJ], rep[:, Position.U], rep[:, Position.R]
 
 
 def step(state: SimState, scenario) -> SimState:
@@ -450,11 +448,8 @@ def step(state: SimState, scenario) -> SimState:
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     y_new = np.where(active, chosen, y_prev).astype(np.int8)
 
-    now_consistent = ((y_new == int(Position.R)) & pa.x_rebel) | (
-        (y_new == int(Position.U)) & ~pa.x_rebel
-    )
     d_new = np.where(
-        active, np.where(now_consistent, 0, state.d_falsify + 1), state.d_falsify
+        active, np.where(_consistent(y_new, pa.x_rebel), 0, state.d_falsify + 1), state.d_falsify
     )
 
     exited_new = state.exited
@@ -490,21 +485,14 @@ def _record_from(state: SimState) -> StepRecord:
             n_exited=n_exited, n_falsifying=0, mean_p=0.0,
             events=state._last_events,
         )
-    y = state.y
-    x_rebel = state.params.x_rebel
-    share_R = float((y[active] == int(Position.R)).sum()) / n_active
-    share_U = float((y[active] == int(Position.U)).sum()) / n_active
-    share_NJ = float((y[active] == int(Position.NJ)).sum()) / n_active
-    now_consistent = ((y == int(Position.R)) & x_rebel) | (
-        (y == int(Position.U)) & ~x_rebel
-    )
-    n_falsifying = int((active & ~now_consistent).sum())
+    counts = np.bincount(state.y[active], minlength=3)
+    n_falsifying = int((active & ~_consistent(state.y, state.params.x_rebel)).sum())
     mean_p = float(state._last_p[active].mean()) if state._last_p is not None else 0.0
     return StepRecord(
         t=state.t - 1,
-        share_R=share_R,
-        share_U=share_U,
-        share_NJ=share_NJ,
+        share_R=int(counts[Position.R]) / n_active,
+        share_U=int(counts[Position.U]) / n_active,
+        share_NJ=int(counts[Position.NJ]) / n_active,
         n_exited=n_exited,
         n_falsifying=n_falsifying,
         mean_p=mean_p,
@@ -523,10 +511,10 @@ def sample_population(scenario) -> ParamArrays:
     Analyses that need only the agents' parameters call this instead of
     :func:`init_state`, which also builds the network.
     """
-    from .scenario import generate_population  # deferred: scenario-io depends on engine types
+    from .scenario import sample_params  # deferred: scenario-io depends on engine types
 
     pop_seq, _ = _seed_streams(scenario.seed)
-    return ParamArrays.from_params(generate_population(scenario.population, pop_seq))
+    return sample_params(scenario.population, pop_seq)
 
 
 def init_state(scenario) -> SimState:

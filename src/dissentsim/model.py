@@ -19,7 +19,6 @@ to evaluate whole populations at once through the exact same expressions.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -99,31 +98,46 @@ class AgentParams:
 
     def validate(self) -> None:
         """Load-time checks; raises InvalidParameterError, warns when C == c."""
-        numeric = {
-            "F": self.F, "S": self.S, "A_U": self.A_U, "A_R": self.A_R,
-            "c": self.c, "C": self.C, "V_R": self.V_R, "V_U": self.V_U,
-            "V_NJ": self.V_NJ, "p_base": self.p_base,
-        }
-        for name, value in numeric.items():
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-        for name in ("F", "S", "A_U", "A_R", "c", "C"):
-            if numeric[name] < 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {numeric[name]!r}")
-        if not 0.0 <= self.p_base <= 1.0:
-            raise InvalidParameterError(f"p_base must lie in [0, 1], got {self.p_base!r}")
-        if self.C < self.c:
-            raise InvalidParameterError(
-                f"C >= c violated: C={self.C!r} < c={self.c!r}"
-            )
-        if self.C == self.c:
-            warnings.warn(
-                "C == c: supporting the status quo is no costlier than abstaining; "
-                "the model expects strict C > c",
-                stacklevel=2,
-            )
+        check_params(self)
         if not isinstance(self.x, PrivateType):
             raise InvalidParameterError(f"x must be a PrivateType, got {self.x!r}")
+
+
+#: The numeric AgentParams fields, in the order a population draws them.
+FACTOR_NAMES = ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ", "p_base")
+
+#: Factors that must never be negative.
+NONNEGATIVE_FACTORS = ("F", "S", "A_U", "A_R", "c", "C")
+
+
+def _require(ok, message: str, **values) -> None:
+    """Raise ``message`` with the named values at the first element where ``ok`` fails."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        got = ", ".join(f"{k}={float(np.ravel(v)[bad[0]])!r}" for k, v in values.items())
+        raise InvalidParameterError(f"{message}, got {got}")
+
+
+def check_params(params) -> None:
+    """Load-time checks on one agent's AgentParams or a whole ParamArrays, elementwise.
+
+    Every factor finite, the hard factors >= 0, p_base in [0, 1] and C >= c;
+    raises InvalidParameterError naming the first offending value, and warns
+    when C == c for any agent.
+    """
+    _check_finite(**{name: getattr(params, name) for name in FACTOR_NAMES})
+    for name in NONNEGATIVE_FACTORS:
+        _require(getattr(params, name) >= 0, f"{name} must be >= 0",
+                 **{name: getattr(params, name)})
+    _require((params.p_base >= 0.0) & (params.p_base <= 1.0), "p_base must lie in [0, 1]",
+             p_base=params.p_base)
+    _require(params.C >= params.c, "C >= c violated", C=params.C, c=params.c)
+    if np.any(params.C == params.c):
+        warnings.warn(
+            "C == c: supporting the status quo is no costlier than abstaining; "
+            "the model expects strict C > c",
+            stacklevel=3,
+        )
 
 
 def _check_finite(**named) -> None:

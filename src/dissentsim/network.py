@@ -28,6 +28,10 @@ DEFAULT_TOL = 1e-12
 #: Default iteration cap for the influence iteration.
 DEFAULT_MAX_ITERS = 200
 
+#: Most directed edges a scenario's network may have (see :func:`edge_count`).  An edge
+#: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
+EDGE_BUDGET = 50_000_000
+
 #: Numeric stance values used by the sentiment index: R=+1, U=-1, NJ=0.
 SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
@@ -44,51 +48,54 @@ class NetworkKind(enum.Enum):
     SMALL_WORLD = "small_world"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocialNetwork:
-    """Directed weighted graph over agents 0..n-1.
+    """Directed weighted graph over agents 0..n-1, stored as CSR arrays.
 
-    ``edges`` holds (source, target, weight) triples; an edge i->j means
-    "i observes j".  Self-loops are forbidden, weights must be finite and
-    >= 0.  Instances are treated as immutable after construction, so derived
-    arrays and influence scores are cached on first use.
+    An edge i->j means "i observes j".  ``edges`` is a list of (source,
+    target, weight) triples or an (m, 3) array: integral ids in [0, n), no
+    self-loops, finite weights >= 0.  They are stored stably sorted by source
+    as ``src``, ``dst`` and ``w``; agent i's are ``row_ptr[i]:row_ptr[i + 1]``.
+    The ``edges`` tuples and ``out_edges`` are views built on request.
+    Instances are immutable, so views and influence scores are cached.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    row_ptr: np.ndarray
 
     def __init__(self, n: int, edges):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "edges", tuple((int(s), int(t), float(w)) for s, t, w in edges)
-        )
-        if self.n < 1:
+        n = int(n)
+        if n < 1:
             raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
-        for s, t, w in self.edges:
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise InvalidParameterError(f"edge ({s}, {t}) references an unknown agent id")
-            if s == t:
-                raise InvalidParameterError(f"self-loop on agent {s} is not allowed")
-            if not np.isfinite(w) or w < 0.0:
-                raise InvalidParameterError(f"edge ({s}, {t}) weight must be finite and >= 0")
+        triples = np.asarray(edges, dtype=np.float64)
+        if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
+            raise InvalidParameterError(f"edges need 3 columns (src, dst, w), got {triples.shape}")
+        triples = triples.reshape(-1, 3)
+        ids, w = triples[:, :2], triples[:, 2]
+        for bad, problem in (
+            ((ids != np.floor(ids)).any(axis=1), "has a non-integral agent id"),
+            (((ids < 0) | (ids >= n)).any(axis=1), "references an unknown agent id"),
+            (ids[:, 0] == ids[:, 1], "is a self-loop, which is not allowed"),
+            (~np.isfinite(w) | (w < 0.0), "weight must be finite and >= 0"),
+        ):
+            if bad.any():  # name the first offending edge
+                s, t = ids[np.argmax(bad)].tolist()
+                raise InvalidParameterError(f"edge ({s:g}, {t:g}) {problem}")
+        order = np.argsort(ids[:, 0], kind="stable")
+        src = ids[order, 0].astype(np.int64)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", ids[order, 1].astype(np.int64))
+        object.__setattr__(self, "w", w[order])
+        object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list as (src, dst, weight) numpy arrays, sorted by src (stable)."""
-        if not self.edges:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        src = np.asarray([e[0] for e in self.edges], dtype=np.int64)
-        dst = np.asarray([e[1] for e in self.edges], dtype=np.int64)
-        w = np.asarray([e[2] for e in self.edges], dtype=np.float64)
-        order = np.argsort(src, kind="stable")
-        return src[order], dst[order], w[order]
-
-    @cached_property
-    def _row_ptr(self) -> np.ndarray:
-        """CSR-style row pointers into the sorted edge arrays."""
-        src = self._arrays[0]
-        return np.searchsorted(src, np.arange(self.n + 1))
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(source, target, weight) triples in ``src`` order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @cached_property
     def _influence_memo(self) -> dict:
@@ -98,9 +105,8 @@ class SocialNetwork:
         """(target, weight) pairs observed by ``agent``."""
         if not 0 <= agent < self.n:
             raise NotFoundError(f"agent {agent} not in network of size {self.n}")
-        src, dst, w = self._arrays
-        lo, hi = self._row_ptr[agent], self._row_ptr[agent + 1]
-        return [(int(dst[i]), float(w[i])) for i in range(lo, hi)]
+        lo, hi = self.row_ptr[agent], self.row_ptr[agent + 1]
+        return list(zip(self.dst[lo:hi].tolist(), self.w[lo:hi].tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,29 +140,26 @@ class ReputationSpec:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
-def _fraction(agent, position, network, publics, weight_of) -> float:
-    """Weighted conforming fraction over the agent's non-exited out-neighbors."""
+def _reputation(agent, position, network, publics, spec, scores=None) -> float:
+    """``alpha`` times the (centered) weighted conforming fraction over the
+    agent's non-exited out-neighbors; 0 when that total weight is 0."""
     total = 0.0
     matching = 0.0
     for j, w in network.out_edges(agent):
         y = publics.get(j)
         if y is None:  # exited agents drop out of the neighborhood entirely
             continue
-        wj = weight_of(j, w)
-        total += wj
+        if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
+            w = 1.0
+        elif scores is not None:
+            w *= scores[j]
+        total += w
         if y == position:
-            matching += wj
-    if total == 0.0:
-        return float("nan")  # signals the degenerate case to the caller
-    return matching / total
-
-
-def _finish(frac: float, spec: ReputationSpec) -> float:
-    if frac != frac:  # NaN: no observed neighbors or zero total weight
+            matching += w
+    if total == 0.0:  # no observed neighbors, or zero total weight
         return 0.0
-    if spec.centered:
-        return spec.alpha * (frac - 0.5)
-    return spec.alpha * frac
+    frac = matching / total
+    return spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
 
 
 def reputation_fraction(
@@ -172,16 +175,12 @@ def reputation_fraction(
     weights.  Returns 0 when the agent observes nobody (or only exited
     agents, or zero total weight).
     """
-    if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
-        frac = _fraction(agent, position, network, publics, lambda j, w: 1.0)
-    elif spec.variant is ReputationVariant.WEIGHTED_FRACTION:
-        frac = _fraction(agent, position, network, publics, lambda j, w: w)
-    else:
+    if spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
         raise InvalidParameterError(
             "reputation_fraction handles only the fraction variants; "
             "use reputation_iterative for iterative_influence"
         )
-    return _finish(frac, spec)
+    return _reputation(agent, position, network, publics, spec)
 
 
 def influence_scores(
@@ -217,7 +216,7 @@ def influence_scores(
         return cached
 
     n = network.n
-    src, dst, w = network._arrays
+    src, dst, w = network.src, network.dst, network.w
     out_strength = np.bincount(src, weights=w, minlength=n)
     dangling = out_strength == 0.0
     # Per-edge transition probability: weight / total outgoing weight of source.
@@ -255,8 +254,7 @@ def reputation_iterative(
     if spec.variant is not ReputationVariant.ITERATIVE_INFLUENCE:
         raise InvalidParameterError("reputation_iterative requires the iterative_influence variant")
     scores = influence_scores(network, spec.damping, spec.tol, spec.max_iters)
-    frac = _fraction(agent, position, network, publics, lambda j, w: w * scores[j])
-    return _finish(frac, spec)
+    return _reputation(agent, position, network, publics, spec, scores)
 
 
 def public_sentiment(
@@ -310,6 +308,19 @@ class NetworkSpec:
                 raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
 
 
+def edge_count(spec: NetworkSpec, n: int) -> float:
+    """Directed edges the generator builds for ``n`` agents (the expected count for erdos_renyi)."""
+    if spec.kind is NetworkKind.COMPLETE:
+        return float(n * (n - 1))
+    if spec.kind is NetworkKind.ERDOS_RENYI:
+        return spec.p_edge * n * (n - 1)
+    return float(n * spec.k)
+
+
+def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
+    return SocialNetwork(n, np.column_stack((src, dst, np.ones(len(dst)))))
+
+
 def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     """Build a unit-weight graph deterministically from (spec, n, seed).
 
@@ -325,27 +336,24 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     rng = np.random.default_rng(seed)
 
     if spec.kind is NetworkKind.COMPLETE:
-        edges = [(i, j, 1.0) for i in range(n) for j in range(n) if i != j]
-        return SocialNetwork(n, edges)
+        src = np.repeat(np.arange(n), n - 1)
+        col = np.tile(np.arange(n - 1), n)
+        return _unit_weight(n, src, col + (col >= src))  # skip the diagonal
 
     if spec.kind is NetworkKind.ERDOS_RENYI:
-        edges = []
+        rows = []
         for i in range(n):  # row at a time keeps memory flat for large n
             draws = rng.random(n) < spec.p_edge
             draws[i] = False
-            edges.extend((i, int(j), 1.0) for j in np.nonzero(draws)[0])
-        return SocialNetwork(n, edges)
+            rows.append(np.flatnonzero(draws))
+        return _unit_weight(n, np.repeat(np.arange(n), [len(r) for r in rows]), np.concatenate(rows))
 
     # small_world: Watts-Strogatz ring lattice with rewiring, symmetric ties.
     if spec.k >= n:
         raise InvalidParameterError(f"small_world needs k < n, got k={spec.k}, n={n}")
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for offset in range(1, spec.k // 2 + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    for offset in range(1, spec.k // 2 + 1):
+    half = spec.k // 2
+    neighbors = [{(i + d) % n for d in range(-half, half + 1) if d} for i in range(n)]
+    for offset in range(1, half + 1):
         for i in range(n):
             j = (i + offset) % n
             if j not in neighbors[i]:
@@ -361,7 +369,8 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
             neighbors[j].discard(i)
             neighbors[i].add(m)
             neighbors[m].add(i)
-    edges = [
-        (i, j, 1.0) for i in range(n) for j in sorted(neighbors[i])
-    ]
-    return SocialNetwork(n, edges)
+    degree = [len(nb) for nb in neighbors]
+    dst = np.fromiter(
+        (j for nb in neighbors for j in sorted(nb)), dtype=np.int64, count=sum(degree)
+    )
+    return _unit_weight(n, np.repeat(np.arange(n), degree), dst)

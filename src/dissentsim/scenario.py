@@ -24,6 +24,7 @@ from .engine import (
     Event,
     ExitSpec,
     IntegritySpec,
+    ParamArrays,
     StepRecord,
 )
 from .errors import (
@@ -32,14 +33,9 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .model import AgentParams, PrivateType
-from .network import NetworkKind, NetworkSpec, ReputationSpec, ReputationVariant
-
-#: Factor columns every group must be able to draw, in draw order.
-FACTOR_NAMES = ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ", "p_base")
-
-#: Factors that must never be negative.
-NONNEGATIVE_FACTORS = ("F", "S", "A_U", "A_R", "c", "C")
+from .model import FACTOR_NAMES, NONNEGATIVE_FACTORS, AgentParams, PrivateType, check_params
+from .network import EDGE_BUDGET, NetworkKind, NetworkSpec, ReputationSpec, ReputationVariant
+from .network import edge_count
 
 #: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
 REJECTION_CAP = 1000
@@ -186,57 +182,54 @@ class Scenario:
         return self.population.n_total
 
 
-def _group_factor(group: Group, name: str) -> Distribution:
-    dist = group.factors.get(name)
-    return dist if dist is not None else Constant(0.0)
+def _draw_group(group: Group, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """One group's factor columns, drawn in FACTOR_NAMES order, then (c, C) redrawn until C >= c."""
+    dists = {name: group.factors.get(name, Constant(0.0)) for name in FACTOR_NAMES}
+    drawn: dict[str, np.ndarray] = {}
+    for name, dist in dists.items():
+        try:
+            drawn[name] = dist.sample(rng, group.count)
+        except GenerationError as exc:
+            raise GenerationError(f"group {group.label!r}, factor {name}: {exc}") from None
+    bad = drawn["C"] < drawn["c"]
+    rounds = 0
+    while bad.any():
+        rounds += 1
+        if rounds > REJECTION_CAP:
+            raise GenerationError(
+                f"group {group.label!r}: could not satisfy C >= c within "
+                f"{REJECTION_CAP} redraw rounds"
+            )
+        k = int(bad.sum())
+        drawn["c"][bad] = dists["c"].sample(rng, k)
+        drawn["C"][bad] = dists["C"].sample(rng, k)
+        bad = drawn["C"] < drawn["c"]
+    return drawn
+
+
+def sample_params(spec: PopulationSpec, seed) -> ParamArrays:
+    """Draw every group's agents, in declaration order, as one column per factor.
+
+    Groups draw in turn from one generator (see :func:`_draw_group`); the
+    joined columns pass the checks of AgentParams.validate, applied
+    elementwise.  Deterministic for (spec, seed); ``seed`` may be an int or a
+    numpy SeedSequence.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = [_draw_group(group, rng) for group in spec.groups]
+    params = ParamArrays(
+        x_rebel=np.repeat(
+            [g.x is PrivateType.PRO_REBELLION for g in spec.groups], [g.count for g in spec.groups]
+        ).astype(bool),
+        **{name: np.concatenate([np.empty(0)] + [d[name] for d in drawn]) for name in FACTOR_NAMES},
+    )
+    check_params(params)
+    return params
 
 
 def generate_population(spec: PopulationSpec, seed) -> list[AgentParams]:
-    """Draw every group's agents, in declaration order, with sequential ids.
-
-    Factor columns are drawn in FACTOR_NAMES order per group; the C >= c
-    constraint is enforced by jointly redrawing (c, C) for offending agents,
-    capped at REJECTION_CAP rounds.  Deterministic for (spec, seed); ``seed``
-    may be an int or a numpy SeedSequence.
-    """
-    rng = np.random.default_rng(seed)
-    population: list[AgentParams] = []
-    for group in spec.groups:
-        columns: dict[str, np.ndarray] = {}
-        for name in FACTOR_NAMES:
-            dist = _group_factor(group, name)
-            try:
-                columns[name] = dist.sample(rng, group.count)
-            except GenerationError as exc:
-                raise GenerationError(f"group {group.label!r}, factor {name}: {exc}") from None
-
-        c_dist, C_dist = _group_factor(group, "c"), _group_factor(group, "C")
-        bad = columns["C"] < columns["c"]
-        rounds = 0
-        while bad.any():
-            rounds += 1
-            if rounds > REJECTION_CAP:
-                raise GenerationError(
-                    f"group {group.label!r}: could not satisfy C >= c within "
-                    f"{REJECTION_CAP} redraw rounds"
-                )
-            k = int(bad.sum())
-            columns["c"][bad] = c_dist.sample(rng, k)
-            columns["C"][bad] = C_dist.sample(rng, k)
-            bad = columns["C"] < columns["c"]
-
-        for i in range(group.count):
-            agent = AgentParams(
-                F=float(columns["F"][i]), S=float(columns["S"][i]),
-                A_U=float(columns["A_U"][i]), A_R=float(columns["A_R"][i]),
-                c=float(columns["c"][i]), C=float(columns["C"][i]),
-                V_R=float(columns["V_R"][i]), V_U=float(columns["V_U"][i]),
-                V_NJ=float(columns["V_NJ"][i]), x=group.x,
-                p_base=float(columns["p_base"][i]),
-            )
-            agent.validate()
-            population.append(agent)
-    return population
+    """The :func:`sample_params` population as one AgentParams per agent, in id order."""
+    return sample_params(spec, seed).to_params()
 
 
 # --------------------------------------------------------------------------
@@ -379,12 +372,10 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
             _validate_factor_support(key, dist, fpath, check)
 
     # Cross-factor feasibility: some draw must satisfy C >= c.
-    c_lo, _ = _group_factor_support(factors, "c")
-    _, C_hi = _group_factor_support(factors, "C")
-    if C_hi < c_lo:
-        check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
     c_dist = factors.get("c", Constant(0.0))
     C_dist = factors.get("C", Constant(0.0))
+    if C_dist.support()[1] < c_dist.support()[0]:
+        check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
     if isinstance(c_dist, Constant) and isinstance(C_dist, Constant) and C_dist.value == c_dist.value:
         warnings.warn(
             f"{path}: C == c for every agent in this group; the model expects strict C > c",
@@ -398,13 +389,6 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
     except InvalidParameterError as exc:
         check.fail(path, str(exc))
         return None
-
-
-def _group_factor_support(factors: Mapping[str, Distribution], name: str) -> tuple[float, float]:
-    dist = factors.get(name)
-    if dist is None:
-        return (0.0, 0.0)
-    return dist.support()
 
 
 def _parse_network(doc, path: str, check: _Check) -> NetworkSpec | None:
@@ -637,6 +621,11 @@ def parse_scenario(text: str) -> Scenario:
         and network.k >= max(population.n_total, 1)
     ):
         check.fail("network.k", f"must be < total population, got k={network.k}, n={population.n_total}")
+    if population is not None and network is not None:
+        edges = edge_count(network, population.n_total)
+        if edges > EDGE_BUDGET:
+            check.fail("network", f"{network.kind.value} over {population.n_total} agents has "
+                                  f"{edges:.3g} edges, more than the budget of {EDGE_BUDGET:.3g}")
     if horizon is not None:
         for idx, event in enumerate(events):
             if event.step >= horizon:  # steps run 0..horizon-1; a later event would never fire

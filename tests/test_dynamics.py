@@ -453,6 +453,14 @@ def _positions_after_one_step(doc: str) -> np.ndarray:
     return state.y
 
 
+def test_baseline_run_builds_no_edge_tuples():
+    """The network stays in its CSR arrays: the per-edge ``edges`` view is never built."""
+    scenario = donbass_baseline()
+    state = init_state(scenario)
+    run(scenario, state)
+    assert "edges" not in vars(state.network)
+
+
 def test_determinism_run_twice():
     doc = _random_population_doc(seed=5, extra_events="")
     a, b = run(parse_scenario(doc)), run(parse_scenario(doc))

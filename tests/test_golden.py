@@ -4,7 +4,10 @@ Each digest was recorded once and must never move unless the output format
 is changed on purpose.  ``small_donbass`` is the committed baseline scaled to
 300 agents (same factor distributions, network, events and horizon).
 ``EDGES`` is a six-agent scenario whose threshold rows hit ``inf``, ``-inf``
-and ``-0.000000``, with a step-0 event that floors an offset at zero.
+and ``-0.000000``, with a step-0 event that floors an offset at zero.  The
+other network kinds and ``sweep`` are pinned on variants of ``small_donbass``:
+a complete graph with unweighted reputation and exits that fire, an
+Erdos-Renyi graph, and the summary of a two-seed ``iterative_influence`` sweep.
 """
 
 import hashlib
@@ -88,6 +91,39 @@ def _small_donbass() -> dict:
     return doc
 
 
+def _small_complete_with_exits() -> dict:
+    doc = _small_donbass()
+    doc["network"] = {"kind": "complete"}
+    doc["reputation"] = {"variant": "unweighted_fraction", "alpha": 0.5}
+    doc["exit"] = {"threshold": 0.0, "patience": 3}
+    return doc
+
+
+def _small_erdos_renyi() -> dict:
+    doc = _small_donbass()
+    doc["network"] = {"kind": "erdos_renyi", "p_edge": 0.05}
+    return doc
+
+
+def _small_iterative() -> dict:
+    """Cut to 20 steps, mid-transition, so the final shares the summary holds differ by cell."""
+    doc = _small_donbass()
+    doc["reputation"] = {"variant": "iterative_influence", "alpha": 0.5}
+    doc["horizon"] = 20
+    doc["events"] = [e for e in doc["events"] if e["step"] < 20]
+    return doc
+
+
+SWEEP_SPEC = {"path": "reputation.alpha", "values": [0.3, 0.6], "seeds": [1, 2]}
+
+GOLDEN_RUN_CSV = {
+    "complete_exits": "54c19a724deb71dc0c3631c96a3ee94fb357c33d2b45a75bdcbbefbe129c0413",
+    "erdos_renyi": "5849b46f8bfd1748be8c74eab3066dbcae4e64f4bdb17387ace1330fe59a8c6a",
+}
+
+GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -123,3 +159,32 @@ def test_edges_scenario_hits_every_threshold_form(tmp_path, monkeypatch, capsys)
         for cell in row.split(",")[2:4]
     }
     assert {"inf", "-inf", "-0.000000"} <= cells
+
+
+def _run_csv(doc: dict, workdir) -> bytes:
+    (workdir / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "run.csv"
+    assert main(["run", str(workdir / "scenario.json"), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [("complete_exits", _small_complete_with_exits()), ("erdos_renyi", _small_erdos_renyi())],
+)
+def test_golden_run_csv_other_networks(name, doc, tmp_path):
+    assert _sha(_run_csv(doc, tmp_path)) == GOLDEN_RUN_CSV[name]
+
+
+def test_complete_scenario_exits_fire(tmp_path):
+    last = _run_csv(_small_complete_with_exits(), tmp_path).decode().splitlines()[-1]
+    assert int(last.split(",")[4]) > 0
+
+
+def test_golden_sweep_summary(tmp_path):
+    (tmp_path / "scenario.json").write_text(json.dumps(_small_iterative()), encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(tmp_path / "scenario.json"), str(tmp_path / "spec.json"),
+                 "--out", str(out)]) == 0
+    assert _sha((out / "summary.csv").read_bytes()) == GOLDEN_SWEEP_SUMMARY

@@ -60,6 +60,24 @@ def test_network_rejects_self_loops_bad_ids_bad_weights():
         SocialNetwork(0, [])
 
 
+def test_network_rejects_non_integral_ids():
+    with pytest.raises(InvalidParameterError, match="non-integral"):
+        SocialNetwork(3, [(0, 1.5, 1.0)])
+    with pytest.raises(InvalidParameterError, match="non-integral"):
+        SocialNetwork(3, [(float("nan"), 1, 1.0)])
+    with pytest.raises(InvalidParameterError, match="3 columns"):
+        SocialNetwork(3, [(0, 1), (1, 2), (2, 0)])  # pairs, not triples: six numbers, yet no edges
+
+
+def test_network_stores_source_sorted_arrays():
+    net = SocialNetwork(3, np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.5], [0.0, 1.0, 2.0]]))
+    assert net.src.tolist() == [0, 0, 2]
+    assert net.dst.tolist() == [2, 1, 0]  # stable: each source keeps its given target order
+    assert net.w.tolist() == [0.5, 2.0, 1.0]
+    assert net.row_ptr.tolist() == [0, 2, 2, 3]
+    assert net.edges == ((0, 2, 0.5), (0, 1, 2.0), (2, 0, 1.0))
+
+
 def test_out_edges():
     net = SocialNetwork(4, [(1, 2, 2.0), (1, 0, 1.0), (3, 1, 5.0)])
     assert net.out_edges(1) == [(2, 2.0), (0, 1.0)] or net.out_edges(1) == [(0, 1.0), (2, 2.0)]

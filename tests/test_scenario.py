@@ -12,6 +12,7 @@ from dissentsim import (
     Constant,
     GenerationError,
     Group,
+    InvalidParameterError,
     NetworkKind,
     PopulationSpec,
     PrivateType,
@@ -200,6 +201,23 @@ def test_small_world_k_must_fit_population():
         parse_scenario(_doc(network={"kind": "small_world", "k": 2, "rewire_p": 0.0}))
 
 
+def test_network_over_edge_budget_rejected():
+    """Counted from the spec alone: 10^5 agents parse without building any network."""
+    crowd = {"groups": [{"label": "crowd", "count": 100_000, "private_type": "pro_rebellion",
+                         "factors": {"C": {"dist": "constant", "value": 0.5}}}]}
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_scenario(_doc(population=crowd))
+    assert excinfo.value.violations == [
+        "network: complete over 100000 agents has 1e+10 edges, more than the budget of 5e+07"
+    ]
+    parse_scenario(_doc(population=crowd, network={"kind": "erdos_renyi", "p_edge": 0.004}))
+    with pytest.raises(ScenarioValidationError, match="^network: erdos_renyi"):
+        parse_scenario(_doc(population=crowd, network={"kind": "erdos_renyi", "p_edge": 0.006}))
+    parse_scenario(_doc(population=crowd, network={"kind": "small_world", "k": 500, "rewire_p": 0.1}))
+    with pytest.raises(ScenarioValidationError, match="^network: small_world"):
+        parse_scenario(_doc(population=crowd, network={"kind": "small_world", "k": 502, "rewire_p": 0.1}))
+
+
 def test_network_kind_violations():
     with pytest.raises(ScenarioValidationError, match="kind"):
         parse_scenario(_doc(network={"kind": "lattice"}))
@@ -349,6 +367,15 @@ def test_generate_population_enforces_cost_order():
     ])
     pop = generate_population(spec, 4)
     assert all(a.C >= a.c for a in pop)
+
+
+def test_generate_population_checks_the_drawn_columns():
+    spec = PopulationSpec([
+        Group("fine", 2, PrivateType.PRO_STATUS_QUO, {"C": Constant(0.5)}),
+        Group("negative", 3, PrivateType.PRO_REBELLION, {"F": Constant(-1.0), "C": Constant(0.5)}),
+    ])
+    with pytest.raises(InvalidParameterError, match="F must be >= 0, got F=-1.0"):
+        generate_population(spec, 0)
 
 
 def test_generate_population_rejection_cap_names_group():
