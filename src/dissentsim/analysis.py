@@ -20,12 +20,12 @@ from .engine import (
     IntegritySpec,
     ParamArrays,
     StepRecord,
-    _integrity_arrays,
     effective_params,
+    integrity_by_stance,
     perceived_probability,
 )
 from .errors import InvalidParameterError
-from .model import AgentParams, Position, PrivateType, SoftTerms, decide, threshold_r_over_nj
+from .model import AgentParams, Position, SoftTerms, decide, threshold_r_over_nj
 
 #: Iteration safety margin; a monotone map on the (n+1)-point lattice must fix
 #: within n+1 productive updates.
@@ -134,15 +134,8 @@ def zero_support_soft_terms(
     agent's PrivateType or a population's boolean ``x_rebel`` array, in which
     case the integrity terms are arrays.
     """
-    x_rebel = np.asarray(
-        x is PrivateType.PRO_REBELLION if isinstance(x, PrivateType) else x, dtype=bool
-    )
-    integ_nj, integ_u, integ_r = _integrity_arrays(integrity, x_rebel, 0)
-    return {
-        Position.NJ: SoftTerms(rep=0.0, integ=integ_nj),
-        Position.U: SoftTerms(rep=0.0, integ=integ_u),
-        Position.R: SoftTerms(rep=0.0, integ=integ_r),
-    }
+    integ = integrity_by_stance(integrity, x, 0)
+    return {pos: SoftTerms(rep=0.0, integ=integ[pos]) for pos in Position}
 
 
 def _arrays(agents: Sequence[AgentParams] | ParamArrays) -> ParamArrays:

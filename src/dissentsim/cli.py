@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,27 +254,30 @@ def cmd_sweep(args) -> int:
     # Surface scenario problems once, before any per-value work.
     parse_scenario(json.dumps(base_doc))
 
+    run_seeds = seeds if seeds is not None else [int(base_doc.get("seed", 0))]
+    stem = _sanitize_for_filename(param_path)
+    cells = [(v, seed, f"{stem}={v:g}_seed={seed}.csv") for v in values for seed in run_seeds]
+    # Values that print alike under %g, or repeated seeds, would overwrite each other's CSV.
+    repeats = Counter(name for _, _, name in cells)
+    clashes = [f"{k} sweep cells would all write {name}" for name, k in repeats.items() if k > 1]
+    if clashes:
+        raise ScenarioValidationError(clashes)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_seeds = seeds if seeds is not None else [int(base_doc.get("seed", 0))]
-
     summary_rows = ["param,value,seed,share_R,share_U,share_NJ"]
-    n_runs = 0
-    for value in values:
-        for seed in run_seeds:
-            doc = copy.deepcopy(base_doc)
-            _set_by_path(doc, param_path, value)
-            doc["seed"] = seed
-            scenario = parse_scenario(json.dumps(doc))
-            records = run(scenario)
-            name = f"{_sanitize_for_filename(param_path)}={value:g}_seed={seed}.csv"
-            with open(out_dir / name, "wb") as sink:
-                write_csv(records, sink)
-            r, u, nj, _ = _final_shares(records)
-            summary_rows.append(f"{param_path},{value:g},{seed},{r:.6f},{u:.6f},{nj:.6f}")
-            n_runs += 1
+    for value, seed, name in cells:
+        doc = copy.deepcopy(base_doc)
+        _set_by_path(doc, param_path, value)
+        doc["seed"] = seed
+        scenario = parse_scenario(json.dumps(doc))
+        records = run(scenario)
+        with open(out_dir / name, "wb") as sink:
+            write_csv(records, sink)
+        r, u, nj, _ = _final_shares(records)
+        summary_rows.append(f"{param_path},{value:g},{seed},{r:.6f},{u:.6f},{nj:.6f}")
     (out_dir / "summary.csv").write_bytes(("\n".join(summary_rows) + "\n").encode("utf-8"))
-    print(f"sweep complete: {n_runs} runs dir={out_dir}")
+    print(f"sweep complete: {len(cells)} runs dir={out_dir}")
     return 0
 
 

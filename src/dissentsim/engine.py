@@ -7,12 +7,12 @@ share, previous neighbor stances), consecutive-falsification counters and
 exit streaks update, and time advances.  Decisions never see anything from
 the current step, so update order within a step cannot matter.
 
-``effective_params`` and ``perceived_probability`` are elementwise: they take
-one agent's ``AgentParams`` or the whole population's ``ParamArrays``, and
-:func:`step` and the cascade analysis call them on the arrays.  The remaining
-per-agent contract operations (``integrity_value``, ``check_exit``...) are
-scalar functions that :func:`step` mirrors over arrays, pinned together by
-equivalence tests.
+Every per-agent rule is written once, elementwise: ``effective_params``,
+``perceived_probability``, ``consistent``, ``integrity_value`` and the
+low-payoff streak rule ``exit_update`` take one agent's values or the whole
+population's arrays, and :func:`step` and the cascade analysis call them on
+the arrays.  The single-agent calls (``check_exit`` here, and the reputation
+functions in :mod:`network`) are n=1 views over the same kernels.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .model import (
     payoff_statusquo,
 )
 from .network import (
-    ReputationSpec,
     ReputationVariant,
     SocialNetwork,
     generate_network,
     influence_scores,
+    observed_weights,
+    reputation_terms,
 )
 
 #: Environment offset names events may shift.
@@ -52,15 +53,15 @@ _LABEL_SAFE = set(
 )
 
 
-def consistent(y: Position, x: PrivateType) -> bool:
+def consistent(y, x):
     """True when the shown stance matches the private preference.
 
     Abstaining is *not* consistent for either type: silence falsifies both a
-    rebel heart and a loyalist one.
+    rebel heart and a loyalist one.  Elementwise: ``y`` is a Position or an
+    array of Position codes, ``x`` a PrivateType or a boolean ``x_rebel`` array.
     """
-    return (y is Position.R and x is PrivateType.PRO_REBELLION) or (
-        y is Position.U and x is PrivateType.PRO_STATUS_QUO
-    )
+    x_rebel = np.asarray(x is PrivateType.PRO_REBELLION if isinstance(x, PrivateType) else x)
+    return y == Position.U + x_rebel  # the preferred stance: U, or R = U + 1 for a rebel
 
 
 @dataclass(frozen=True)
@@ -321,32 +322,47 @@ def perceived_probability(
     return np.clip(params.p_base + env.beta_share * share_R_prev + env.dp, 0.0, 1.0)
 
 
-def integrity_value(
-    spec: IntegritySpec, y: Position, x: PrivateType, d_falsify: int
-) -> float:
-    """Integrity payoff of showing ``y`` given preference ``x`` and streak ``d_falsify``."""
-    if d_falsify < 0:
+def integrity_value(spec: IntegritySpec, y, x, d_falsify):
+    """Integrity payoff of showing ``y`` given preference ``x`` and streak ``d_falsify``.
+
+    Elementwise and broadcasting over ``y`` and ``x`` as in :func:`consistent`
+    and over ``d_falsify``; the falsification penalty is computed once for
+    the whole ``d_falsify`` array.
+    """
+    if np.any(np.asarray(d_falsify) < 0):
         raise InvalidParameterError(f"d_falsify must be >= 0, got {d_falsify!r}")
-    if consistent(y, x):
-        return spec.nu_match
-    return -min(spec.cap, spec.nu0 + spec.kappa * d_falsify)
+    penalty = -np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
+    return np.where(consistent(y, x), spec.nu_match, penalty)[()]
+
+
+def integrity_by_stance(spec: IntegritySpec, x, d_falsify):
+    """:func:`integrity_value` of showing each stance, rows indexed by Position code."""
+    codes = np.arange(len(Position)).reshape((-1,) + (1,) * np.ndim(x))
+    return integrity_value(spec, codes, x, d_falsify)
+
+
+def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patience: int):
+    """The low-payoff streak and exit flag after one step, elementwise.
+
+    The streak grows while the best available payoff is below the threshold
+    and resets otherwise; an agent exits for good once it reaches
+    ``exit_patience``.  A ``-inf`` threshold disables exit (no payoff is ever
+    below it).
+    """
+    if exit_patience < 1:
+        raise InvalidParameterError(f"exit patience must be >= 1, got {exit_patience!r}")
+    streak = np.where(best_payoff < exit_threshold, streak + 1, 0)
+    return streak, exited | (streak >= exit_patience)
 
 
 def check_exit(
     agent: AgentState, best_payoff: float, exit_threshold: float, exit_patience: int
 ) -> AgentState:
-    """Advance the low-payoff streak and flip ``exited`` once patience runs out.
-
-    A ``-inf`` threshold disables exit (no payoff is ever below it).
-    """
-    if exit_patience < 1:
-        raise InvalidParameterError(f"exit patience must be >= 1, got {exit_patience!r}")
-    streak = agent.low_payoff_streak + 1 if best_payoff < exit_threshold else 0
-    return replace(
-        agent,
-        low_payoff_streak=streak,
-        exited=agent.exited or streak >= exit_patience,
+    """One agent's :func:`exit_update`."""
+    streak, exited = exit_update(
+        agent.low_payoff_streak, agent.exited, best_payoff, exit_threshold, exit_patience
     )
+    return replace(agent, low_payoff_streak=int(streak), exited=bool(exited))
 
 
 def apply_events(
@@ -364,46 +380,6 @@ def apply_events(
                 },
             )
     return out
-
-
-def _consistent(y: np.ndarray, x_rebel: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`consistent` over Position codes and the ``x_rebel`` flags."""
-    return ((y == Position.R) & x_rebel) | ((y == Position.U) & ~x_rebel)
-
-
-def _integrity_arrays(spec: IntegritySpec, x_rebel: np.ndarray, d: np.ndarray):
-    penalty = -np.minimum(spec.cap, spec.nu0 + spec.kappa * d)
-    integ_r = np.where(x_rebel, spec.nu_match, penalty)
-    integ_u = np.where(~x_rebel, spec.nu_match, penalty)
-    return penalty, integ_u, integ_r  # NJ always falsifies, so its term is the penalty
-
-
-def _reputation_arrays(
-    network: SocialNetwork,
-    spec: ReputationSpec,
-    y: np.ndarray,
-    exited: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-agent reputation terms for (NJ, U, R) from the previous public state."""
-    n = network.n
-    src, dst, w = network.src, network.dst, network.w
-    if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
-        base = np.ones_like(w)
-    elif spec.variant is ReputationVariant.WEIGHTED_FRACTION:
-        base = w
-    else:
-        scores = influence_scores(network, spec.damping, spec.tol, spec.max_iters)
-        base = w * scores[dst]
-    wm = np.where(exited[dst], 0.0, base)
-    denom = np.bincount(src, weights=wm, minlength=n)
-    # One keyed pass sums each agent's observed weight per stance; column = Position code.
-    num = np.bincount(src * 3 + y[dst], weights=wm, minlength=3 * n).reshape(n, 3)
-    has_obs = (denom > 0.0)[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(has_obs, num / np.where(has_obs, denom[:, None], 1.0), 0.0)
-    rep = spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
-    rep = np.where(has_obs, rep, 0.0)
-    return rep[:, Position.NJ], rep[:, Position.U], rep[:, Position.R]
 
 
 def step(state: SimState, scenario) -> SimState:
@@ -434,33 +410,34 @@ def step(state: SimState, scenario) -> SimState:
     eff = effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
 
-    rep_nj, rep_u, rep_r = _reputation_arrays(
-        state.network, scenario.reputation, y_prev, state.exited
-    )
-    integ_nj, integ_u, integ_r = _integrity_arrays(
-        scenario.integrity, pa.x_rebel, state.d_falsify
-    )
+    net, spec = state.network, scenario.reputation
+    iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+    scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+    weight = observed_weights(spec, net.w, net.dst, state.exited[net.dst], scores)
+    rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
+    integ = integrity_by_stance(scenario.integrity, pa.x_rebel, state.d_falsify)
 
-    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep_nj, integ_nj), pa.V_NJ)
-    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep_u, integ_u), pa.V_U)
-    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep_r, integ_r), pa.V_R)
+    NJ, U, R = Position.NJ, Position.U, Position.R
+    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep[:, NJ], integ[NJ]), pa.V_NJ)
+    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep[:, U], integ[U]), pa.V_U)
+    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
 
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     y_new = np.where(active, chosen, y_prev).astype(np.int8)
 
     d_new = np.where(
-        active, np.where(_consistent(y_new, pa.x_rebel), 0, state.d_falsify + 1), state.d_falsify
+        active, np.where(consistent(y_new, pa.x_rebel), 0, state.d_falsify + 1), state.d_falsify
     )
 
     exited_new = state.exited
     streak_new = state.low_payoff_streak
     if scenario.exit is not None:
         best = np.maximum(np.maximum(e_nj, e_u), e_r)
-        low = best < scenario.exit.threshold
-        streak_new = np.where(
-            active, np.where(low, state.low_payoff_streak + 1, 0), state.low_payoff_streak
+        streak, exited_new = exit_update(
+            state.low_payoff_streak, state.exited, best,
+            scenario.exit.threshold, scenario.exit.patience,
         )
-        exited_new = state.exited | (active & (streak_new >= scenario.exit.patience))
+        streak_new = np.where(active, streak, state.low_payoff_streak)  # exited agents are frozen
 
     return replace(
         state,
@@ -486,7 +463,7 @@ def _record_from(state: SimState) -> StepRecord:
             events=state._last_events,
         )
     counts = np.bincount(state.y[active], minlength=3)
-    n_falsifying = int((active & ~_consistent(state.y, state.params.x_rebel)).sum())
+    n_falsifying = int((active & ~consistent(state.y, state.params.x_rebel)).sum())
     mean_p = float(state._last_p[active].mean()) if state._last_p is not None else 0.0
     return StepRecord(
         t=state.t - 1,

@@ -67,6 +67,8 @@ class SocialNetwork:
     row_ptr: np.ndarray
 
     def __init__(self, n: int, edges):
+        if not np.isfinite(n) or n != np.floor(n):
+            raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
         n = int(n)
         if n < 1:
             raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
@@ -101,12 +103,16 @@ class SocialNetwork:
     def _influence_memo(self) -> dict:
         return {}
 
-    def out_edges(self, agent: int) -> list[tuple[int, float]]:
-        """(target, weight) pairs observed by ``agent``."""
+    def _row(self, agent: int) -> slice:
+        """The slice of ``src``/``dst``/``w`` holding ``agent``'s out-edges."""
         if not 0 <= agent < self.n:
             raise NotFoundError(f"agent {agent} not in network of size {self.n}")
-        lo, hi = self.row_ptr[agent], self.row_ptr[agent + 1]
-        return list(zip(self.dst[lo:hi].tolist(), self.w[lo:hi].tolist()))
+        return slice(self.row_ptr[agent], self.row_ptr[agent + 1])
+
+    def out_edges(self, agent: int) -> list[tuple[int, float]]:
+        """(target, weight) pairs observed by ``agent``."""
+        row = self._row(agent)
+        return list(zip(self.dst[row].tolist(), self.w[row].tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,26 +146,44 @@ class ReputationSpec:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
+def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None) -> np.ndarray:
+    """Per-edge weight of the target in its observer's eyes: 1 (unweighted), the edge
+    weight (weighted) or the edge weight times the target's influence score
+    (iterative); 0 where the target is ``hidden`` (exited)."""
+    if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
+        w = np.ones_like(w)
+    elif spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
+        w = w * scores[dst]
+    return np.where(hidden, 0.0, w)
+
+
+def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.ndarray:
+    """Reputation for showing each stance: one row per observer 0..n-1, column = Position code.
+
+    ``row``, ``weight`` and ``stance`` are per edge: the observer, the
+    :func:`observed_weights` entry and the target's shown Position code.  A
+    term is ``alpha`` times the (centered) weighted fraction of the observer's
+    neighbors showing that stance; 0 when the observer's total weight is 0.
+    """
+    denom = np.bincount(row, weights=weight, minlength=n)
+    # One keyed pass sums each observer's weight per stance.
+    num = np.bincount(row * 3 + stance, weights=weight, minlength=3 * n).reshape(n, 3)
+    has_obs = (denom > 0.0)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(has_obs, num / np.where(has_obs, denom[:, None], 1.0), 0.0)
+    rep = spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
+    return np.where(has_obs, rep, 0.0)
+
+
 def _reputation(agent, position, network, publics, spec, scores=None) -> float:
-    """``alpha`` times the (centered) weighted conforming fraction over the
-    agent's non-exited out-neighbors; 0 when that total weight is 0."""
-    total = 0.0
-    matching = 0.0
-    for j, w in network.out_edges(agent):
-        y = publics.get(j)
-        if y is None:  # exited agents drop out of the neighborhood entirely
-            continue
-        if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
-            w = 1.0
-        elif scores is not None:
-            w *= scores[j]
-        total += w
-        if y == position:
-            matching += w
-    if total == 0.0:  # no observed neighbors, or zero total weight
-        return 0.0
-    frac = matching / total
-    return spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
+    """One agent's :func:`reputation_terms`, over its own CSR row alone."""
+    row = network._row(agent)
+    targets = network.dst[row]
+    ids = targets.tolist()
+    hidden = np.array([j not in publics for j in ids], dtype=bool)  # exited: absent from publics
+    stance = np.array([publics.get(j, 0) for j in ids], dtype=np.int64)
+    weight = observed_weights(spec, network.w[row], targets, hidden, scores)
+    return float(reputation_terms(spec, np.zeros_like(targets), weight, stance, 1)[0, position])
 
 
 def reputation_fraction(
@@ -200,8 +224,6 @@ def influence_scores(
     Results are memoized on the network instance per (damping, tol, max_iters);
     safe for concurrent reads once built.
     """
-    if network.n == 0:
-        raise InvalidParameterError("influence scores need at least one agent")
     if not 0.0 < damping < 1.0:
         raise InvalidParameterError(f"damping must lie in (0, 1), got {damping!r}")
     if not np.isfinite(tol) or tol <= 0.0:

@@ -300,6 +300,20 @@ def test_sweep_path_must_be_numeric(ladder, tmp_path, capsys):
     assert "does not point at a number" in capsys.readouterr().err
 
 
+def test_sweep_rejects_cells_that_share_a_file_name(ladder, tmp_path, capsys):
+    cases = [
+        ('{"path": "beta_share", "values": [0.1234561, 0.1234562]}', "beta_share=0.123456_seed=0.csv"),
+        ('{"path": "beta_share", "values": [1.0], "seeds": [3, 3]}', "beta_share=1_seed=3.csv"),
+    ]
+    for body, name in cases:
+        spec = tmp_path / "spec.json"
+        spec.write_text(body)
+        out = tmp_path / "d"
+        assert main(["sweep", str(ladder), str(spec), "--out", str(out)]) == 1
+        assert f"2 sweep cells would all write {name}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run
+
+
 def test_sweep_spec_validation(ladder, tmp_path, capsys):
     cases = [
         ('{"path": "beta_share"}', "exactly one"),

@@ -143,6 +143,26 @@ def test_consistent():
     assert not consistent(R, PrivateType.PRO_STATUS_QUO)
 
 
+def test_consistent_is_elementwise_over_codes():
+    assert consistent(2, PrivateType.PRO_REBELLION)  # code 2 is R
+    assert not consistent(1, PrivateType.PRO_REBELLION)
+    y = np.array([NJ, U, R, NJ, U, R], dtype=np.int8)
+    x_rebel = np.array([True, True, True, False, False, False])
+    assert consistent(y, x_rebel).tolist() == [False, False, True, False, True, False]
+
+
+def test_integrity_value_is_elementwise():
+    spec = IntegritySpec(nu_match=0.7, nu0=0.5, kappa=0.1, cap=2.0)
+    y = np.array([R, U, NJ, R], dtype=np.int8)
+    x_rebel = np.array([True, True, False, False])
+    d = np.array([5, 3, 3, 100])
+    types = [PrivateType.PRO_REBELLION if x else PrivateType.PRO_STATUS_QUO for x in x_rebel]
+    expected = [integrity_value(spec, Position(a), b, int(c)) for a, b, c in zip(y, types, d)]
+    assert integrity_value(spec, y, x_rebel, d).tolist() == expected
+    with pytest.raises(InvalidParameterError):
+        integrity_value(spec, y, x_rebel, np.array([0, 0, -1, 0]))
+
+
 def test_check_exit_disabled_sentinel():
     agent = AgentState(id=0, params=params(), y=NJ)
     out = agent
@@ -164,6 +184,15 @@ def test_check_exit_streak_reset_then_run():
         agent = check_exit(agent, payoff, 0.0, 3)
         flags.append(agent.exited)
     assert flags == [False, False, False, False, True]  # exits at the 5th step
+
+
+def test_check_exit_inf_threshold_and_bad_patience():
+    agent = AgentState(id=0, params=params(), y=NJ)
+    out = check_exit(check_exit(agent, 1e9, math.inf, 2), 1e9, math.inf, 2)
+    assert out.exited and out.low_payoff_streak == 2
+    assert type(out.low_payoff_streak) is int and type(out.exited) is bool
+    with pytest.raises(InvalidParameterError):
+        check_exit(agent, 0.0, 0.0, 0)
 
 
 def test_apply_events():

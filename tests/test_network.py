@@ -69,6 +69,13 @@ def test_network_rejects_non_integral_ids():
         SocialNetwork(3, [(0, 1), (1, 2), (2, 0)])  # pairs, not triples: six numbers, yet no edges
 
 
+def test_network_rejects_non_integral_size():
+    for n in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            SocialNetwork(n, [])
+    assert SocialNetwork(2.0, [(0, 1, 1.0)]).n == 2
+
+
 def test_network_stores_source_sorted_arrays():
     net = SocialNetwork(3, np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.5], [0.0, 1.0, 2.0]]))
     assert net.src.tolist() == [0, 0, 2]

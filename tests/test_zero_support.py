@@ -106,7 +106,8 @@ def reference(population, env0, integrity):
         elif r >= 1.0 or env0.beta_share == 0.0:
             share.append(math.inf)
         else:
-            share.append((r - (agent.p_base + env0.dp)) / env0.beta_share)
+            with np.errstate(over="ignore"):  # a tiny beta_share overflows to inf: unreachable
+                share.append((r - (agent.p_base + env0.dp)) / env0.beta_share)
     return movers, thr_r, thr_nj, p0s, share
 
 
