@@ -213,7 +213,11 @@ def _set_by_path(doc, path: str, value: float) -> None:
     """Assign into a raw scenario document at a dot path like events[3].deltas.dC.
 
     The target must already exist and hold a number; anything else is a
-    validation error so typos never create new keys silently.
+    validation error so typos never create new keys silently.  A target that
+    holds an integer gets integral values as integers, so integer fields
+    (``network.k``, ``horizon``, a group's ``count``) can be swept; a
+    non-integral value is written as given, and parsing rejects it for an
+    integer field.
     """
     node = doc
     tokens: list[tuple[str, object]] = []
@@ -240,6 +244,8 @@ def _set_by_path(doc, path: str, value: float) -> None:
     current = descend(node, tokens[-1])
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise ScenarioValidationError([f"sweep path {path!r} does not point at a number"])
+    if isinstance(current, int) and value.is_integer():
+        value = int(value)
     kind, key = tokens[-1]
     node[key] = value
 
@@ -263,14 +269,18 @@ def cmd_sweep(args) -> int:
     if clashes:
         raise ScenarioValidationError(clashes)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = ["param,value,seed,share_R,share_U,share_NJ"]
-    for value, seed, name in cells:
+    # Every cell is checked before the first one runs, so a bad value writes nothing.
+    scenarios = []
+    for value, seed, _ in cells:
         doc = copy.deepcopy(base_doc)
         _set_by_path(doc, param_path, value)
         doc["seed"] = seed
-        scenario = parse_scenario(json.dumps(doc))
+        scenarios.append(parse_scenario(json.dumps(doc)))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_rows = ["param,value,seed,share_R,share_U,share_NJ"]
+    for (value, seed, name), scenario in zip(cells, scenarios):
         records = run(scenario)
         with open(out_dir / name, "wb") as sink:
             write_csv(records, sink)

@@ -271,10 +271,17 @@ class SimState:
         env: Environment | None = None,
         t: int = 0,
     ) -> "SimState":
+        """State with each agent at the network node its ``id`` names; the ids must be 0..n-1."""
         if len(agents) != network.n:
             raise InvalidParameterError(
                 f"{len(agents)} agents but network of size {network.n}"
             )
+        by_id = {a.id: a for a in agents}
+        if set(by_id) != set(range(network.n)):  # a repeated id leaves another one missing
+            raise InvalidParameterError(
+                f"agent ids must be 0..{network.n - 1}, each exactly once"
+            )
+        agents = [by_id[i] for i in range(network.n)]
         params = ParamArrays.from_params([a.params for a in agents])
         return cls(
             t=t,
@@ -391,6 +398,11 @@ def step(state: SimState, scenario) -> SimState:
     falsification streak); stance choice; falsification-streak update; exit
     check on the best payoff; advance t.  All decisions read only step-t-1
     public state.  Exited agents are frozen and invisible to neighbors.
+
+    The reputation terms depend only on the network, ``scenario.reputation``,
+    the previous stances and the exit flags, so a step whose previous stances
+    and exit flags equal those of the last step on the same network reuses
+    that step's terms (see :meth:`SocialNetwork.reused_reputation`).
     """
     t = state.t
     env = apply_events(state.env, scenario.events, t)
@@ -411,10 +423,13 @@ def step(state: SimState, scenario) -> SimState:
     p = perceived_probability(pa, share_R_prev, env)
 
     net, spec = state.network, scenario.reputation
-    iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
-    scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-    weight = observed_weights(spec, net.w, net.dst, state.exited[net.dst], scores)
-    rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
+    rep = net.reused_reputation(spec, y_prev, state.exited)
+    if rep is None:  # a stance or an exit changed since the last step on this network
+        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+        weight = observed_weights(spec, net.w, net.dst, state.exited[net.dst], scores)
+        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
+        net.keep_reputation(spec, y_prev, state.exited, rep)
     integ = integrity_by_stance(scenario.integrity, pa.x_rebel, state.d_falsify)
 
     NJ, U, R = Position.NJ, Position.U, Position.R

@@ -57,7 +57,10 @@ class SocialNetwork:
     self-loops, finite weights >= 0.  They are stored stably sorted by source
     as ``src``, ``dst`` and ``w``; agent i's are ``row_ptr[i]:row_ptr[i + 1]``.
     The ``edges`` tuples and ``out_edges`` are views built on request.
-    Instances are immutable, so views and influence scores are cached.
+    Instances are immutable (the arrays are read-only copies), so views and
+    influence scores are cached, and so are the whole-graph reputation terms
+    of the last step (see :meth:`reused_reputation`): a step reuses them
+    while no stance and no exit has changed.
     """
 
     n: int
@@ -93,6 +96,9 @@ class SocialNetwork:
         object.__setattr__(self, "dst", ids[order, 1].astype(np.int64))
         object.__setattr__(self, "w", w[order])
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
+        for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
+            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "_last_reputation", None)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -102,6 +108,31 @@ class SocialNetwork:
     @cached_property
     def _influence_memo(self) -> dict:
         return {}
+
+    def reused_reputation(self, spec, y, exited) -> np.ndarray | None:
+        """The whole-graph reputation terms kept by :meth:`keep_reputation`, if kept for
+        an equal ``spec`` and for stances ``y`` and exit flags ``exited`` equal in content;
+        otherwise None.
+
+        One slot, keyed by content rather than by the arrays' identity, so the
+        terms stay right after in-place edits of a state's arrays, and across
+        states or scenarios that share this network.
+        """
+        last = self._last_reputation  # one tuple: read once, so safe for concurrent reads
+        if (
+            last is not None
+            and last[0] == spec
+            and np.array_equal(last[1], y)
+            and np.array_equal(last[2], exited)
+        ):
+            return last[3]
+        return None
+
+    def keep_reputation(self, spec, y, exited, terms: np.ndarray) -> None:
+        """Keep ``terms`` (made read-only) as the reputation for ``spec`` and copies of
+        ``y`` and ``exited``, in place of the last entry."""
+        terms.setflags(write=False)
+        object.__setattr__(self, "_last_reputation", (spec, np.array(y), np.array(exited), terms))
 
     def _row(self, agent: int) -> slice:
         """The slice of ``src``/``dst``/``w`` holding ``agent``'s out-edges."""

@@ -314,6 +314,40 @@ def test_sweep_rejects_cells_that_share_a_file_name(ladder, tmp_path, capsys):
         assert not out.exists()  # rejected before any run
 
 
+def test_sweep_varies_integer_fields(tmp_path, capsys):
+    doc = json.loads(ladder_doc(0.05))
+    doc["network"] = {"kind": "small_world", "k": 2, "rewire_p": 0.1}
+    doc["exit"] = {"threshold": 0.0, "patience": 2}
+    doc["reputation"]["alpha"] = 0  # a number field written as an integer
+    scenario = tmp_path / "ints.json"
+    scenario.write_text(json.dumps(doc))
+    cases = [
+        ("network.k", [4, 6], None),
+        ("horizon", [3, 5], None),
+        ("exit.patience", [1, 3.0], None),
+        ("population.groups[0].count", [2, 3], None),
+        ("reputation.alpha", [0.5], None),  # still takes any number
+        ("network.k", [4, 4.5], "network.k: expected an integer"),
+        ("horizon", [2.5], "horizon: expected an integer"),
+    ]
+    for i, (path, values, error) in enumerate(cases):
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(json.dumps({"path": path, "values": values}))
+        out = tmp_path / f"out{i}"
+        code = main(["sweep", str(scenario), str(spec), "--out", str(out)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert code == 0, err
+            stem = path.replace("[", "_").replace("]", "_").replace(".", "_")
+            names = [f"{stem}={v:g}_seed=0.csv" for v in values]
+            assert sorted(f.name for f in out.glob("*=*.csv")) == sorted(names)
+        else:
+            assert code == 1
+            assert error in err
+            assert not out.exists()  # rejected before any cell ran
+    assert len((tmp_path / "out1" / "horizon=3_seed=0.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_sweep_spec_validation(ladder, tmp_path, capsys):
     cases = [
         ('{"path": "beta_share"}', "exactly one"),

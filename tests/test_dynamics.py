@@ -88,6 +88,28 @@ def generate_network_complete(n):
 
 # ---------------------------------------------------------------- scalar ops
 
+def test_from_agents_places_each_agent_at_its_id():
+    net = SocialNetwork(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    agents = [
+        AgentState(id=1, params=params(F=1.0), y=R, d_falsify=3),
+        AgentState(id=0, params=params(F=2.0), y=U),
+    ]
+    state = SimState.from_agents(agents, net)
+    assert state.params.F.tolist() == [2.0, 1.0]
+    assert state.y.tolist() == [int(U), int(R)]
+    assert state.d_falsify.tolist() == [0, 3]
+    assert [a.id for a in state.agents] == [0, 1]
+    assert state.agents[1].params.F == 1.0
+
+
+@pytest.mark.parametrize("ids", [[5, 5], [0, 0], [1, 2], [0, -1]])
+def test_from_agents_requires_ids_zero_to_n(ids):
+    net = SocialNetwork(2, [(0, 1, 1.0)])
+    agents = [AgentState(id=i, params=params(), y=NJ) for i in ids]
+    with pytest.raises(InvalidParameterError, match="agent ids"):
+        SimState.from_agents(agents, net)
+
+
 def test_effective_params_identity():
     a = params(F=1.0, S=2.0, C=3.0, c=0.5, A_U=1.0, A_R=1.0)
     assert effective_params(a, Environment()) == a

@@ -7,16 +7,21 @@ is changed on purpose.  ``small_donbass`` is the committed baseline scaled to
 and ``-0.000000``, with a step-0 event that floors an offset at zero.  The
 other network kinds and ``sweep`` are pinned on variants of ``small_donbass``:
 a complete graph with unweighted reputation and exits that fire, an
-Erdos-Renyi graph, and the summary of a two-seed ``iterative_influence`` sweep.
+Erdos-Renyi graph, the summary of a two-seed ``iterative_influence`` sweep,
+and a 240-step ``iterative_influence`` run with exits whose public state
+stands still between changes (the steps that reuse their reputation terms).
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dissentsim.cli import main
+from dissentsim.engine import init_state, step
+from dissentsim.scenario import parse_scenario
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
 
@@ -114,11 +119,21 @@ def _small_iterative() -> dict:
     return doc
 
 
+def _small_iterative_exits() -> dict:
+    """Exits keep firing after the stances settle, so still steps and exit-only changes interleave."""
+    doc = _small_donbass()
+    doc["reputation"] = {"variant": "iterative_influence", "alpha": 0.5}
+    doc["exit"] = {"threshold": 1.0, "patience": 20}
+    doc["horizon"] = 240
+    return doc
+
+
 SWEEP_SPEC = {"path": "reputation.alpha", "values": [0.3, 0.6], "seeds": [1, 2]}
 
 GOLDEN_RUN_CSV = {
     "complete_exits": "54c19a724deb71dc0c3631c96a3ee94fb357c33d2b45a75bdcbbefbe129c0413",
     "erdos_renyi": "5849b46f8bfd1748be8c74eab3066dbcae4e64f4bdb17387ace1330fe59a8c6a",
+    "iterative_exits": "825700b561fa0bab133d10e32338b8878e51664fd296c2b78f32e144353b860e",
 }
 
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
@@ -170,7 +185,11 @@ def _run_csv(doc: dict, workdir) -> bytes:
 
 @pytest.mark.parametrize(
     "name, doc",
-    [("complete_exits", _small_complete_with_exits()), ("erdos_renyi", _small_erdos_renyi())],
+    [
+        ("complete_exits", _small_complete_with_exits()),
+        ("erdos_renyi", _small_erdos_renyi()),
+        ("iterative_exits", _small_iterative_exits()),
+    ],
 )
 def test_golden_run_csv_other_networks(name, doc, tmp_path):
     assert _sha(_run_csv(doc, tmp_path)) == GOLDEN_RUN_CSV[name]
@@ -179,6 +198,25 @@ def test_golden_run_csv_other_networks(name, doc, tmp_path):
 def test_complete_scenario_exits_fire(tmp_path):
     last = _run_csv(_small_complete_with_exits(), tmp_path).decode().splitlines()[-1]
     assert int(last.split(",")[4]) > 0
+
+
+def test_iterative_exits_scenario_has_still_stretches():
+    """After the first exit, some steps leave (y, exited) as it was, and some change exits alone."""
+    scenario = parse_scenario(json.dumps(_small_iterative_exits()))
+    state = init_state(scenario)
+    still, exit_only, any_exited = [], [], []
+    for _ in range(scenario.horizon):
+        new = step(state, scenario)
+        same_y = np.array_equal(new.y, state.y)
+        same_exited = np.array_equal(new.exited, state.exited)
+        still.append(same_y and same_exited)
+        exit_only.append(same_y and not same_exited)
+        any_exited.append(bool(new.exited.any()))
+        state = new
+    first_exit = any_exited.index(True)
+    assert any(still[first_exit:])
+    # A still step followed by one where only exits changed: reused terms must be dropped there.
+    assert any(still[t] and exit_only[t + 1] for t in range(first_exit, len(still) - 1))
 
 
 def test_golden_sweep_summary(tmp_path):

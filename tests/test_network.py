@@ -85,6 +85,17 @@ def test_network_stores_source_sorted_arrays():
     assert net.edges == ((0, 2, 0.5), (0, 1, 2.0), (2, 0, 1.0))
 
 
+def test_network_arrays_are_read_only():
+    """Influence scores and the last step's reputation terms are cached on the network."""
+    edges = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+    net = SocialNetwork(2, edges)
+    for name in ("src", "dst", "w", "row_ptr"):
+        with pytest.raises(ValueError):
+            getattr(net, name)[0] = 1
+    edges[0, 2] = 5.0  # the caller's array is copied, not frozen
+    assert net.w.tolist() == [1.0, 2.0]
+
+
 def test_out_edges():
     net = SocialNetwork(4, [(1, 2, 2.0), (1, 0, 1.0), (3, 1, 5.0)])
     assert net.out_edges(1) == [(2, 2.0), (0, 1.0)] or net.out_edges(1) == [(0, 1.0), (2, 2.0)]

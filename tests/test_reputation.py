@@ -7,8 +7,18 @@ influence score, and take the (centered) matching fraction.  The kernel
 (:func:`reputation_terms`), the terms :func:`step` feeds the payoffs, and the
 single-agent views :func:`reputation_fraction` / :func:`reputation_iterative`
 must all equal it bit for bit, for every agent and stance.
+
+:func:`step` reuses the last step's whole-graph terms while the network,
+the reputation spec, the previous stances and the exit flags are unchanged.
+The reuse tests check that every step's terms equal the kernel run fresh on
+that step's inputs, also after in-place edits and across specs, and that the
+kernel runs exactly once per step whose inputs changed.
 """
 
+import json
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +26,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dissentsim import (
+    ExitSpec,
     IntegritySpec,
     Position,
     ReputationSpec,
@@ -23,12 +34,14 @@ from dissentsim import (
     SimState,
     SocialNetwork,
     influence_scores,
+    parse_scenario,
     reputation_fraction,
     reputation_iterative,
+    run,
     step,
 )
 from dissentsim import engine
-from dissentsim.engine import Environment, ParamArrays
+from dissentsim.engine import FACTOR_NAMES, Environment, ParamArrays
 from dissentsim.network import observed_weights, reputation_terms
 
 STANCES = (Position.NJ, Position.U, Position.R)
@@ -80,22 +93,30 @@ def worlds(draw):
     return SocialNetwork(n, edges), np.array(y, dtype=np.int8), np.array(exited), spec
 
 
-def step_terms(net, y, exited, spec):
-    """The reputation terms :func:`step` passes to the three payoffs, by stance."""
+def state_of(net, y, exited, params=None):
     n = net.n
-    state = SimState(
-        t=0, env=Environment(), network=net,
-        params=ParamArrays(
-            **{name: np.zeros(n) for name in ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ")},
+    if params is None:  # no hard factors: the stance choice does not matter here
+        params = ParamArrays(
+            **{name: np.zeros(n) for name in FACTOR_NAMES if name != "p_base"},
             p_base=np.full(n, 0.5), x_rebel=np.zeros(n, dtype=bool),
-        ),
+        )
+    return SimState(
+        t=0, env=Environment(), network=net, params=params,
         y=y, d_falsify=np.zeros(n, dtype=np.int64), exited=exited,
         low_payoff_streak=np.zeros(n, dtype=np.int64),
     )
-    scenario = SimpleNamespace(
-        events=[], reputation=spec, exit=None,
-        integrity=IntegritySpec(nu_match=0.0, nu0=0.0, kappa=0.0, cap=1.0),
+
+
+def scenario_of(spec, exit=None, integrity=None):
+    return SimpleNamespace(
+        events=[], reputation=spec, exit=exit,
+        integrity=integrity or IntegritySpec(nu_match=0.0, nu0=0.0, kappa=0.0, cap=1.0),
     )
+
+
+@contextmanager
+def payoff_spy():
+    """Yields a dict that the next steps fill with the reputation terms passed to each payoff."""
     seen = {}
 
     def spy(pos, payoff):
@@ -109,9 +130,15 @@ def step_terms(net, y, exited, spec):
         spy(pos, fn) for pos, fn in zip(STANCES, saved)
     )
     try:
-        step(state, scenario)
+        yield seen
     finally:
         engine.payoff_nojoin, engine.payoff_statusquo, engine.payoff_rebel = saved
+
+
+def step_terms(net, y, exited, spec):
+    """The reputation terms :func:`step` passes to the three payoffs, by stance."""
+    with payoff_spy() as seen:
+        step(state_of(net, y, exited), scenario_of(spec))
     return seen
 
 
@@ -139,3 +166,165 @@ def test_every_entry_point_matches_the_dict_loop(world):
             assert bits(view(i, pos, net, publics, spec)) == expected
             if stepped is not None:
                 assert bits(stepped[pos][i]) == expected
+
+
+# ---------------------------------------------------------------- reuse across steps
+
+def fresh_terms(net, y, exited, spec):
+    """The kernel run on the whole graph for these stances and exits, as an (n, 3) array."""
+    iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+    scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+    weight = observed_weights(spec, net.w, net.dst, exited[net.dst], scores)
+    return reputation_terms(spec, net.src, weight, y[net.dst], net.n)
+
+
+def stepped(state, scenario):
+    """The successor state and the (n, 3) reputation terms the step used."""
+    with payoff_spy() as seen:
+        new = step(state, scenario)
+    return new, np.column_stack([seen[pos] for pos in STANCES])
+
+
+def same_bits(a, b) -> bool:
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+factor = st.floats(0.0, 3.0)
+
+
+@st.composite
+def runs(draw):
+    """A random world with random agents, an exit rule, and an edit (or none) before each step."""
+    net, y, exited, spec = draw(worlds())
+    n = net.n
+    column = st.lists(factor, min_size=n, max_size=n).map(np.array)
+    params = ParamArrays(
+        **{name: draw(column) for name in FACTOR_NAMES if name != "p_base"},
+        p_base=draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)),
+        x_rebel=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+    exit_rule = draw(st.one_of(
+        st.none(), st.builds(ExitSpec, threshold=st.floats(-1.0, 2.0), patience=st.integers(1, 3))
+    ))
+    integrity = IntegritySpec(nu_match=draw(factor), nu0=0.1, kappa=draw(factor), cap=1.0)
+    edit = st.one_of(  # (what, agent, stance shift): every edit changes something
+        st.none(), st.none(),
+        st.tuples(st.sampled_from(["y", "exited", "replace", "again"]), st.integers(0, n - 1),
+                  st.integers(1, 2)),
+    )
+    edits = draw(st.lists(edit, min_size=1, max_size=12))
+    return state_of(net, y, exited, params), scenario_of(spec, exit_rule, integrity), edits
+
+
+@given(runs())
+def test_every_step_uses_the_terms_of_its_own_inputs(world):
+    state, scenario, edits = world
+    last_input = state
+    for edit in edits:
+        if edit is not None:
+            kind, i, shift = edit
+            if kind == "again":  # step the last input again, after an in-place edit
+                state = last_input
+                state.y[i] = (state.y[i] + shift) % 3
+            elif kind == "y":
+                state.y[i] = (state.y[i] + shift) % 3  # in place: the array object stays
+            elif kind == "exited":
+                state.exited[i] = not state.exited[i]
+            else:
+                y = state.y.copy()
+                y[i] = (y[i] + shift) % 3
+                state = replace(state, y=y)
+        if state.exited.all():
+            break  # nobody left to decide: the step computes no payoffs
+        expected = fresh_terms(state.network, state.y, state.exited, scenario.reputation)
+        last_input = state
+        state, terms = stepped(state, scenario)
+        assert same_bits(terms, expected)
+
+
+def small_world():
+    """Four agents with unequal edge weights, so every variant and stance gives distinct terms."""
+    net = SocialNetwork(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 0.5), (1, 0, 1.0), (1, 2, 3.0),
+                            (2, 3, 1.0), (3, 0, 2.0), (3, 1, 1.0)])
+    y = np.array([Position.NJ, Position.R, Position.U, Position.R], dtype=np.int8)
+    return state_of(net, y, np.zeros(4, dtype=bool))
+
+
+WEIGHTED = ReputationSpec(ReputationVariant.WEIGHTED_FRACTION, alpha=0.5)
+
+
+def test_in_place_edits_between_steps_are_seen():
+    state = small_world()
+    scenario = scenario_of(WEIGHTED)
+    _, before = stepped(state, scenario)
+    state.y[2] = Position.R
+    _, after = stepped(state, scenario)
+    assert not same_bits(after, before)
+    assert same_bits(after, fresh_terms(state.network, state.y, state.exited, WEIGHTED))
+    state.exited[1] = True
+    _, after_exit = stepped(state, scenario)
+    assert not same_bits(after_exit, after)
+    assert same_bits(after_exit, fresh_terms(state.network, state.y, state.exited, WEIGHTED))
+
+
+def test_replaced_stances_are_seen():
+    state = small_world()
+    scenario = scenario_of(WEIGHTED)
+    _, before = stepped(state, scenario)
+    y = state.y.copy()
+    y[0] = Position.U
+    _, after = stepped(replace(state, y=y), scenario)
+    assert not same_bits(after, before)
+    assert same_bits(after, fresh_terms(state.network, y, state.exited, WEIGHTED))
+    _, again = stepped(state, scenario)  # the unedited state gets its own terms back
+    assert same_bits(again, before)
+
+
+def test_one_network_under_two_specs():
+    state = small_world()
+    specs = [
+        WEIGHTED,
+        replace(WEIGHTED, alpha=1.5),
+        replace(WEIGHTED, variant=ReputationVariant.UNWEIGHTED_FRACTION),
+        replace(WEIGHTED, variant=ReputationVariant.ITERATIVE_INFLUENCE),
+        WEIGHTED,
+    ]
+    seen = []
+    for spec in specs:
+        _, terms = stepped(state, scenario_of(spec))
+        assert same_bits(terms, fresh_terms(state.network, state.y, state.exited, spec))
+        seen.append(terms.tobytes())
+    assert len(set(seen)) == 4
+
+
+def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
+    """During ``run``: one kernel call per step whose (y, exited) differs from the previous
+    step's; the first step counts as changed."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json").read_text())
+    for group, count in zip(doc["population"]["groups"], (30, 45, 225)):
+        group["count"] = count
+    doc["reputation"] = {"variant": "iterative_influence", "alpha": 0.5}
+    doc["exit"] = {"threshold": 1.0, "patience": 20}
+    doc["horizon"] = 240
+    scenario = parse_scenario(json.dumps(doc))
+
+    inputs, calls = [], []
+    real_step, real_terms = engine.step, engine.reputation_terms
+
+    def recording_step(state, scenario):
+        inputs.append((state.y.copy(), state.exited.copy()))
+        return real_step(state, scenario)
+
+    def counting_terms(*args):
+        calls.append(args)
+        return real_terms(*args)
+
+    monkeypatch.setattr(engine, "step", recording_step)
+    monkeypatch.setattr(engine, "reputation_terms", counting_terms)
+    run(scenario)
+    changed = 1 + sum(
+        not (np.array_equal(y, y0) and np.array_equal(e, e0))
+        for (y0, e0), (y, e) in zip(inputs, inputs[1:])
+    )
+    assert len(inputs) == 240
+    assert len(calls) == changed < 240
