@@ -13,13 +13,22 @@ low-payoff streak rule ``exit_update`` take one agent's values or the whole
 population's arrays, and :func:`step` and the cascade analysis call them on
 the arrays.  The single-agent calls (``check_exit`` here, and the reputation
 functions in :mod:`network`) are n=1 views over the same kernels.
+
+Stances under preference falsification stand still for long stretches, so
+each state carries a memo of the step that made it: that step's inputs and
+its decision.  The next step reuses the reputation terms while the network,
+the reputation spec, the stances and the exit flags are unchanged, and the
+whole decision while the parameters, the environment, the integrity spec
+and every falsification penalty are unchanged too; :func:`run` then reuses
+the previous record as well.  Inputs that can be edited in place are
+compared by content, so manual stepping stays exact after such edits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .model import (
     payoff_statusquo,
 )
 from .network import (
+    ReputationSpec,
     ReputationVariant,
     SocialNetwork,
     generate_network,
@@ -194,6 +204,8 @@ class ParamArrays:
 
     The private preference is stored as the boolean ``x_rebel``.  The
     elementwise model formulas accept it wherever they accept AgentParams.
+    The columns are read-only (the arrays passed in are marked so), which
+    lets :func:`step` recognise unchanged parameters by identity.
     """
 
     F: np.ndarray
@@ -207,6 +219,10 @@ class ParamArrays:
     V_NJ: np.ndarray
     p_base: np.ndarray
     x_rebel: np.ndarray
+
+    def __post_init__(self):
+        for name in FACTOR_NAMES + ("x_rebel",):
+            getattr(self, name).setflags(write=False)
 
     @classmethod
     def from_params(cls, params: Sequence[AgentParams]) -> "ParamArrays":
@@ -228,6 +244,27 @@ class ParamArrays:
         ]
 
 
+class _StepMemo(NamedTuple):
+    """One step's inputs and decision, kept on its successor state for the next step.
+
+    ``y``, ``exited`` and ``penalty`` are private copies, so a later step
+    compares them by content; the arrays it hands out are read-only.
+    """
+
+    reputation: ReputationSpec
+    network: SocialNetwork
+    y: np.ndarray
+    exited: np.ndarray
+    rep: np.ndarray
+    integrity: IntegritySpec
+    params: ParamArrays
+    env: Environment
+    penalty: np.ndarray
+    p: np.ndarray
+    chosen: np.ndarray
+    best: np.ndarray
+
+
 @dataclass
 class SimState:
     """Simulation state: time, environment, network, and population arrays.
@@ -244,8 +281,8 @@ class SimState:
     d_falsify: np.ndarray
     exited: np.ndarray
     low_payoff_streak: np.ndarray
-    _last_p: np.ndarray | None = None
     _last_events: tuple[str, ...] = ()
+    _memo: _StepMemo | None = None  # what the step that made this state read and decided
 
     @property
     def n(self) -> int:
@@ -336,10 +373,14 @@ def integrity_value(spec: IntegritySpec, y, x, d_falsify):
     and over ``d_falsify``; the falsification penalty is computed once for
     the whole ``d_falsify`` array.
     """
+    return np.where(consistent(y, x), spec.nu_match, -falsification_penalty(spec, d_falsify))[()]
+
+
+def falsification_penalty(spec: IntegritySpec, d_falsify):
+    """The cost ``min(cap, nu0 + kappa * d)`` of falsifying after ``d`` falsifying steps, elementwise."""
     if np.any(np.asarray(d_falsify) < 0):
         raise InvalidParameterError(f"d_falsify must be >= 0, got {d_falsify!r}")
-    penalty = -np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
-    return np.where(consistent(y, x), spec.nu_match, penalty)[()]
+    return np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
 
 
 def integrity_by_stance(spec: IntegritySpec, x, d_falsify):
@@ -399,57 +440,35 @@ def step(state: SimState, scenario) -> SimState:
     check on the best payoff; advance t.  All decisions read only step-t-1
     public state.  Exited agents are frozen and invisible to neighbors.
 
-    The reputation terms depend only on the network, ``scenario.reputation``,
-    the previous stances and the exit flags, so a step whose previous stances
-    and exit flags equal those of the last step on the same network reuses
-    that step's terms (see :meth:`SocialNetwork.reused_reputation`).
+    The decision (perceived probability, chosen stances, best payoff) is a
+    pure function of its inputs, so a step whose inputs equal those of the
+    step that made ``state`` repeats that step's work instead of redoing it
+    (see :func:`_decide`).  The inputs are compared by content or equality,
+    never by the identity of anything that can change in place, so manual
+    stepping stays exact after in-place edits of ``y``, ``exited`` or
+    ``d_falsify``, and an input that fails a check still raises.
     """
     t = state.t
     env = apply_events(state.env, scenario.events, t)
     labels = tuple(ev.label for ev in scenario.events if ev.step == t)
 
     active = ~state.exited
-    n_active = int(active.sum())
-    if n_active == 0:
-        return replace(
-            state, t=t + 1, env=env, _last_p=None, _last_events=labels
-        )
+    if not active.any():
+        return replace(state, t=t + 1, env=env, _last_events=labels, _memo=None)
 
-    y_prev = state.y
-    share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / n_active
-
-    pa = state.params
-    eff = effective_params(pa, env)
-    p = perceived_probability(pa, share_R_prev, env)
-
-    net, spec = state.network, scenario.reputation
-    rep = net.reused_reputation(spec, y_prev, state.exited)
-    if rep is None:  # a stance or an exit changed since the last step on this network
-        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
-        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        weight = observed_weights(spec, net.w, net.dst, state.exited[net.dst], scores)
-        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
-        net.keep_reputation(spec, y_prev, state.exited, rep)
-    integ = integrity_by_stance(scenario.integrity, pa.x_rebel, state.d_falsify)
-
-    NJ, U, R = Position.NJ, Position.U, Position.R
-    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep[:, NJ], integ[NJ]), pa.V_NJ)
-    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep[:, U], integ[U]), pa.V_U)
-    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
-
-    chosen = choose_positions(e_nj, e_u, e_r, y_prev)
-    y_new = np.where(active, chosen, y_prev).astype(np.int8)
+    memo = _decide(state, scenario, env, active)
+    y_new = np.where(active, memo.chosen, state.y).astype(np.int8)
 
     d_new = np.where(
-        active, np.where(consistent(y_new, pa.x_rebel), 0, state.d_falsify + 1), state.d_falsify
+        active, np.where(consistent(y_new, state.params.x_rebel), 0, state.d_falsify + 1),
+        state.d_falsify,
     )
 
     exited_new = state.exited
     streak_new = state.low_payoff_streak
     if scenario.exit is not None:
-        best = np.maximum(np.maximum(e_nj, e_u), e_r)
         streak, exited_new = exit_update(
-            state.low_payoff_streak, state.exited, best,
+            state.low_payoff_streak, state.exited, memo.best,
             scenario.exit.threshold, scenario.exit.patience,
         )
         streak_new = np.where(active, streak, state.low_payoff_streak)  # exited agents are frozen
@@ -462,9 +481,62 @@ def step(state: SimState, scenario) -> SimState:
         d_falsify=d_new,
         exited=exited_new,
         low_payoff_streak=streak_new,
-        _last_p=p,
         _last_events=labels,
+        _memo=memo,
     )
+
+
+def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> _StepMemo:
+    """The step's decision, reusing what ``state._memo`` kept where its inputs are unchanged.
+
+    Two levels.  The reputation terms depend only on the network, the
+    reputation spec, the previous stances and the exit flags; the payoffs
+    and the stance choice also on the parameters, the environment after
+    events, the integrity spec and each agent's falsification penalty.
+    When all of these match, the kept decision is returned as it is.
+    """
+    last = state._memo
+    net, spec, integrity, pa = state.network, scenario.reputation, scenario.integrity, state.params
+    y_prev, exited = state.y, state.exited
+    same_public = (
+        last is not None
+        and last.network is net  # the network's arrays are read-only
+        and last.reputation == spec
+        and np.array_equal(last.y, y_prev)
+        and np.array_equal(last.exited, exited)
+    )
+    if same_public:
+        rep = last.rep
+    else:  # a stance or an exit changed since the last step
+        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], scores)
+        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
+    penalty = falsification_penalty(integrity, state.d_falsify)  # checks d_falsify every step
+    if (
+        same_public
+        and last.env is env  # frozen; apply_events returns it as is when no event fires
+        and last.params is pa  # read-only columns
+        and last.integrity == integrity
+        and np.array_equal(last.penalty, penalty)
+    ):
+        return last
+
+    share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / int(active.sum())
+    eff = effective_params(pa, env)
+    p = perceived_probability(pa, share_R_prev, env)
+    integ = integrity_by_stance(integrity, pa.x_rebel, state.d_falsify)
+
+    NJ, U, R = Position.NJ, Position.U, Position.R
+    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep[:, NJ], integ[NJ]), pa.V_NJ)
+    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep[:, U], integ[U]), pa.V_U)
+    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
+    chosen = choose_positions(e_nj, e_u, e_r, y_prev)
+    best = np.maximum(np.maximum(e_nj, e_u), e_r)
+    for kept in (rep, p, chosen, best):
+        kept.setflags(write=False)
+    return _StepMemo(spec, net, y_prev.copy(), exited.copy(), rep, integrity, pa, env,
+                     penalty, p, chosen, best)
 
 
 def _record_from(state: SimState) -> StepRecord:
@@ -479,7 +551,7 @@ def _record_from(state: SimState) -> StepRecord:
         )
     counts = np.bincount(state.y[active], minlength=3)
     n_falsifying = int((active & ~consistent(state.y, state.params.x_rebel)).sum())
-    mean_p = float(state._last_p[active].mean()) if state._last_p is not None else 0.0
+    mean_p = float(state._memo.p[active].mean()) if state._memo is not None else 0.0
     return StepRecord(
         t=state.t - 1,
         share_R=int(counts[Position.R]) / n_active,
@@ -540,6 +612,15 @@ def run(scenario, state: SimState | None = None) -> list[StepRecord]:
         state = init_state(scenario)
     records = []
     for _ in range(scenario.horizon):
-        state = step(state, scenario)
-        records.append(_record_from(state))
+        new = step(state, scenario)
+        if (  # nothing the record reads changed: only t and the events differ
+            records
+            and new._memo is state._memo
+            and np.array_equal(new.y, state.y)
+            and np.array_equal(new.exited, state.exited)
+        ):
+            records.append(replace(records[-1], t=new.t - 1, events=new._last_events))
+        else:
+            records.append(_record_from(new))
+        state = new
     return records

@@ -32,6 +32,11 @@ DEFAULT_MAX_ITERS = 200
 #: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
 EDGE_BUDGET = 50_000_000
 
+#: Most uniforms a scenario's network generator may draw (see :func:`draw_count`).
+#: ``erdos_renyi`` draws one per ordered pair whatever ``p_edge`` is, at 3-4 ns each:
+#: 1e11 draws (n of about 3.2e5) take 5-7 minutes, and 10^6 agents about an hour.
+DRAW_BUDGET = 100_000_000_000
+
 #: Numeric stance values used by the sentiment index: R=+1, U=-1, NJ=0.
 SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
@@ -58,9 +63,7 @@ class SocialNetwork:
     as ``src``, ``dst`` and ``w``; agent i's are ``row_ptr[i]:row_ptr[i + 1]``.
     The ``edges`` tuples and ``out_edges`` are views built on request.
     Instances are immutable (the arrays are read-only copies), so views and
-    influence scores are cached, and so are the whole-graph reputation terms
-    of the last step (see :meth:`reused_reputation`): a step reuses them
-    while no stance and no exit has changed.
+    influence scores are cached.
     """
 
     n: int
@@ -98,7 +101,6 @@ class SocialNetwork:
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
         for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
             getattr(self, name).setflags(write=False)
-        object.__setattr__(self, "_last_reputation", None)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -108,31 +110,6 @@ class SocialNetwork:
     @cached_property
     def _influence_memo(self) -> dict:
         return {}
-
-    def reused_reputation(self, spec, y, exited) -> np.ndarray | None:
-        """The whole-graph reputation terms kept by :meth:`keep_reputation`, if kept for
-        an equal ``spec`` and for stances ``y`` and exit flags ``exited`` equal in content;
-        otherwise None.
-
-        One slot, keyed by content rather than by the arrays' identity, so the
-        terms stay right after in-place edits of a state's arrays, and across
-        states or scenarios that share this network.
-        """
-        last = self._last_reputation  # one tuple: read once, so safe for concurrent reads
-        if (
-            last is not None
-            and last[0] == spec
-            and np.array_equal(last[1], y)
-            and np.array_equal(last[2], exited)
-        ):
-            return last[3]
-        return None
-
-    def keep_reputation(self, spec, y, exited, terms: np.ndarray) -> None:
-        """Keep ``terms`` (made read-only) as the reputation for ``spec`` and copies of
-        ``y`` and ``exited``, in place of the last entry."""
-        terms.setflags(write=False)
-        object.__setattr__(self, "_last_reputation", (spec, np.array(y), np.array(exited), terms))
 
     def _row(self, agent: int) -> slice:
         """The slice of ``src``/``dst``/``w`` holding ``agent``'s out-edges."""
@@ -368,6 +345,13 @@ def edge_count(spec: NetworkSpec, n: int) -> float:
     if spec.kind is NetworkKind.ERDOS_RENYI:
         return spec.p_edge * n * (n - 1)
     return float(n * spec.k)
+
+
+def draw_count(spec: NetworkSpec, n: int) -> float:
+    """Uniforms the generator draws for ``n`` agents where the edge budget does not bound
+    them: n² for erdos_renyi, one per ordered pair whatever ``p_edge`` is; 0 otherwise
+    (complete draws none, small_world about one per edge)."""
+    return float(n) * n if spec.kind is NetworkKind.ERDOS_RENYI else 0.0
 
 
 def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:

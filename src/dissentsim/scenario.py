@@ -34,8 +34,8 @@ from .errors import (
     ScenarioValidationError,
 )
 from .model import FACTOR_NAMES, NONNEGATIVE_FACTORS, AgentParams, PrivateType, check_params
-from .network import EDGE_BUDGET, NetworkKind, NetworkSpec, ReputationSpec, ReputationVariant
-from .network import edge_count
+from .network import DRAW_BUDGET, EDGE_BUDGET, NetworkKind, NetworkSpec, ReputationSpec
+from .network import ReputationVariant, draw_count, edge_count
 
 #: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
 REJECTION_CAP = 1000
@@ -626,6 +626,10 @@ def parse_scenario(text: str) -> Scenario:
         if edges > EDGE_BUDGET:
             check.fail("network", f"{network.kind.value} over {population.n_total} agents has "
                                   f"{edges:.3g} edges, more than the budget of {EDGE_BUDGET:.3g}")
+        draws = draw_count(network, population.n_total)
+        if draws > DRAW_BUDGET:
+            check.fail("network", f"{network.kind.value} over {population.n_total} agents draws "
+                                  f"{draws:.3g} uniforms, more than the budget of {DRAW_BUDGET:.3g}")
     if horizon is not None:
         for idx, event in enumerate(events):
             if event.step >= horizon:  # steps run 0..horizon-1; a later event would never fire

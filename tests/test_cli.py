@@ -383,6 +383,28 @@ def test_validate_cost_order_violation(tmp_path, capsys):
     assert "C >= c violated" in capsys.readouterr().err
 
 
+def test_validate_refuses_erdos_renyi_over_the_draw_budget(tmp_path, capsys, monkeypatch):
+    """erdos_renyi draws n² uniforms whatever p_edge is: 10^6 agents (10^12 draws, though only
+    10^7 expected edges) are refused from the spec alone, with nothing sampled or generated."""
+    import dissentsim.engine as engine
+    import dissentsim.network as network
+
+    def never(*args, **kwargs):
+        raise AssertionError("validate must not build the population or the network")
+
+    for module, name in ((network, "generate_network"), (engine, "generate_network"),
+                         (engine, "sample_population"), (engine, "init_state")):
+        monkeypatch.setattr(module, name, never)
+    doc = json.loads(ladder_doc(0.05, n=1))
+    doc["population"]["groups"][0]["count"] = 1_000_000
+    doc["network"] = {"kind": "erdos_renyi", "p_edge": 1e-5}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert ("network: erdos_renyi over 1000000 agents draws 1e+12 uniforms, "
+            "more than the budget of 1e+11") in capsys.readouterr().err
+
+
 def test_validate_event_beyond_horizon(tmp_path, capsys):
     doc = json.loads(ladder_doc(0.05))
     doc["events"] = [{"step": 99, "label": "late", "deltas": {"dC": 1.0}}]

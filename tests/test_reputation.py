@@ -12,7 +12,9 @@ must all equal it bit for bit, for every agent and stance.
 the reputation spec, the previous stances and the exit flags are unchanged.
 The reuse tests check that every step's terms equal the kernel run fresh on
 that step's inputs, also after in-place edits and across specs, and that the
-kernel runs exactly once per step whose inputs changed.
+kernel runs exactly once per step whose inputs changed.  A step that reuses
+its predecessor's whole decision computes no payoffs; its successor must
+equal the one a step with nothing kept makes.
 """
 
 import json
@@ -179,14 +181,23 @@ def fresh_terms(net, y, exited, spec):
 
 
 def stepped(state, scenario):
-    """The successor state and the (n, 3) reputation terms the step used."""
+    """The successor state and the (n, 3) reputation terms the step used; None for the
+    terms when the step reused its predecessor's whole decision and computed no payoffs."""
     with payoff_spy() as seen:
         new = step(state, scenario)
-    return new, np.column_stack([seen[pos] for pos in STANCES])
+    return new, np.column_stack([seen[pos] for pos in STANCES]) if seen else None
 
 
 def same_bits(a, b) -> bool:
     return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def same_state(a, b) -> bool:
+    """Bit-equal public state, streaks, environment and perceived probabilities."""
+    arrays = ("y", "d_falsify", "exited", "low_payoff_streak")
+    return (a.t, a.env, a._last_events) == (b.t, b.env, b._last_events) and all(
+        same_bits(getattr(a, name), getattr(b, name)) for name in arrays
+    ) and same_bits(a._memo.p, b._memo.p)
 
 
 factor = st.floats(0.0, 3.0)
@@ -239,7 +250,10 @@ def test_every_step_uses_the_terms_of_its_own_inputs(world):
         expected = fresh_terms(state.network, state.y, state.exited, scenario.reputation)
         last_input = state
         state, terms = stepped(state, scenario)
-        assert same_bits(terms, expected)
+        if terms is None:  # a reused decision: it must be the one a fresh step makes
+            assert same_state(state, step(replace(last_input, _memo=None), scenario))
+        else:
+            assert same_bits(terms, expected)
 
 
 def small_world():

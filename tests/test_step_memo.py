@@ -1,0 +1,348 @@
+"""A step repeats its predecessor's decision only when every input of it is unchanged.
+
+:func:`step` keeps its inputs and its decision (perceived probability,
+chosen stances, best payoff) on the state it returns, and the next step
+reuses them when the network, the specs, the parameters, the environment
+after events, the stances, the exit flags and the falsification penalties
+all match; :func:`run` reuses the previous record when a step changed
+nothing the record reads.  The reference everywhere is the same step with
+the memo cleared, which computes everything afresh: results must be bit-equal.
+"""
+
+import json
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dissentsim import (
+    Event,
+    ExitSpec,
+    IntegritySpec,
+    InvalidParameterError,
+    Position,
+    ReputationSpec,
+    ReputationVariant,
+    SimState,
+    SocialNetwork,
+    parse_scenario,
+    run,
+    step,
+)
+from dissentsim import engine
+from dissentsim.engine import DELTA_FIELDS, FACTOR_NAMES, Environment, ParamArrays
+
+DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def state_bits(state: SimState):
+    arrays = (state.y, state.d_falsify, state.exited, state.low_payoff_streak)
+    p = None if state._memo is None else bits(state._memo.p)
+    return (state.t, state.env, state._last_events, p, *(bits(a) for a in arrays))
+
+
+def record_bits(record):
+    floats = (record.share_R, record.share_U, record.share_NJ, record.mean_p)
+    return (record.t, record.n_exited, record.n_falsifying, record.events,
+            *(np.float64(x).tobytes() for x in floats))
+
+
+def fresh_step(state, scenario):
+    """The step with nothing kept from the one before."""
+    return step(replace(state, _memo=None), scenario)
+
+
+def fresh_run(scenario, state):
+    """``run`` as a loop of fresh steps: every step and record computed from scratch."""
+    records = []
+    for _ in range(scenario.horizon):
+        state = fresh_step(state, scenario)
+        records.append(engine._record_from(state))
+    return records, state
+
+
+@contextmanager
+def counting(name):
+    """Counts calls of the engine's module-level function ``name``; yields the list of calls."""
+    calls, real = [], getattr(engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    setattr(engine, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(engine, name, real)
+
+
+@contextmanager
+def last_state():
+    """Yields a list that holds the state the latest ``engine.step`` call returned."""
+    seen, real = [None], engine.step
+
+    def recording(state, scenario):
+        seen[0] = real(state, scenario)
+        return seen[0]
+
+    engine.step = recording
+    try:
+        yield seen
+    finally:
+        engine.step = real
+
+
+def checked_run(scenario, state):
+    """``run`` from ``state``, checked bit for bit against :func:`fresh_run`; returns the
+    records and how many steps chose stances afresh."""
+    with counting("choose_positions") as calls, last_state() as seen:
+        records = run(scenario, state)
+    expected, expected_state = fresh_run(scenario, state)
+    assert [record_bits(r) for r in records] == [record_bits(r) for r in expected]
+    assert state_bits(seen[0]) == state_bits(expected_state)
+    return records, len(calls)
+
+
+def make_state(net, params, y, d_falsify=None, exited=None):
+    n = net.n
+    return SimState(
+        t=0, env=Environment(beta_share=0.5), network=net, params=params,
+        y=np.asarray(y, dtype=np.int8),
+        d_falsify=np.zeros(n, dtype=np.int64) if d_falsify is None else np.asarray(d_falsify),
+        exited=np.zeros(n, dtype=bool) if exited is None else np.asarray(exited),
+        low_payoff_streak=np.zeros(n, dtype=np.int64),
+    )
+
+
+def make_scenario(horizon, integrity, exit=None, events=(), spec=None):
+    return SimpleNamespace(
+        horizon=horizon, events=list(events), exit=exit, integrity=integrity,
+        reputation=spec or ReputationSpec(ReputationVariant.WEIGHTED_FRACTION, alpha=0.5),
+    )
+
+
+# ---------------------------------------------------------------- differential test
+
+coarse = st.sampled_from([0.0, 0.5, 1.0])  # tie-prone: payoffs often coincide exactly
+factor = st.one_of(coarse, coarse, st.floats(0.0, 2.0))
+
+
+@st.composite
+def worlds(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    net = SocialNetwork(n, [(i, j, draw(st.sampled_from([0.0, 1.0, 2.0]))) for i, j in chosen])
+    column = st.lists(factor, min_size=n, max_size=n).map(np.array)
+    params = ParamArrays(
+        **{name: draw(column) for name in FACTOR_NAMES if name != "p_base"},
+        p_base=draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)
+                    .map(np.array)),
+        x_rebel=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+    # kappa 0 never moves the penalty; 0.2 saturates it after two steps, 0.05 after eight.
+    integrity = IntegritySpec(nu_match=draw(coarse), nu0=0.1,
+                              kappa=draw(st.sampled_from([0.0, 0.05, 0.2])), cap=0.5)
+    horizon = draw(st.integers(1, 25))
+    deltas = st.dictionaries(st.sampled_from(DELTA_FIELDS), st.sampled_from([-0.5, 0.25, 0.5]),
+                             max_size=3)  # may be empty: an event that shifts nothing
+    events = [
+        Event(step=s, label=f"e{k}", deltas=d)
+        for k, (s, d) in enumerate(sorted(draw(st.lists(
+            st.tuples(st.integers(0, horizon - 1), deltas), max_size=4)), key=lambda e: e[0]))
+    ]
+    exit_rule = draw(st.one_of(
+        st.none(),
+        st.builds(ExitSpec, threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                  patience=st.integers(1, 3)),
+    ))
+    spec = ReputationSpec(draw(st.sampled_from(ReputationVariant)), alpha=draw(coarse),
+                          centered=draw(st.booleans()))
+    state = make_state(
+        net, params,
+        y=draw(st.lists(st.sampled_from(list(Position)), min_size=n, max_size=n)),
+        d_falsify=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        exited=draw(st.lists(st.sampled_from([False, False, False, True]), min_size=n, max_size=n)),
+    )
+    return make_scenario(horizon, integrity, exit_rule, events, spec), state
+
+
+@given(worlds())
+def test_run_equals_fresh_steps(world):
+    scenario, state = world
+    checked_run(scenario, state)
+
+
+# ---------------------------------------------------------------- explicit cases
+
+def still_world(kappa=0.0, nu0=0.6, d_falsify=(0, 0, 0), exit=None, horizon=6):
+    """Three agents who all keep showing NJ.  Agents 0 and 1 prefer U and do best at 0.65
+    (penalty 0.6), agent 2 prefers R and does best at 4.65; all three falsify, so their
+    penalties move while ``kappa > 0`` and the penalty is below its cap of 1."""
+    net = SocialNetwork(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    n = 3
+    params = ParamArrays(
+        **{name: np.zeros(n) for name in FACTOR_NAMES if name not in ("p_base", "V_NJ")},
+        V_NJ=np.array([1.0, 1.0, 5.0]), p_base=np.full(n, 0.5),
+        x_rebel=np.array([False, False, True]),
+    )
+    integrity = IntegritySpec(nu_match=0.0, nu0=nu0, kappa=kappa, cap=1.0)
+    state = make_state(net, params, y=[Position.NJ] * n, d_falsify=np.array(d_falsify))
+    return state, make_scenario(horizon, integrity, exit)
+
+
+def choices(state, scenario) -> int:
+    """How many times one step from ``state`` calls ``choose_positions``."""
+    with counting("choose_positions") as calls:
+        step(state, scenario)
+    return len(calls)
+
+
+def test_still_steps_reuse_the_decision():
+    state, scenario = still_world(horizon=4)
+    _, computed = checked_run(scenario, state)
+    assert computed == 1
+
+
+def test_exit_fires_on_a_reused_step():
+    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=3), horizon=3)
+    records, computed = checked_run(scenario, state)
+    assert computed == 1  # steps 2 and 3 repeat step 1's decision
+    assert [r.n_exited for r in records] == [0, 0, 2]
+
+
+def test_unsaturated_falsifier_recomputes_every_step():
+    state, scenario = still_world(kappa=0.1, nu0=0.2)  # penalties 0.2, 0.3, ... below the cap
+    _, computed = checked_run(scenario, state)
+    assert computed == scenario.horizon
+
+
+def test_in_place_falsification_edit_is_seen():
+    state, scenario = still_world(kappa=0.1, nu0=0.2, d_falsify=(10, 10, 10))  # at the cap
+    state = step(state, scenario)
+    assert choices(state, scenario) == 0
+    state.d_falsify[2] = 0  # in place: agent 2's penalty drops back to nu0
+    assert choices(state, scenario) == 1
+    assert state_bits(step(state, scenario)) == state_bits(fresh_step(state, scenario))
+
+
+def test_edits_through_shared_arrays_are_seen():
+    """A step without an exit rule hands its input's exit flags on as they are, and a caller
+    may keep the input's stances: the memo must hold its own copies of both."""
+    state, scenario = still_world()
+    state.y[0] = Position.U  # agent 0 goes back to NJ on the first step
+    new = step(state, scenario)
+    assert new.y.tolist() == [Position.NJ] * 3 and new.exited is state.exited
+    state.y[0] = Position.NJ  # the input now equals the successor, but the step read U
+    assert choices(new, scenario) == 1
+
+    state, scenario = still_world()
+    new = step(state, scenario)
+    assert choices(new, scenario) == 0
+    new.exited[1] = True  # also the input's flags, which the step read as all False
+    assert choices(new, scenario) == 1
+    assert state_bits(step(new, scenario)) == state_bits(fresh_step(new, scenario))
+
+
+def test_replaced_environment_is_seen():
+    state, scenario = still_world()
+    state = step(state, scenario)
+    assert choices(state, scenario) == 0
+    shocked = replace(state, env=replace(state.env, dp=0.25))
+    assert choices(shocked, scenario) == 1
+    new = step(shocked, scenario)
+    assert state_bits(new) == state_bits(fresh_step(shocked, scenario))
+    assert new._memo.p.tolist() == [0.75] * 3  # 0.5 + 0.25; nobody showed R
+
+
+def test_replaced_params_are_seen():
+    state, scenario = still_world()
+    state = step(state, scenario)
+    other = replace(state, params=replace(state.params, p_base=np.full(state.n, 0.75)))
+    assert choices(other, scenario) == 1
+    new = step(other, scenario)
+    assert state_bits(new) == state_bits(fresh_step(other, scenario))
+    assert new._memo.p.tolist() == [0.75] * 3
+
+
+def test_changed_network_and_specs_are_seen():
+    """A new network, a new reputation spec, or an integrity spec that differs only in
+    ``nu_match`` (so every penalty stays as it was), between manual steps."""
+    state, scenario = still_world()
+    state = step(state, scenario)
+    reversed_ring = replace(state, network=SocialNetwork(3, [(0, 2, 1.0), (1, 0, 1.0), (2, 1, 2.0)]))
+    for new_state, field, spec in (
+        (reversed_ring, "reputation", scenario.reputation),
+        (state, "reputation", replace(scenario.reputation, alpha=1.5)),
+        (state, "integrity", replace(scenario.integrity, nu_match=0.5)),
+    ):
+        changed = SimpleNamespace(**{**vars(scenario), field: spec})
+        assert choices(new_state, changed) == 1
+        assert state_bits(step(new_state, changed)) == state_bits(fresh_step(new_state, changed))
+
+
+def test_negative_falsification_streak_still_raises():
+    """With kappa 0 a negative streak leaves the penalty as it was, but the check still fires."""
+    state, scenario = still_world(kappa=0.0)
+    state = step(state, scenario)
+    state.d_falsify[0] = -3
+    with pytest.raises(InvalidParameterError, match="d_falsify must be >= 0"):
+        step(state, scenario)
+
+
+def test_parameter_columns_are_read_only():
+    state, _ = still_world()
+    with pytest.raises(ValueError, match="read-only"):
+        state.params.F[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.params.x_rebel[0] = True
+
+
+# ---------------------------------------------------------------- counts during run
+
+def iterative_exits_scenario():
+    """The committed baseline at 300 agents with iterative reputation, exits and 240 steps."""
+    doc = json.loads(DONBASS_PATH.read_text(encoding="utf-8"))
+    for group, count in zip(doc["population"]["groups"], (30, 45, 225)):
+        group["count"] = count
+    doc["reputation"] = {"variant": "iterative_influence", "alpha": 0.5}
+    doc["exit"] = {"threshold": 1.0, "patience": 20}
+    doc["horizon"] = 240
+    return parse_scenario(json.dumps(doc))
+
+
+def test_choice_runs_once_per_step_whose_decision_inputs_changed():
+    """One ``choose_positions`` call per step whose stances, exits or penalties differ from the
+    previous step's, or at which an event fires; the first step counts as changed."""
+    scenario = iterative_exits_scenario()
+    spec = scenario.integrity
+    inputs, real_step = [], engine.step
+
+    def recording_step(state, scenario):
+        penalty = np.minimum(spec.cap, spec.nu0 + spec.kappa * state.d_falsify)
+        fired = any(ev.step == state.t for ev in scenario.events)
+        inputs.append((state.y.copy(), state.exited.copy(), penalty, fired))
+        return real_step(state, scenario)
+
+    engine.step = recording_step
+    try:
+        with counting("choose_positions") as calls, counting("payoff_rebel") as rebel:
+            run(scenario)
+    finally:
+        engine.step = real_step
+    changed = 1 + sum(
+        fired or not all(map(np.array_equal, (y, e, d), (y0, e0, d0)))
+        for (y0, e0, d0, _), (y, e, d, fired) in zip(inputs, inputs[1:])
+    )
+    assert len(inputs) == 240
+    assert len(calls) == len(rebel) == changed < 240
