@@ -21,6 +21,7 @@ from .engine import (
     ParamArrays,
     StepRecord,
     effective_params,
+    falsification_penalty,
     integrity_by_stance,
     perceived_probability,
 )
@@ -134,7 +135,7 @@ def zero_support_soft_terms(
     agent's PrivateType or a population's boolean ``x_rebel`` array, in which
     case the integrity terms are arrays.
     """
-    integ = integrity_by_stance(integrity, x, 0)
+    integ = integrity_by_stance(integrity, x, falsification_penalty(integrity, 0))
     return {pos: SoftTerms(rep=0.0, integ=integ[pos]) for pos in Position}
 
 

@@ -51,9 +51,8 @@ from .errors import (
     ScenarioValidationError,
 )
 from .model import Position, PrivateType, threshold_nj_over_u, threshold_r_over_nj
-from .scenario import parse_scenario, write_csv
+from .scenario import SEED_LIMIT, parse_scenario, write_csv
 
-_MAX_SEED = 2**64 - 1
 _PATH_SEGMENT = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 _INDEX = re.compile(r"\[(\d+)\]")
 
@@ -86,7 +85,7 @@ def _env0(scenario) -> Environment:
 def cmd_run(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
     if args.seed is not None:
-        if not 0 <= args.seed <= _MAX_SEED:
+        if not 0 <= args.seed < SEED_LIMIT:
             raise InvalidParameterError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
     state = init_state(scenario)
@@ -198,7 +197,7 @@ def _parse_sweep_spec(text: str):
             not isinstance(raw, list)
             or not raw
             or any(isinstance(s, bool) or not isinstance(s, int) for s in raw)
-            or any(not 0 <= s <= _MAX_SEED for s in raw)
+            or any(not 0 <= s < SEED_LIMIT for s in raw)
         ):
             problems.append("'seeds' must be a non-empty list of 64-bit unsigned integers")
         else:
@@ -341,13 +340,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return 1
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GenerationError, InvalidParameterError, NotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ScenarioParseError, GenerationError, InvalidParameterError, NotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -373,7 +373,12 @@ def integrity_value(spec: IntegritySpec, y, x, d_falsify):
     and over ``d_falsify``; the falsification penalty is computed once for
     the whole ``d_falsify`` array.
     """
-    return np.where(consistent(y, x), spec.nu_match, -falsification_penalty(spec, d_falsify))[()]
+    return _integrity(spec, y, x, falsification_penalty(spec, d_falsify))
+
+
+def _integrity(spec: IntegritySpec, y, x, penalty):
+    """:func:`integrity_value` given the :func:`falsification_penalty` of each agent's streak."""
+    return np.where(consistent(y, x), spec.nu_match, -penalty)[()]
 
 
 def falsification_penalty(spec: IntegritySpec, d_falsify):
@@ -383,10 +388,14 @@ def falsification_penalty(spec: IntegritySpec, d_falsify):
     return np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
 
 
-def integrity_by_stance(spec: IntegritySpec, x, d_falsify):
-    """:func:`integrity_value` of showing each stance, rows indexed by Position code."""
+def integrity_by_stance(spec: IntegritySpec, x, penalty):
+    """:func:`integrity_value` of showing each stance, rows indexed by Position code.
+
+    ``penalty`` is the :func:`falsification_penalty` of each agent's streak,
+    which the caller has already computed.
+    """
     codes = np.arange(len(Position)).reshape((-1,) + (1,) * np.ndim(x))
-    return integrity_value(spec, codes, x, d_falsify)
+    return _integrity(spec, codes, x, penalty)
 
 
 def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patience: int):
@@ -525,7 +534,7 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / int(active.sum())
     eff = effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
-    integ = integrity_by_stance(integrity, pa.x_rebel, state.d_falsify)
+    integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
 
     NJ, U, R = Position.NJ, Position.U, Position.R
     e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep[:, NJ], integ[NJ]), pa.V_NJ)

@@ -32,6 +32,10 @@ DEFAULT_MAX_ITERS = 200
 #: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
 EDGE_BUDGET = 50_000_000
 
+#: Most agents a scenario may have.  A run holds about 330 bytes per agent at its peak
+#: (measured with no edges: 68 MB at 10^5 agents, 362 MB at 10^6), so 10^7 need ~3.3 GB.
+AGENT_BUDGET = 10_000_000
+
 #: Most uniforms a scenario's network generator may draw (see :func:`draw_count`).
 #: ``erdos_renyi`` draws one per ordered pair whatever ``p_edge`` is, at 3-4 ns each:
 #: 1e11 draws (n of about 3.2e5) take 5-7 minutes, and 10^6 agents about an hour.

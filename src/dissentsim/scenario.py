@@ -15,7 +15,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from functools import partial
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +35,20 @@ from .errors import (
     ScenarioValidationError,
 )
 from .model import FACTOR_NAMES, NONNEGATIVE_FACTORS, AgentParams, PrivateType, check_params
-from .network import DRAW_BUDGET, EDGE_BUDGET, NetworkKind, NetworkSpec, ReputationSpec
-from .network import ReputationVariant, draw_count, edge_count
+from .network import (
+    AGENT_BUDGET,
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    DRAW_BUDGET,
+    EDGE_BUDGET,
+    NetworkKind,
+    NetworkSpec,
+    ReputationSpec,
+    ReputationVariant,
+    draw_count,
+    edge_count,
+)
 
 #: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
 REJECTION_CAP = 1000
@@ -43,7 +56,8 @@ REJECTION_CAP = 1000
 #: CSV header for step records (fixed contract; LF line endings, UTF-8).
 CSV_HEADER = "t,share_R,share_U,share_NJ,n_exited,n_falsifying,mean_p,events"
 
-_MAX_SEED = 2**64
+#: Seeds are 64-bit unsigned integers: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -236,12 +250,90 @@ def generate_population(spec: PopulationSpec, seed) -> list[AgentParams]:
 # Strict JSON parsing / validation
 # --------------------------------------------------------------------------
 
-_NETWORK_KEYS = {
-    NetworkKind.COMPLETE: set(),
-    NetworkKind.ERDOS_RENYI: {"p_edge"},
-    NetworkKind.SMALL_WORLD: {"k", "rewire_p"},
-}
+class _Type(NamedTuple):
+    """A JSON value type: its name in violations, and its conversions to and from a spec."""
 
+    name: str
+    accepts: Callable[[object], bool]
+    load: Callable = lambda value: value  # JSON value -> spec argument
+    dump: Callable = lambda value: value  # spec attribute -> JSON value
+    finite: bool = False  # a well-typed value that is not finite is still a violation
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_BOOL = _Type("a boolean", lambda value: isinstance(value, bool))
+_INT = _Type("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
+_NUMBER = _Type("a number", _is_number, float)
+_FINITE = _NUMBER._replace(finite=True)
+_NUMBER_OR_NULL = _Type(
+    "a number or null", lambda value: value is None or _is_number(value),
+    lambda value: math.inf if value is None else float(value),
+    lambda value: None if value == math.inf else value,
+)
+_STRING = _Type("a string", lambda value: isinstance(value, str))
+_OBJECT = _Type("an object", lambda value: isinstance(value, dict))
+_OBJECT_OR_NULL = _Type("an object or null", lambda value: value is None or isinstance(value, dict))
+_ARRAY = _Type("an array", lambda value: isinstance(value, list))
+
+#: The default of a key that must be present.  A nullable key may still be omitted: it reads as null.
+_REQUIRED = object()
+
+# Field tables: key -> (JSON type, default or _REQUIRED), in document order.  The parser
+# reads a section's keys from its table and serialize_scenario writes them from it.
+_DISTRIBUTIONS = {
+    "constant": (Constant, {"value": (_FINITE, _REQUIRED)}),
+    "uniform": (Uniform, {"lo": (_NUMBER, _REQUIRED), "hi": (_NUMBER, _REQUIRED)}),
+    "trunc_normal": (TruncNormal, {
+        "mean": (_NUMBER, _REQUIRED),
+        "sd": (_NUMBER, _REQUIRED),
+        "lo": (_NUMBER, _REQUIRED),
+        "hi": (_NUMBER_OR_NULL, _REQUIRED),  # null or omitted: unbounded above
+    }),
+}
+_GROUP_FIELDS = {
+    "label": (_STRING, _REQUIRED),
+    "count": (_INT, _REQUIRED),
+    "private_type": (_STRING, _REQUIRED),
+    "factors": (_OBJECT, {}),
+}
+_NETWORK_FIELDS = {
+    NetworkKind.COMPLETE: {},
+    NetworkKind.ERDOS_RENYI: {"p_edge": (_NUMBER, _REQUIRED)},
+    NetworkKind.SMALL_WORLD: {"k": (_INT, _REQUIRED), "rewire_p": (_NUMBER, _REQUIRED)},
+}
+_FRACTION_FIELDS = {"alpha": (_NUMBER, _REQUIRED), "centered": (_BOOL, True)}
+_REPUTATION_FIELDS = {
+    ReputationVariant.UNWEIGHTED_FRACTION: _FRACTION_FIELDS,
+    ReputationVariant.WEIGHTED_FRACTION: _FRACTION_FIELDS,
+    ReputationVariant.ITERATIVE_INFLUENCE: {
+        **_FRACTION_FIELDS,
+        "damping": (_NUMBER, DEFAULT_DAMPING),
+        "tol": (_NUMBER, DEFAULT_TOL),
+        "max_iters": (_INT, DEFAULT_MAX_ITERS),
+    },
+}
+_INTEGRITY_FIELDS = {
+    "nu_match": (_NUMBER, 0.0),
+    "nu0": (_NUMBER, 0.0),
+    "kappa": (_NUMBER, 0.0),
+    "cap": (_NUMBER, 1.0),
+}
+_EXIT_FIELDS = {"threshold": (_FINITE, _REQUIRED), "patience": (_INT, _REQUIRED)}
+_EVENT_FIELDS = {
+    "step": (_INT, _REQUIRED),
+    "label": (_STRING, _REQUIRED),
+    "deltas": (_OBJECT, {}),
+}
+_TOP_FIELDS = {
+    "name": (_STRING, "unnamed"),
+    "seed": (_INT, 0),
+    "horizon": (_INT, _REQUIRED),
+    "beta_share": (_NUMBER, 0.0),
+    "update": (_STRING, "synchronous"),
+}
 
 class _Check:
     """Collects validation violations with field paths while walking a document."""
@@ -252,87 +344,119 @@ class _Check:
     def fail(self, path: str, message: str) -> None:
         self.violations.append(f"{path}: {message}")
 
-    def known_keys(self, obj: dict, path: str, allowed: set[str]) -> None:
+    def known_keys(self, obj: dict, path: str, allowed) -> None:
         for key in obj:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else key, "unknown field")
 
-    def typed(self, obj: dict, path: str, key: str, kinds, required=True, default=None):
-        """Fetch obj[key], checking its JSON type; records a violation on mismatch."""
-        if key not in obj:
-            if required:
-                self.fail(f"{path}.{key}" if path else key, "required field is missing")
-            return default
-        value = obj[key]
-        if kinds is bool:
-            ok = isinstance(value, bool)
-        elif kinds is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif kinds == "number":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif kinds is str:
-            ok = isinstance(value, str)
-        elif kinds is dict:
-            ok = isinstance(value, dict)
-        elif kinds is list:
-            ok = isinstance(value, list)
-        else:  # pragma: no cover - internal misuse
-            raise AssertionError(kinds)
-        if not ok:
-            self.fail(f"{path}.{key}" if path else key, f"expected {_type_name(kinds)}")
-            return default
-        return value
+    def fields(self, obj: dict, path: str, table: dict) -> dict:
+        """The values of ``table``'s keys in ``obj``, in table order.
+
+        A missing key takes its default.  A value of the wrong type is a
+        violation and takes the default too; a key without one is left out,
+        so a caller can tell when a spec cannot be built.
+        """
+        values = {}
+        for key, (kind, default) in table.items():
+            where = f"{path}.{key}" if path else key
+            if key not in obj and kind.accepts(None):
+                values[key] = None
+            elif key not in obj and default is _REQUIRED:
+                self.fail(where, "required field is missing")
+            elif key in obj and not kind.accepts(obj[key]):
+                self.fail(where, f"expected {kind.name}")
+                if default is not _REQUIRED:
+                    values[key] = default
+            else:
+                values[key] = obj.get(key, default)
+        return values
+
+    def typed(self, obj: dict, path: str, key: str, kind: _Type):
+        """The required ``obj[key]``, or None after a violation."""
+        return self.fields(obj, path, {key: (kind, _REQUIRED)}).get(key)
+
+    def is_object(self, doc, path: str) -> bool:
+        if not isinstance(doc, dict):
+            self.fail(path, "expected an object")
+        return isinstance(doc, dict)
+
+    def member(self, enum_type, value: str | None, path: str):
+        """The member of ``enum_type`` whose value is ``value``; None if there is none."""
+        if value is None:
+            return None
+        try:
+            return enum_type(value)
+        except ValueError:
+            self.fail(path, f"must be one of {[m.value for m in enum_type]}, got {value!r}")
+            return None
+
+    def build(self, path: str, make, **kwargs):
+        """``make(**kwargs)``, or None with its InvalidParameterError recorded at ``path``."""
+        try:
+            return make(**kwargs)
+        except InvalidParameterError as exc:
+            self.fail(path, str(exc))
+            return None
 
 
-def _type_name(kinds) -> str:
-    return {bool: "a boolean", int: "an integer", "number": "a number",
-            str: "a string", dict: "an object", list: "an array"}[kinds]
+def _read_spec(doc: dict, path: str, check: _Check, make, table: dict, tag: str | None = None):
+    """``make`` called with ``table``'s keys read from ``doc``, which may also hold ``tag``;
+    None after a violation that leaves it unbuilt."""
+    check.known_keys(doc, path, table.keys() | {tag})
+    values = check.fields(doc, path, table)
+    if len(values) < len(table):
+        return None
+    for key, value in values.items():
+        if table[key][0].finite and not np.isfinite(value):
+            check.fail(f"{path}.{key}", "must be finite")
+            return None
+    return check.build(path, make, **{key: table[key][0].load(v) for key, v in values.items()})
+
+
+def _dump(spec, table: dict) -> dict:
+    """``spec``'s attributes named by ``table``'s keys, as JSON values."""
+    return {key: kind.dump(getattr(spec, key)) for key, (kind, _) in table.items()}
+
+
+def _tagged(tag: str, make, tables: dict):
+    """Parse and dump functions for a spec whose ``tag`` key names the enum member that
+    picks its field table."""
+    enum_type = type(next(iter(tables)))
+
+    def parse(doc: dict, path: str, check: _Check):
+        member = check.member(enum_type, check.typed(doc, path, tag, _STRING), f"{path}.{tag}")
+        if member is None:
+            return None
+        return _read_spec(doc, path, check, partial(make, **{tag: member}), tables[member], tag)
+
+    def dump(spec) -> dict:
+        member = getattr(spec, tag)
+        return {tag: member.value, **_dump(spec, tables[member])}
+
+    return parse, dump
+
+
+def _plain(make, table: dict):
+    """Parse and dump functions for a spec built from one field table."""
+    return (lambda doc, path, check: _read_spec(doc, path, check, make, table),
+            lambda spec: _dump(spec, table))
 
 
 def _parse_distribution(doc, path: str, check: _Check) -> Distribution | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
+    if not check.is_object(doc, path):
         return None
-    kind = check.typed(doc, path, "dist", str)
+    kind = check.typed(doc, path, "dist", _STRING)
     if kind is None:
         return None
-    try:
-        if kind == "constant":
-            check.known_keys(doc, path, {"dist", "value"})
-            value = check.typed(doc, path, "value", "number")
-            if value is None:
-                return None
-            if not np.isfinite(value):
-                check.fail(f"{path}.value", "must be finite")
-                return None
-            return Constant(float(value))
-        if kind == "uniform":
-            check.known_keys(doc, path, {"dist", "lo", "hi"})
-            lo = check.typed(doc, path, "lo", "number")
-            hi = check.typed(doc, path, "hi", "number")
-            if lo is None or hi is None:
-                return None
-            return Uniform(float(lo), float(hi))
-        if kind == "trunc_normal":
-            check.known_keys(doc, path, {"dist", "mean", "sd", "lo", "hi"})
-            mean = check.typed(doc, path, "mean", "number")
-            sd = check.typed(doc, path, "sd", "number")
-            lo = check.typed(doc, path, "lo", "number")
-            hi = doc.get("hi")
-            if hi is not None and (isinstance(hi, bool) or not isinstance(hi, (int, float))):
-                check.fail(f"{path}.hi", "expected a number or null")
-                return None
-            if mean is None or sd is None or lo is None:
-                return None
-            return TruncNormal(
-                float(mean), float(sd), float(lo),
-                math.inf if hi is None else float(hi),
-            )
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
+    if kind not in _DISTRIBUTIONS:
+        check.fail(f"{path}.dist", f"unknown distribution kind {kind!r}")
         return None
-    check.fail(f"{path}.dist", f"unknown distribution kind {kind!r}")
-    return None
+    return _read_spec(doc, path, check, *_DISTRIBUTIONS[kind], tag="dist")
+
+
+def _dump_distribution(dist: Distribution) -> dict:
+    kind = next(kind for kind, (cls, _) in _DISTRIBUTIONS.items() if type(dist) is cls)
+    return {"dist": kind, **_dump(dist, _DISTRIBUTIONS[kind][1])}
 
 
 def _validate_factor_support(name: str, dist: Distribution, path: str, check: _Check) -> None:
@@ -344,24 +468,13 @@ def _validate_factor_support(name: str, dist: Distribution, path: str, check: _C
 
 
 def _parse_group(doc, path: str, check: _Check) -> Group | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
+    if not check.is_object(doc, path):
         return None
-    check.known_keys(doc, path, {"label", "count", "private_type", "factors"})
-    label = check.typed(doc, path, "label", str)
-    count = check.typed(doc, path, "count", int)
-    ptype = check.typed(doc, path, "private_type", str)
-    factors_doc = check.typed(doc, path, "factors", dict, required=False, default={})
-
-    x = None
-    if ptype is not None:
-        try:
-            x = PrivateType(ptype)
-        except ValueError:
-            check.fail(f"{path}.private_type",
-                       f"must be one of {[m.value for m in PrivateType]}, got {ptype!r}")
+    check.known_keys(doc, path, _GROUP_FIELDS.keys())
+    values = check.fields(doc, path, _GROUP_FIELDS)
+    x = check.member(PrivateType, values.get("private_type"), f"{path}.private_type")
     factors: dict[str, Distribution] = {}
-    for key, sub in (factors_doc or {}).items():
+    for key, sub in values["factors"].items():
         fpath = f"{path}.factors.{key}"
         if key not in FACTOR_NAMES:
             check.fail(fpath, "unknown factor")
@@ -382,152 +495,69 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
             stacklevel=2,
         )
 
-    if label is None or count is None or x is None:
+    if x is None or len(values) < len(_GROUP_FIELDS):
         return None
-    try:
-        return Group(label=label, count=count, x=x, factors=factors)
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
+    return check.build(path, Group, label=values["label"], count=values["count"], x=x,
+                       factors=factors)
 
 
-def _parse_network(doc, path: str, check: _Check) -> NetworkSpec | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
+def _parse_population(doc: dict, path: str, check: _Check) -> PopulationSpec | None:
+    check.known_keys(doc, path, {"groups"})
+    groups = check.typed(doc, path, "groups", _ARRAY)
+    if groups is None:
         return None
-    kind_name = check.typed(doc, path, "kind", str)
-    if kind_name is None:
-        return None
-    try:
-        kind = NetworkKind(kind_name)
-    except ValueError:
-        check.fail(f"{path}.kind",
-                   f"must be one of {[m.value for m in NetworkKind]}, got {kind_name!r}")
-        return None
-    check.known_keys(doc, path, {"kind"} | _NETWORK_KEYS[kind])
-    kwargs = {}
-    if kind is NetworkKind.ERDOS_RENYI:
-        p_edge = check.typed(doc, path, "p_edge", "number")
-        if p_edge is None:
-            return None
-        kwargs["p_edge"] = float(p_edge)
-    elif kind is NetworkKind.SMALL_WORLD:
-        k = check.typed(doc, path, "k", int)
-        rewire_p = check.typed(doc, path, "rewire_p", "number")
-        if k is None or rewire_p is None:
-            return None
-        kwargs["k"] = k
-        kwargs["rewire_p"] = float(rewire_p)
-    try:
-        return NetworkSpec(kind=kind, **kwargs)
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
+    groups = [_parse_group(gdoc, f"{path}.groups[{idx}]", check) for idx, gdoc in enumerate(groups)]
+    return PopulationSpec(group for group in groups if group is not None)
 
 
-def _parse_reputation(doc, path: str, check: _Check) -> ReputationSpec | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
-        return None
-    variant_name = check.typed(doc, path, "variant", str)
-    if variant_name is None:
-        return None
-    try:
-        variant = ReputationVariant(variant_name)
-    except ValueError:
-        check.fail(f"{path}.variant",
-                   f"must be one of {[m.value for m in ReputationVariant]}, got {variant_name!r}")
-        return None
-    allowed = {"variant", "alpha", "centered"}
-    if variant is ReputationVariant.ITERATIVE_INFLUENCE:
-        allowed |= {"damping", "tol", "max_iters"}
-    check.known_keys(doc, path, allowed)
-    alpha = check.typed(doc, path, "alpha", "number")
-    centered = check.typed(doc, path, "centered", bool, required=False, default=True)
-    kwargs = {}
-    if variant is ReputationVariant.ITERATIVE_INFLUENCE:
-        damping = check.typed(doc, path, "damping", "number", required=False, default=0.85)
-        tol = check.typed(doc, path, "tol", "number", required=False, default=1e-12)
-        max_iters = check.typed(doc, path, "max_iters", int, required=False, default=200)
-        kwargs = {"damping": float(damping), "tol": float(tol), "max_iters": max_iters}
-    if alpha is None:
-        return None
-    try:
-        return ReputationSpec(variant=variant, alpha=float(alpha), centered=centered, **kwargs)
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
-
-
-def _parse_integrity(doc, path: str, check: _Check) -> IntegritySpec | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
-        return None
-    check.known_keys(doc, path, {"nu_match", "nu0", "kappa", "cap"})
-    nu_match = check.typed(doc, path, "nu_match", "number", required=False, default=0.0)
-    nu0 = check.typed(doc, path, "nu0", "number", required=False, default=0.0)
-    kappa = check.typed(doc, path, "kappa", "number", required=False, default=0.0)
-    cap = check.typed(doc, path, "cap", "number", required=False, default=1.0)
-    try:
-        return IntegritySpec(
-            nu_match=float(nu_match), nu0=float(nu0), kappa=float(kappa), cap=float(cap)
-        )
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
-
-
-def _parse_exit(doc, path: str, check: _Check) -> ExitSpec | None:
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object or null")
-        return None
-    check.known_keys(doc, path, {"threshold", "patience"})
-    threshold = check.typed(doc, path, "threshold", "number")
-    patience = check.typed(doc, path, "patience", int)
-    if threshold is None or patience is None:
-        return None
-    if not np.isfinite(threshold):
-        check.fail(f"{path}.threshold", "must be finite")
-        return None
-    try:
-        return ExitSpec(threshold=float(threshold), patience=patience)
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
+def _dump_population(population: PopulationSpec) -> dict:
+    return {"groups": [
+        {
+            "label": g.label,
+            "count": g.count,
+            "private_type": g.x.value,
+            "factors": {
+                name: _dump_distribution(g.factors[name]) for name in FACTOR_NAMES if name in g.factors
+            },
+        }
+        for g in population.groups
+    ]}
 
 
 def _parse_event(doc, path: str, check: _Check) -> Event | None:
-    if not isinstance(doc, dict):
-        check.fail(path, "expected an object")
+    if not check.is_object(doc, path):
         return None
-    check.known_keys(doc, path, {"step", "label", "deltas"})
-    step = check.typed(doc, path, "step", int)
-    label = check.typed(doc, path, "label", str)
-    deltas_doc = check.typed(doc, path, "deltas", dict, required=False, default={})
+    check.known_keys(doc, path, _EVENT_FIELDS.keys())
+    values = check.fields(doc, path, _EVENT_FIELDS)
     deltas: dict[str, float] = {}
-    for key, value in (deltas_doc or {}).items():
+    for key, value in values["deltas"].items():
         dpath = f"{path}.deltas.{key}"
         if key not in DELTA_FIELDS:
             check.fail(dpath, f"unknown delta; expected one of {list(DELTA_FIELDS)}")
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        elif not _is_number(value):
             check.fail(dpath, "expected a number")
-            continue
-        deltas[key] = float(value)
-    if step is None or label is None:
+        else:
+            deltas[key] = float(value)
+    if len(values) < len(_EVENT_FIELDS):
         return None
-    try:
-        return Event(step=step, label=label, deltas=deltas)
-    except InvalidParameterError as exc:
-        check.fail(path, str(exc))
-        return None
+    return check.build(path, Event, **{**values, "deltas": deltas})
 
 
-_TOP_KEYS = {
-    "name", "seed", "horizon", "beta_share", "population", "network",
-    "reputation", "integrity", "exit", "events", "update",
+def _parse_events(doc: list, path: str, check: _Check) -> tuple[Event, ...]:
+    events = [_parse_event(edoc, f"{path}[{idx}]", check) for idx, edoc in enumerate(doc)]
+    return tuple(event for event in events if event is not None)
+
+
+#: The sections after the top-level fields: key -> (JSON type, default, (parse, dump)).
+#: A missing or mistyped optional section is parsed from its default document.
+_SECTIONS = {
+    "population": (_OBJECT, _REQUIRED, (_parse_population, _dump_population)),
+    "network": (_OBJECT, _REQUIRED, _tagged("kind", NetworkSpec, _NETWORK_FIELDS)),
+    "reputation": (_OBJECT, {"variant": "unweighted_fraction", "alpha": 1.0},
+                   _tagged("variant", ReputationSpec, _REPUTATION_FIELDS)),
+    "integrity": (_OBJECT, {}, _plain(IntegritySpec, _INTEGRITY_FIELDS)),
+    "exit": (_OBJECT_OR_NULL, None, _plain(ExitSpec, _EXIT_FIELDS)),
+    "events": (_ARRAY, [], (_parse_events, lambda events: [_dump(e, _EVENT_FIELDS) for e in events])),
 }
 
 
@@ -551,68 +581,30 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioValidationError(["document: expected a top-level object"])
 
-    check.known_keys(doc, "", _TOP_KEYS)
-    name = check.typed(doc, "", "name", str, required=False, default="unnamed")
-    seed = check.typed(doc, "", "seed", int, required=False, default=0)
-    horizon = check.typed(doc, "", "horizon", int)
-    beta_share = check.typed(doc, "", "beta_share", "number", required=False, default=0.0)
-    update = check.typed(doc, "", "update", str, required=False, default="synchronous")
-
-    if seed is not None and not 0 <= seed < _MAX_SEED:
+    check.known_keys(doc, "", _TOP_FIELDS.keys() | _SECTIONS.keys())
+    top = check.fields(doc, "", _TOP_FIELDS)
+    seed, horizon, beta_share, update = top["seed"], top.get("horizon"), top["beta_share"], top["update"]
+    if not 0 <= seed < SEED_LIMIT:
         check.fail("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
     if horizon is not None and horizon < 0:
         check.fail("horizon", f"must be >= 0, got {horizon!r}")
-    if beta_share is not None and (
-        not np.isfinite(beta_share) or beta_share < 0
-    ):
+    if not np.isfinite(beta_share) or beta_share < 0:
         check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
     if update != "synchronous":
         check.fail("update", f"only 'synchronous' is supported, got {update!r}")
 
-    population = None
-    pop_doc = check.typed(doc, "", "population", dict)
-    if pop_doc is not None:
-        check.known_keys(pop_doc, "population", {"groups"})
-        groups_doc = check.typed(pop_doc, "population", "groups", list)
-        groups = []
-        if groups_doc is not None:
-            for idx, gdoc in enumerate(groups_doc):
-                group = _parse_group(gdoc, f"population.groups[{idx}]", check)
-                if group is not None:
-                    groups.append(group)
-            population = PopulationSpec(groups)
-
-    network = None
-    net_doc = check.typed(doc, "", "network", dict)
-    if net_doc is not None:
-        network = _parse_network(net_doc, "network", check)
-
-    rep_doc = check.typed(doc, "", "reputation", dict, required=False)
-    reputation = (
-        _parse_reputation(rep_doc, "reputation", check)
-        if rep_doc is not None
-        else ReputationSpec(ReputationVariant.UNWEIGHTED_FRACTION, alpha=1.0)
-    )
-
-    integ_doc = check.typed(doc, "", "integrity", dict, required=False)
-    integrity = (
-        _parse_integrity(integ_doc, "integrity", check)
-        if integ_doc is not None
-        else IntegritySpec(nu_match=0.0, nu0=0.0, kappa=0.0, cap=1.0)
-    )
-
-    exit_spec = _parse_exit(doc.get("exit"), "exit", check)
-
-    events: list[Event] = []
-    events_doc = check.typed(doc, "", "events", list, required=False, default=[])
-    for idx, edoc in enumerate(events_doc or []):
-        event = _parse_event(edoc, f"events[{idx}]", check)
-        if event is not None:
-            events.append(event)
+    sections = {}
+    for key, (kind, default, (parse, _)) in _SECTIONS.items():
+        value = check.fields(doc, "", {key: (kind, default)}).get(key)
+        sections[key] = None if value is None else parse(value, key, check)
+    population, network, events = sections["population"], sections["network"], sections["events"]
 
     # Cross-field invariants.
     if population is not None and population.n_total < 1:
         check.fail("population", "total agent count must be >= 1")
+    elif population is not None and population.n_total > AGENT_BUDGET:
+        check.fail("population", f"has {population.n_total} agents, more than the budget of "
+                                 f"{AGENT_BUDGET:.3g}")
     if (
         population is not None
         and network is not None
@@ -641,90 +633,15 @@ def parse_scenario(text: str) -> Scenario:
 
     if check.violations:
         raise ScenarioValidationError(check.violations)
-
-    return Scenario(
-        name=name,
-        population=population,
-        network=network,
-        reputation=reputation,
-        integrity=integrity,
-        beta_share=float(beta_share),
-        exit=exit_spec,
-        events=tuple(events),
-        horizon=horizon,
-        seed=seed,
-        update=update,
-    )
-
-
-def _serialize_distribution(dist: Distribution) -> dict:
-    if isinstance(dist, Constant):
-        return {"dist": "constant", "value": dist.value}
-    if isinstance(dist, Uniform):
-        return {"dist": "uniform", "lo": dist.lo, "hi": dist.hi}
-    out = {"dist": "trunc_normal", "mean": dist.mean, "sd": dist.sd, "lo": dist.lo}
-    out["hi"] = None if math.isinf(dist.hi) else dist.hi
-    return out
+    return Scenario(**{**top, "beta_share": float(beta_share)}, **sections)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical JSON form; parse(serialize(parse(text))) == parse(text)."""
-    doc: dict = {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "horizon": scenario.horizon,
-        "beta_share": scenario.beta_share,
-        "update": scenario.update,
-        "population": {
-            "groups": [
-                {
-                    "label": g.label,
-                    "count": g.count,
-                    "private_type": g.x.value,
-                    "factors": {
-                        name: _serialize_distribution(g.factors[name])
-                        for name in FACTOR_NAMES
-                        if name in g.factors
-                    },
-                }
-                for g in scenario.population.groups
-            ]
-        },
-    }
-    net: dict = {"kind": scenario.network.kind.value}
-    if scenario.network.kind is NetworkKind.ERDOS_RENYI:
-        net["p_edge"] = scenario.network.p_edge
-    elif scenario.network.kind is NetworkKind.SMALL_WORLD:
-        net["k"] = scenario.network.k
-        net["rewire_p"] = scenario.network.rewire_p
-    doc["network"] = net
-
-    rep: dict = {
-        "variant": scenario.reputation.variant.value,
-        "alpha": scenario.reputation.alpha,
-        "centered": scenario.reputation.centered,
-    }
-    if scenario.reputation.variant is ReputationVariant.ITERATIVE_INFLUENCE:
-        rep["damping"] = scenario.reputation.damping
-        rep["tol"] = scenario.reputation.tol
-        rep["max_iters"] = scenario.reputation.max_iters
-    doc["reputation"] = rep
-
-    doc["integrity"] = {
-        "nu_match": scenario.integrity.nu_match,
-        "nu0": scenario.integrity.nu0,
-        "kappa": scenario.integrity.kappa,
-        "cap": scenario.integrity.cap,
-    }
-    doc["exit"] = (
-        None
-        if scenario.exit is None
-        else {"threshold": scenario.exit.threshold, "patience": scenario.exit.patience}
-    )
-    doc["events"] = [
-        {"step": e.step, "label": e.label, "deltas": dict(e.deltas)}
-        for e in scenario.events
-    ]
+    doc = _dump(scenario, _TOP_FIELDS)
+    for key, (_, _, (_, dump)) in _SECTIONS.items():
+        value = getattr(scenario, key)
+        doc[key] = None if value is None else dump(value)
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -744,105 +661,11 @@ def write_csv(records: Sequence[StepRecord], sink: IO[bytes]) -> None:
         sink.write(row.encode("utf-8"))
 
 
-# --------------------------------------------------------------------------
-# Built-in baseline: Donbass, spring 2014 (1 step = 1 day from March 1, 2014)
-# --------------------------------------------------------------------------
-
 def donbass_baseline() -> Scenario:
-    """Built-in 10^4-agent baseline reproducing the qualitative Donbass 2014 arc.
+    """The shipped 10^4-agent Donbass 2014 baseline, read from the package's ``donbass.json``.
 
-    Three groups: a pro-rebellion core with real stakes in a rebel win, a
-    pro-status-quo activist slice, and a large privately-pro-status-quo but
-    ambivalent majority.  The event timeline maps reported episodes to
-    environment shocks: beatings of status-quo demonstrators raise the cost
-    of open support (dC), staged rallies and an armed-protection pledge raise
-    perceived rebel chances (dp) and lower expected punishment for supporters
-    of the old order (dA_U), a broadcast switchover drives propaganda gains
-    (dF) that stop after the counter-ban, and recurring spring attacks raise
-    dC, dc, and dp together.  Delta magnitudes are illustrative placeholders
-    calibrated so the qualitative trends hold; they are not measurements.
+    docs/scenario-schema.md ("The shipped baseline") describes its groups and event timeline.
     """
-    groups = (
-        Group(
-            label="rebel_core",
-            count=1000,
-            x=PrivateType.PRO_REBELLION,
-            factors={
-                "F": Uniform(3.0, 6.0),
-                "S": Uniform(0.5, 1.5),
-                "A_U": Uniform(1.5, 2.5),
-                "A_R": Uniform(0.5, 1.5),
-                "c": Uniform(0.2, 0.6),
-                "C": Uniform(1.0, 2.0),
-                "V_R": Uniform(0.0, 2.0),
-                "V_U": Constant(0.0),
-                "V_NJ": Constant(0.0),
-                "p_base": Uniform(0.25, 0.5),
-            },
-        ),
-        Group(
-            label="status_quo_activists",
-            count=1500,
-            x=PrivateType.PRO_STATUS_QUO,
-            factors={
-                "F": Uniform(0.0, 0.5),
-                "S": Uniform(2.0, 3.5),
-                "A_U": Uniform(1.0, 2.0),
-                "A_R": Uniform(0.8, 1.6),
-                "c": Uniform(0.2, 0.5),
-                "C": Uniform(0.8, 1.5),
-                "V_R": Constant(0.0),
-                "V_U": Constant(0.0),
-                "V_NJ": Constant(0.0),
-                "p_base": Uniform(0.05, 0.2),
-            },
-        ),
-        Group(
-            label="ambivalent_majority",
-            count=7500,
-            x=PrivateType.PRO_STATUS_QUO,
-            factors={
-                "F": Uniform(0.5, 2.5),
-                "S": Uniform(1.0, 2.5),
-                "A_U": Uniform(1.0, 2.5),
-                "A_R": Uniform(0.5, 1.5),
-                "c": Uniform(0.2, 0.8),
-                "C": Uniform(1.5, 3.0),
-                "V_R": Constant(0.0),
-                "V_U": Constant(0.0),
-                "V_NJ": Constant(0.0),
-                "p_base": Uniform(0.05, 0.35),
-            },
-        ),
-    )
+    from importlib import resources  # deferred: only the baseline reads package data
 
-    events = [
-        Event(0, "kharkiv_beating", {"dC": 0.4}),
-        Event(3, "broadcast_push", {"dF": 0.12}),
-        Event(8, "broadcast_push", {"dF": 0.12}),
-        Event(12, "donetsk_beating", {"dC": 0.4}),
-        Event(13, "broadcast_push", {"dF": 0.12}),
-        Event(15, "referendum_rallies", {"dp": 0.04}),
-        Event(17, "protection_pledge", {"dA_U": -0.8, "dp": 0.06}),
-        Event(18, "broadcast_push", {"dF": 0.12}),
-        Event(23, "broadcast_push", {"dF": 0.12}),
-        Event(24, "tv_ban", {}),
-        Event(36, "administration_seizures", {"dC": 0.5, "dp": 0.06}),
-    ]
-    for day in range(45, 91, 5):
-        events.append(Event(day, "militia_attacks", {"dC": 0.35, "dc": 0.12, "dp": 0.025}))
-
-    return Scenario(
-        name="donbass-2014-baseline",
-        population=PopulationSpec(groups),
-        network=NetworkSpec(kind=NetworkKind.SMALL_WORLD, k=10, rewire_p=0.1),
-        reputation=ReputationSpec(
-            ReputationVariant.WEIGHTED_FRACTION, alpha=0.5, centered=True
-        ),
-        integrity=IntegritySpec(nu_match=1.5, nu0=0.4, kappa=0.02, cap=0.6),
-        beta_share=0.6,
-        exit=None,
-        events=tuple(events),
-        horizon=120,
-        seed=20140301,
-    )
+    return parse_scenario(resources.files(__package__).joinpath("donbass.json").read_text("utf-8"))

@@ -405,6 +405,30 @@ def test_validate_refuses_erdos_renyi_over_the_draw_budget(tmp_path, capsys, mon
             "more than the budget of 1e+11") in capsys.readouterr().err
 
 
+def test_commands_refuse_a_population_over_the_agent_budget(tmp_path, capsys, monkeypatch):
+    """10^12 agents on an empty small-world graph have no edges to count, yet sampling them
+    alone would need terabytes: every command refuses them from the spec, sampling nothing."""
+    import dissentsim.engine as engine
+
+    def never(*args, **kwargs):
+        raise AssertionError("the population must not be sampled")
+
+    monkeypatch.setattr(engine, "sample_population", never)
+    doc = json.loads(ladder_doc(0.05, n=1))
+    doc["population"]["groups"][0]["count"] = 10**12
+    doc["network"] = {"kind": "small_world", "k": 0, "rewire_p": 0.0}
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["equilibrium", str(path)],
+                 ["thresholds", str(path), "--out", str(tmp_path / "t.csv")],
+                 ["run", str(path), "--out", str(tmp_path / "r.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "invalid: population: has 1000000000000 agents, more than the budget of 1e+07\n"
+        )
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "r.csv").exists()
+
+
 def test_validate_event_beyond_horizon(tmp_path, capsys):
     doc = json.loads(ladder_doc(0.05))
     doc["events"] = [{"step": 99, "label": "late", "deltas": {"dC": 1.0}}]
