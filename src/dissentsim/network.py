@@ -353,8 +353,9 @@ def edge_count(spec: NetworkSpec, n: int) -> float:
 
 def draw_count(spec: NetworkSpec, n: int) -> float:
     """Uniforms the generator draws for ``n`` agents where the edge budget does not bound
-    them: n² for erdos_renyi, one per ordered pair whatever ``p_edge`` is; 0 otherwise
-    (complete draws none, small_world about one per edge)."""
+    them: n² for erdos_renyi, one per ordered pair whatever ``p_edge`` is; 0 otherwise.
+    complete draws none; small_world draws n·k/2 uniforms, one per lattice tie, plus the
+    targets of the rewired ties, which the edge budget bounds."""
     return float(n) * n if spec.kind is NetworkKind.ERDOS_RENYI else 0.0
 
 
@@ -371,6 +372,10 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     * small_world — ring lattice joining each agent to its k nearest ring
       neighbors, each lattice tie rewired with probability rewire_p; ties are
       symmetric, so every kept or rewired tie contributes both directions.
+
+    ``seed`` is anything ``np.random.default_rng`` takes.  small_world draws in the
+    order docs/scenario-schema.md states and needs a bit generator with 64-bit
+    outputs (not MT19937); a passed Generator ends where those scalar draws leave it.
     """
     if n < 1:
         raise InvalidParameterError(f"network generation needs n >= 1, got {n!r}")
@@ -392,26 +397,81 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     # small_world: Watts-Strogatz ring lattice with rewiring, symmetric ties.
     if spec.k >= n:
         raise InvalidParameterError(f"small_world needs k < n, got k={spec.k}, n={n}")
-    half = spec.k // 2
-    neighbors = [{(i + d) % n for d in range(-half, half + 1) if d} for i in range(n)]
-    for offset in range(1, half + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            if j not in neighbors[i]:
-                continue  # this lattice tie was already rewired away
-            if rng.random() >= spec.rewire_p:
-                continue
-            if len(neighbors[i]) >= n - 1:
-                continue  # i already observes everyone else; nothing to rewire to
-            m = int(rng.integers(n))
-            while m == i or m in neighbors[i]:
-                m = int(rng.integers(n))
-            neighbors[i].discard(j)
-            neighbors[j].discard(i)
-            neighbors[i].add(m)
-            neighbors[m].add(i)
-    degree = [len(nb) for nb in neighbors]
-    dst = np.fromiter(
-        (j for nb in neighbors for j in sorted(nb)), dtype=np.int64, count=sum(degree)
-    )
-    return _unit_weight(n, np.repeat(np.arange(n), degree), dst)
+    return _small_world(n, spec.k // 2, spec.rewire_p, _RawStream(rng))
+
+
+class _RawStream:
+    """A 64-bit bit generator's raw outputs from ``pos`` on, drawn in blocks of at most
+    ``ahead``, the outputs the caller is sure to read, so the generator ends where scalar
+    draws would.  :meth:`integers` is ``Generator.integers(n)`` for 1 < n <= 2**32 as numpy
+    decodes it: Lemire's rule over 32-bit halves, the low half first and the high half kept
+    in the bit generator's buffer, which :meth:`close` hands back."""
+
+    BLOCK = 1 << 20  # most outputs drawn at once (8 MB)
+
+    def __init__(self, rng: np.random.Generator):
+        self.bg = rng.bit_generator
+        state = self.bg.state
+        if "has_uint32" not in state:  # MT19937's outputs are 32-bit
+            raise InvalidParameterError(f"need 64-bit outputs, not {state['bit_generator']}'s")
+        self.has32, self.half = state["has_uint32"], state["uinteger"]
+        self.block, self.base, self.pos, self.ahead = np.empty(0, np.uint64), 0, 0, 1
+
+    def unread(self) -> np.ndarray:
+        """The block from output ``pos`` on; a new block once this one is used up."""
+        if self.pos == self.base + len(self.block):
+            self.base, self.block = self.pos, self.bg.random_raw(min(self.ahead, self.BLOCK))
+        return self.block[self.pos - self.base:]
+
+    def integers(self, n: int) -> int:
+        while True:
+            if self.has32:
+                self.has32, x = 0, self.half
+            else:
+                x, self.pos = int(self.unread()[0]), self.pos + 1
+                self.has32, self.half, x = 1, x >> 32, x & 0xFFFFFFFF
+            if (x * n) & 0xFFFFFFFF >= (2**32 - n) % n:
+                return (x * n) >> 32
+
+    def close(self) -> None:
+        self.bg.state = {**self.bg.state, "has_uint32": self.has32, "uinteger": self.half}
+
+
+def _small_world(n: int, half: int, rewire_p: float, stream: _RawStream) -> SocialNetwork:
+    """Lattice tie t joins i = t % n to i + t // n + 1, so ties are visited offset-major.
+    Each draws a uniform, (x >> 11) * 2**-53 as ``Generator.random()`` does, and only the
+    ties it rewires run in Python: each moves to a target that i does not observe yet,
+    unless i already observes everyone."""
+    ties = n * half
+    alive = bytearray(b"\x01") * ties  # lattice ties not rewired away
+    added = set()  # rewired ties as keys i * n + m, both directions
+    degree = [2 * half] * n
+    t = 0  # the next tie; its uniform is output stream.pos
+    while t < ties:
+        stream.ahead = ties - t
+        uniforms = (stream.unread() >> np.uint64(11)) * 2.0**-53
+        end = stream.base + len(stream.block)
+        for hit in (np.flatnonzero(uniforms < rewire_p) + stream.pos).tolist():
+            if hit < stream.pos or t + hit - stream.pos >= ties:
+                continue  # read by a rewire's target draws, or past the last tie
+            t, stream.pos = t + hit - stream.pos, hit + 1
+            i = t % n
+            if degree[i] < n - 1:
+                stream.ahead, m = ties - t, i
+                while (m == i or (d := (m - i) % n) <= half and alive[(d - 1) * n + i]
+                       or n - d <= half and alive[(n - d - 1) * n + m] or i * n + m in added):
+                    m = stream.integers(n)
+                alive[t] = 0
+                added.update((i * n + m, m * n + i))
+                degree[(i + t // n + 1) % n] -= 1
+                degree[m] += 1
+            t += 1
+        # No hit is left in the block, unless the target draws ran past its end.
+        kept = max(0, min(ties - t, end - stream.pos))
+        t, stream.pos = t + kept, stream.pos + kept
+    stream.close()
+    lattice = np.flatnonzero(np.frombuffer(alive, dtype=bool))
+    i = lattice % n
+    j = (i + lattice // n + 1) % n
+    keys = np.sort(np.concatenate((i * n + j, j * n + i, np.fromiter(added, np.int64, len(added)))))
+    return _unit_weight(n, keys // n, keys % n)

@@ -264,13 +264,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value) -> float:
+    """A JSON number as a float; an integer too large for one reads as +-inf, which every
+    finiteness check then rejects."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 _BOOL = _Type("a boolean", lambda value: isinstance(value, bool))
 _INT = _Type("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
-_NUMBER = _Type("a number", _is_number, float)
+_NUMBER = _Type("a number", _is_number, _float)
 _FINITE = _NUMBER._replace(finite=True)
 _NUMBER_OR_NULL = _Type(
     "a number or null", lambda value: value is None or _is_number(value),
-    lambda value: math.inf if value is None else float(value),
+    lambda value: math.inf if value is None else _float(value),
     lambda value: None if value == math.inf else value,
 )
 _STRING = _Type("a string", lambda value: isinstance(value, str))
@@ -340,6 +349,7 @@ class _Check:
 
     def __init__(self):
         self.violations: list[str] = []
+        self.warnings: list[str] = []  # emitted by parse_scenario, at its caller's line
 
     def fail(self, path: str, message: str) -> None:
         self.violations.append(f"{path}: {message}")
@@ -406,11 +416,12 @@ def _read_spec(doc: dict, path: str, check: _Check, make, table: dict, tag: str 
     values = check.fields(doc, path, table)
     if len(values) < len(table):
         return None
+    values = {key: table[key][0].load(value) for key, value in values.items()}
     for key, value in values.items():
-        if table[key][0].finite and not np.isfinite(value):
+        if table[key][0].finite and not math.isfinite(value):
             check.fail(f"{path}.{key}", "must be finite")
             return None
-    return check.build(path, make, **{key: table[key][0].load(v) for key, v in values.items()})
+    return check.build(path, make, **values)
 
 
 def _dump(spec, table: dict) -> dict:
@@ -490,9 +501,8 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
     if C_dist.support()[1] < c_dist.support()[0]:
         check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
     if isinstance(c_dist, Constant) and isinstance(C_dist, Constant) and C_dist.value == c_dist.value:
-        warnings.warn(
-            f"{path}: C == c for every agent in this group; the model expects strict C > c",
-            stacklevel=2,
+        check.warnings.append(
+            f"{path}: C == c for every agent in this group; the model expects strict C > c"
         )
 
     if x is None or len(values) < len(_GROUP_FIELDS):
@@ -537,7 +547,7 @@ def _parse_event(doc, path: str, check: _Check) -> Event | None:
         elif not _is_number(value):
             check.fail(dpath, "expected a number")
         else:
-            deltas[key] = float(value)
+            deltas[key] = _float(value)
     if len(values) < len(_EVENT_FIELDS):
         return None
     return check.build(path, Event, **{**values, "deltas": deltas})
@@ -588,7 +598,7 @@ def parse_scenario(text: str) -> Scenario:
         check.fail("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
     if horizon is not None and horizon < 0:
         check.fail("horizon", f"must be >= 0, got {horizon!r}")
-    if not np.isfinite(beta_share) or beta_share < 0:
+    if not math.isfinite(_float(beta_share)) or beta_share < 0:
         check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
     if update != "synchronous":
         check.fail("update", f"only 'synchronous' is supported, got {update!r}")
@@ -631,9 +641,11 @@ def parse_scenario(text: str) -> Scenario:
     if steps != sorted(steps):
         check.fail("events", "must be sorted by step (ascending)")
 
+    for message in check.warnings:
+        warnings.warn(message, stacklevel=2)
     if check.violations:
         raise ScenarioValidationError(check.violations)
-    return Scenario(**{**top, "beta_share": float(beta_share)}, **sections)
+    return Scenario(**{**top, "beta_share": _float(beta_share)}, **sections)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -8,8 +8,9 @@ and ``-0.000000``, with a step-0 event that floors an offset at zero.  The
 other network kinds and ``sweep`` are pinned on variants of ``small_donbass``:
 a complete graph with unweighted reputation and exits that fire, an
 Erdos-Renyi graph, the summary of a two-seed ``iterative_influence`` sweep,
-and a 240-step ``iterative_influence`` run with exits whose public state
-stands still between changes (the steps that reuse their reputation terms).
+a 240-step ``iterative_influence`` run with exits whose public state
+stands still between changes (the steps that reuse their reputation terms),
+and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
 """
 
 import hashlib
@@ -110,6 +111,15 @@ def _small_erdos_renyi() -> dict:
     return doc
 
 
+def _rewired_small_world() -> dict:
+    """500 agents on a small world whose every lattice tie rewires: most edges are Python draws."""
+    doc = _small_donbass()
+    for group, count in zip(doc["population"]["groups"], (50, 75, 375)):
+        group["count"] = count
+    doc["network"] = {"kind": "small_world", "k": 20, "rewire_p": 1.0}
+    return doc
+
+
 def _small_iterative() -> dict:
     """Cut to 20 steps, mid-transition, so the final shares the summary holds differ by cell."""
     doc = _small_donbass()
@@ -134,6 +144,7 @@ GOLDEN_RUN_CSV = {
     "complete_exits": "54c19a724deb71dc0c3631c96a3ee94fb357c33d2b45a75bdcbbefbe129c0413",
     "erdos_renyi": "5849b46f8bfd1748be8c74eab3066dbcae4e64f4bdb17387ace1330fe59a8c6a",
     "iterative_exits": "825700b561fa0bab133d10e32338b8878e51664fd296c2b78f32e144353b860e",
+    "rewired_small_world": "714949775ded6696766551f130fbcabce699f96a4ec2653de8576703521601d6",
 }
 
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
@@ -189,6 +200,7 @@ def _run_csv(doc: dict, workdir) -> bytes:
         ("complete_exits", _small_complete_with_exits()),
         ("erdos_renyi", _small_erdos_renyi()),
         ("iterative_exits", _small_iterative_exits()),
+        ("rewired_small_world", _rewired_small_world()),
     ],
 )
 def test_golden_run_csv_other_networks(name, doc, tmp_path):

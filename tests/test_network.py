@@ -7,7 +7,10 @@ before the implementation ran, and are frozen here as literals.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dissentsim import network
 from dissentsim import (
     ConvergenceError,
     InvalidParameterError,
@@ -376,3 +379,103 @@ def test_reputation_spec_validation():
         ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0, tol=0.0)
     with pytest.raises(InvalidParameterError):
         ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0, max_iters=0)
+
+
+# ------------------------------------------------- small_world against a reference
+
+def reference_small_world(n, k, rewire_p, seed):
+    """The set-based Watts-Strogatz walk the array generator must reproduce draw for draw:
+    one uniform per lattice tie, offset-major, and ``integers(n)`` redraws per rewire."""
+    rng = np.random.default_rng(seed)
+    half = k // 2
+    neighbors = [{(i + d) % n for d in range(-half, half + 1) if d} for i in range(n)]
+    for offset in range(1, half + 1):
+        for i in range(n):
+            j = (i + offset) % n
+            if j not in neighbors[i]:
+                continue
+            if rng.random() >= rewire_p:
+                continue
+            if len(neighbors[i]) >= n - 1:
+                continue
+            m = int(rng.integers(n))
+            while m == i or m in neighbors[i]:
+                m = int(rng.integers(n))
+            neighbors[i].discard(j)
+            neighbors[j].discard(i)
+            neighbors[i].add(m)
+            neighbors[m].add(i)
+    degree = [len(nb) for nb in neighbors]
+    dst = np.array([j for nb in neighbors for j in sorted(nb)], dtype=np.int64)
+    return np.repeat(np.arange(n), degree), dst
+
+
+@st.composite
+def small_worlds(draw):
+    n = draw(st.integers(1, 300))
+    k = 2 * draw(st.integers(0, (n - 1) // 2))
+    rewire_p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return n, k, rewire_p, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200)
+@given(small_worlds())
+@example((1, 0, 1.0, 0))
+@example((4, 2, 1.0, 3))
+@example((7, 6, 1.0, 5))  # odd n, k = n - 1: every agent observes everyone, none rewires
+@example((9, 8, 1.0, 8))
+@example((257, 40, 0.5, 2))
+def test_small_world_matches_reference(case):
+    n, k, rewire_p, seed = case
+    net = generate_network(NetworkSpec(NetworkKind.SMALL_WORLD, k=k, rewire_p=rewire_p), n, seed)
+    src, dst = reference_small_world(n, k, rewire_p, seed)
+    assert np.array_equal(net.src, src)
+    assert np.array_equal(net.dst, dst)
+
+
+@pytest.mark.parametrize("n, k, rewire_p", [(40, 6, 1.0), (41, 40, 1.0), (300, 10, 0.1), (5, 0, 0.5)])
+def test_small_world_leaves_a_passed_generator_where_the_reference_does(n, k, rewire_p):
+    """Same end position and the same buffered 32-bit half, so later draws continue alike."""
+    spec = NetworkSpec(NetworkKind.SMALL_WORLD, k=k, rewire_p=rewire_p)
+    for warm_up in (0, 1):  # 1: start with a 32-bit half already buffered
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        for rng in (ours, theirs):
+            rng.integers(1000, size=warm_up)
+        generate_network(spec, n, ours)
+        reference_small_world(n, k, rewire_p, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(n, size=5).tolist() == theirs.integers(n, size=5).tolist()
+
+
+def test_small_world_matches_reference_across_block_edges(monkeypatch):
+    """Blocks of a few outputs put block edges inside the rewire target draws."""
+    for block in (1, 2, 3, 5):
+        monkeypatch.setattr(network._RawStream, "BLOCK", block)
+        for n, k, rewire_p in ((4, 2, 1.0), (30, 28, 1.0), (50, 10, 1.0), (101, 20, 0.3)):
+            net = generate_network(NetworkSpec(NetworkKind.SMALL_WORLD, k=k, rewire_p=rewire_p), n, 7)
+            src, dst = reference_small_world(n, k, rewire_p, 7)
+            assert np.array_equal(net.src, src) and np.array_equal(net.dst, dst)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64])
+@pytest.mark.parametrize("n", [4, 1000, 3 * 2**30, 2**31 + 1, 2**32])
+def test_raw_stream_decodes_interleaved_draws(bit_generator, n):
+    """``integers(n)`` decoded from raw outputs, between ``random()`` calls, matches the
+    Generator's own; the two n near 2**31 make Lemire's rule reject often."""
+    ours = np.random.Generator(bit_generator(12))
+    theirs = np.random.Generator(bit_generator(12))
+    stream = network._RawStream(ours)
+    calls = np.random.default_rng(n).integers(3, size=400).tolist()
+    for call in calls:  # 0: random(), 1: integers(n), 2: both, as the rewire walk interleaves them
+        if call != 1:
+            x, stream.pos = int(stream.unread()[0]), stream.pos + 1
+            assert (x >> 11) * 2.0**-53 == theirs.random()
+        if call != 0:
+            assert stream.integers(n) == theirs.integers(n)
+    stream.close()
+    assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)  # SFC64's holds an array
+
+
+def test_raw_stream_refuses_32_bit_generators():
+    with pytest.raises(InvalidParameterError):
+        network._RawStream(np.random.Generator(np.random.MT19937(0)))

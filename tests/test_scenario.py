@@ -647,6 +647,26 @@ VIOLATION_CORPUS = [
      [
          'population.groups[0].factors.F: F must be >= 0 over the whole support, found lo=-1.0',
      ]),
+    # Integers of 2**64 or more are read as floats; one too large for a float is not finite.
+    ('constant-minus-2^64', _factor("F", {"dist": "constant", "value": -2**64}),
+     [
+         'population.groups[0].factors.F: F must be >= 0 over the whole support, '
+         'found lo=-1.8446744073709552e+19',
+     ]),
+    ('constant-past-float', _factor("F", {"dist": "constant", "value": 10**400}),
+     ['population.groups[0].factors.F.value: must be finite']),
+    ('uniform-past-float', _factor("F", {"dist": "uniform", "lo": 0, "hi": 10**400}),
+     ['population.groups[0].factors.F: uniform bounds need finite lo <= hi, got [0.0, inf]']),
+    ('exit-threshold-past-float', _top(exit={"threshold": -10**400, "patience": 1}),
+     ['exit.threshold: must be finite']),
+    ('exit-threshold-2^64-patience', _top(exit={"threshold": 2**64, "patience": 0}),
+     ['exit: exit patience must be >= 1, got 0']),
+    ('top-beta-minus-2^64', _top(beta_share=-2**64),
+     ['beta_share: must be finite and >= 0, got -18446744073709551616']),
+    ('top-beta-past-float', _top(beta_share=10**400),
+     [f'beta_share: must be finite and >= 0, got {10**400}']),
+    ('delta-past-float', _events({"step": 0, "label": "x", "deltas": {"dC": 10**400}}),
+     ['events[0]: event delta dC must be finite, got inf']),
 ]
 
 
@@ -659,6 +679,22 @@ def test_violation_corpus(doc, expected):
     with pytest.raises(ScenarioValidationError) as excinfo:
         parse_scenario(json.dumps(doc, allow_nan=True))
     assert excinfo.value.violations == expected
+
+
+def test_integers_past_2_64_read_as_floats():
+    doc = _factor("F", {"dist": "constant", "value": 2**64})
+    doc.update(beta_share=2**64, exit={"threshold": -2**64, "patience": 1})
+    scenario = parse_scenario(json.dumps(doc))
+    assert scenario.beta_share == 2.0**64 and scenario.exit.threshold == -(2.0**64)
+    assert scenario.population.groups[0].factors["F"].value == 2.0**64
+
+
+def test_equal_costs_warning_names_the_caller():
+    doc = _group(factors={"c": {"dist": "constant", "value": 0.5},
+                          "C": {"dist": "constant", "value": 0.5}})
+    with pytest.warns(UserWarning, match="C == c") as caught:
+        parse_scenario(json.dumps(doc))
+    assert [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------- round trip
