@@ -16,12 +16,16 @@ functions in :mod:`network`) are n=1 views over the same kernels.
 
 Stances under preference falsification stand still for long stretches, so
 each state carries a memo of the step that made it: that step's inputs and
-its decision.  The next step reuses the reputation terms while the network,
-the reputation spec, the stances and the exit flags are unchanged, and the
-whole decision while the parameters, the environment, the integrity spec
-and every falsification penalty are unchanged too; :func:`run` then reuses
-the previous record as well.  Inputs that can be edited in place are
-compared by content, so manual stepping stays exact after such edits.
+what it computed from them, in four levels.  The next step reuses the
+per-edge base weights while the network and the reputation spec are
+unchanged, the observed weights and each observer's total while the exit
+flags are unchanged too, the reputation terms while the stances are
+unchanged too, and the whole decision while the parameters, the
+environment, the integrity spec and every falsification penalty are
+unchanged as well; :func:`run` then reuses the previous record.  Inputs
+that can be edited in place are compared by content, so manual stepping
+stays exact after such edits.  The per-element rules are mask arithmetic,
+which does not branch per element.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ from .network import (
     ReputationSpec,
     ReputationVariant,
     SocialNetwork,
+    edge_weights,
     generate_network,
     influence_scores,
     observed_weights,
+    observer_totals,
     reputation_terms,
 )
 
@@ -71,7 +77,7 @@ def consistent(y, x):
     array of Position codes, ``x`` a PrivateType or a boolean ``x_rebel`` array.
     """
     x_rebel = np.asarray(x is PrivateType.PRO_REBELLION if isinstance(x, PrivateType) else x)
-    return y == Position.U + x_rebel  # the preferred stance: U, or R = U + 1 for a rebel
+    return y == np.int8(Position.U) + x_rebel  # the preferred stance: U, or R = U + 1 for a rebel
 
 
 @dataclass(frozen=True)
@@ -247,14 +253,27 @@ class ParamArrays:
 class _StepMemo(NamedTuple):
     """One step's inputs and decision, kept on its successor state for the next step.
 
-    ``y``, ``exited`` and ``penalty`` are private copies, so a later step
+    Four levels, each valid while its own key and every key above it match:
+
+    1. the network (by identity: its arrays are read-only) and the reputation
+       spec: the per-edge base weights and the bincount keys ``3 * src``;
+    2. the exit flags: the observed weights and each observer's total;
+    3. the previous stances: the reputation terms;
+    4. the parameters, the environment after events, the integrity spec and
+       every falsification penalty: the decision (``p``, ``chosen``, ``best``).
+
+    ``exited``, ``y`` and ``penalty`` are private copies, so a later step
     compares them by content; the arrays it hands out are read-only.
     """
 
-    reputation: ReputationSpec
     network: SocialNetwork
-    y: np.ndarray
+    reputation: ReputationSpec
+    base: np.ndarray
+    keys: np.ndarray
     exited: np.ndarray
+    weight: np.ndarray
+    denom: np.ndarray
+    y: np.ndarray
     rep: np.ndarray
     integrity: IntegritySpec
     params: ParamArrays
@@ -383,7 +402,7 @@ def _integrity(spec: IntegritySpec, y, x, penalty):
 
 def falsification_penalty(spec: IntegritySpec, d_falsify):
     """The cost ``min(cap, nu0 + kappa * d)`` of falsifying after ``d`` falsifying steps, elementwise."""
-    if np.any(np.asarray(d_falsify) < 0):
+    if np.min(d_falsify, initial=0) < 0:
         raise InvalidParameterError(f"d_falsify must be >= 0, got {d_falsify!r}")
     return np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
 
@@ -404,11 +423,11 @@ def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patienc
     The streak grows while the best available payoff is below the threshold
     and resets otherwise; an agent exits for good once it reaches
     ``exit_patience``.  A ``-inf`` threshold disables exit (no payoff is ever
-    below it).
+    below it).  Mask arithmetic, which does not branch per element.
     """
     if exit_patience < 1:
         raise InvalidParameterError(f"exit patience must be >= 1, got {exit_patience!r}")
-    streak = np.where(best_payoff < exit_threshold, streak + 1, 0)
+    streak = (streak + 1) * np.less(best_payoff, exit_threshold)
     return streak, exited | (streak >= exit_patience)
 
 
@@ -466,21 +485,19 @@ def step(state: SimState, scenario) -> SimState:
         return replace(state, t=t + 1, env=env, _last_events=labels, _memo=None)
 
     memo = _decide(state, scenario, env, active)
-    y_new = np.where(active, memo.chosen, state.y).astype(np.int8)
+    # Mask arithmetic, which does not branch per element: exited agents keep their values.
+    exited = state.exited
+    y_new = (memo.chosen * active + state.y * exited).astype(np.int8, copy=False)
+    reset = active & consistent(y_new, state.params.x_rebel)
+    d_new = (state.d_falsify + active) * ~reset  # 0 when consistent, else one more
 
-    d_new = np.where(
-        active, np.where(consistent(y_new, state.params.x_rebel), 0, state.d_falsify + 1),
-        state.d_falsify,
-    )
-
-    exited_new = state.exited
+    exited_new = exited
     streak_new = state.low_payoff_streak
     if scenario.exit is not None:
         streak, exited_new = exit_update(
-            state.low_payoff_streak, state.exited, memo.best,
-            scenario.exit.threshold, scenario.exit.patience,
+            streak_new, exited, memo.best, scenario.exit.threshold, scenario.exit.patience,
         )
-        streak_new = np.where(active, streak, state.low_payoff_streak)  # exited agents are frozen
+        streak_new = streak * active + streak_new * exited  # exited agents are frozen
 
     return replace(
         state,
@@ -498,29 +515,34 @@ def step(state: SimState, scenario) -> SimState:
 def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> _StepMemo:
     """The step's decision, reusing what ``state._memo`` kept where its inputs are unchanged.
 
-    Two levels.  The reputation terms depend only on the network, the
-    reputation spec, the previous stances and the exit flags; the payoffs
-    and the stance choice also on the parameters, the environment after
-    events, the integrity spec and each agent's falsification penalty.
-    When all of these match, the kept decision is returned as it is.
+    The levels of :class:`_StepMemo` are checked in order, and each computes
+    afresh only when its own key or one above it changed: a new network or
+    spec rebuilds the base weights, new exits the observed weights and their
+    totals, new stances the reputation terms.  When every input matches, the
+    kept decision is returned as it is.
     """
     last = state._memo
     net, spec, integrity, pa = state.network, scenario.reputation, scenario.integrity, state.params
     y_prev, exited = state.y, state.exited
-    same_public = (
-        last is not None
-        and last.network is net  # the network's arrays are read-only
-        and last.reputation == spec
-        and np.array_equal(last.y, y_prev)
-        and np.array_equal(last.exited, exited)
-    )
-    if same_public:
-        rep = last.rep
-    else:  # a stance or an exit changed since the last step
+    same_net = last is not None and last.network is net and last.reputation == spec
+    same_exits = same_net and np.array_equal(last.exited, exited)
+    same_public = same_exits and np.array_equal(last.y, y_prev)
+    if same_net:
+        base, keys = last.base, last.keys
+    else:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], scores)
-        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n)
+        base, keys = edge_weights(spec, net.w, net.dst, scores), 3 * net.src
+    if same_exits:
+        exited, weight, denom = last.exited, last.weight, last.denom
+    else:  # an exit changed since the last step
+        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
+        exited, denom = exited.copy(), observer_totals(net.src, weight, net.n)
+    if same_public:
+        y_prev, rep = last.y, last.rep
+    else:  # a stance changed since the last step
+        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n, denom, keys)
+        y_prev = y_prev.copy()
     penalty = falsification_penalty(integrity, state.d_falsify)  # checks d_falsify every step
     if (
         same_public
@@ -542,10 +564,10 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
-    for kept in (rep, p, chosen, best):
+    for kept in (base, keys, weight, denom, rep, p, chosen, best):
         kept.setflags(write=False)
-    return _StepMemo(spec, net, y_prev.copy(), exited.copy(), rep, integrity, pa, env,
-                     penalty, p, chosen, best)
+    return _StepMemo(net, spec, base, keys, exited, weight, denom, y_prev, rep, integrity, pa,
+                     env, penalty, p, chosen, best)
 
 
 def _record_from(state: SimState) -> StepRecord:

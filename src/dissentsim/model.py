@@ -187,26 +187,21 @@ def choose_positions(e_nj, e_u, e_r, previous) -> np.ndarray:
     ``previous`` holds Position codes.  Stances within TIE_EPS of the best
     payoff form the tied set; the previous stance wins if tied, otherwise the
     earliest tied stance in (NJ, U, R) order.  Returns int8 Position codes.
+    A previous code other than NJ or U is kept when R is tied.
+
+    Written in mask arithmetic, which does not branch per element.
     """
     e_nj = np.asarray(e_nj, dtype=np.float64)
     e_u = np.asarray(e_u, dtype=np.float64)
     e_r = np.asarray(e_r, dtype=np.float64)
     prev = np.asarray(previous, dtype=np.int8)
 
-    best = np.maximum(np.maximum(e_nj, e_u), e_r)
-    tied_nj = e_nj >= best - TIE_EPS
-    tied_u = e_u >= best - TIE_EPS
-    tied_r = e_r >= best - TIE_EPS
-
-    out = np.where(
-        tied_nj,
-        np.int8(Position.NJ),
-        np.where(tied_u, np.int8(Position.U), np.int8(Position.R)),
-    ).astype(np.int8)
-    prev_tied = np.where(
-        prev == Position.NJ, tied_nj, np.where(prev == Position.U, tied_u, tied_r)
-    )
-    return np.where(prev_tied, prev, out).astype(np.int8)
+    floor = np.maximum(np.maximum(e_nj, e_u), e_r) - TIE_EPS
+    tied_nj, tied_u, tied_r = e_nj >= floor, e_u >= floor, e_r >= floor
+    first = (np.int8(Position.U) + ~tied_u) * ~tied_nj  # NJ if tied, else U if tied, else R
+    at_nj, at_u = prev == Position.NJ, prev == Position.U
+    keep = at_nj & tied_nj | at_u & tied_u | ~(at_nj | at_u) & tied_r
+    return np.asarray(first ^ (prev ^ first) * keep)  # prev where kept, else first
 
 
 def decide(

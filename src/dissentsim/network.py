@@ -63,8 +63,9 @@ class SocialNetwork:
 
     An edge i->j means "i observes j".  ``edges`` is a list of (source,
     target, weight) triples or an (m, 3) array: integral ids in [0, n), no
-    self-loops, finite weights >= 0.  They are stored stably sorted by source
-    as ``src``, ``dst`` and ``w``; agent i's are ``row_ptr[i]:row_ptr[i + 1]``.
+    self-loops, finite weights >= 0 (-0.0 is stored as 0.0).  They are stored
+    stably sorted by source as ``src``, ``dst`` and ``w``; agent i's are
+    ``row_ptr[i]:row_ptr[i + 1]``.
     The ``edges`` tuples and ``out_edges`` are views built on request.
     Instances are immutable (the arrays are read-only copies), so views and
     influence scores are cached.
@@ -85,23 +86,24 @@ class SocialNetwork:
         triples = np.asarray(edges, dtype=np.float64)
         if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
             raise InvalidParameterError(f"edges need 3 columns (src, dst, w), got {triples.shape}")
-        triples = triples.reshape(-1, 3)
-        ids, w = triples[:, :2], triples[:, 2]
+        src, dst, w = triples.reshape(-1, 3).T
         for bad, problem in (
-            ((ids != np.floor(ids)).any(axis=1), "has a non-integral agent id"),
-            (((ids < 0) | (ids >= n)).any(axis=1), "references an unknown agent id"),
-            (ids[:, 0] == ids[:, 1], "is a self-loop, which is not allowed"),
+            ((src != np.floor(src)) | (dst != np.floor(dst)), "has a non-integral agent id"),
+            ((src < 0) | (src >= n) | (dst < 0) | (dst >= n), "references an unknown agent id"),
+            (src == dst, "is a self-loop, which is not allowed"),
             (~np.isfinite(w) | (w < 0.0), "weight must be finite and >= 0"),
         ):
             if bad.any():  # name the first offending edge
-                s, t = ids[np.argmax(bad)].tolist()
-                raise InvalidParameterError(f"edge ({s:g}, {t:g}) {problem}")
-        order = np.argsort(ids[:, 0], kind="stable")
-        src = ids[order, 0].astype(np.int64)
+                first = np.argmax(bad)
+                raise InvalidParameterError(f"edge ({src[first]:g}, {dst[first]:g}) {problem}")
+        if np.any(src[1:] < src[:-1]):  # generators emit their edges in CSR order already
+            order = np.argsort(src, kind="stable")
+            src, dst, w = src[order], dst[order], w[order]
+        src = src.astype(np.int64)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", ids[order, 1].astype(np.int64))
-        object.__setattr__(self, "w", w[order])
+        object.__setattr__(self, "dst", dst.astype(np.int64))
+        object.__setattr__(self, "w", w + 0.0)  # a copy, with any -0.0 weight stored as 0.0
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
         for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
             getattr(self, name).setflags(write=False)
@@ -158,33 +160,58 @@ class ReputationSpec:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
-def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None) -> np.ndarray:
+def edge_weights(spec: ReputationSpec, w, dst, scores=None) -> np.ndarray:
     """Per-edge weight of the target in its observer's eyes: 1 (unweighted), the edge
-    weight (weighted) or the edge weight times the target's influence score
-    (iterative); 0 where the target is ``hidden`` (exited)."""
+    weight (weighted) or the edge weight times the target's influence score (iterative)."""
     if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
-        w = np.ones_like(w)
-    elif spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
-        w = w * scores[dst]
-    return np.where(hidden, 0.0, w)
+        return np.ones_like(w)
+    if spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
+        return w * scores[dst]
+    return w
 
 
-def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.ndarray:
+def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None, base=None) -> np.ndarray:
+    """The :func:`edge_weights` entry of each edge, 0 where the target is ``hidden``
+    (exited).  ``base``, the :func:`edge_weights`, may be passed precomputed.
+
+    ``base * ~hidden`` is bit-equal to selecting 0.0 for the hidden targets because
+    the weights are finite and >= 0 (a network stores no -0.0), and does not branch.
+    """
+    if base is None:
+        base = edge_weights(spec, w, dst, scores)
+    return base * np.logical_not(hidden)
+
+
+def observer_totals(row, weight, n: int) -> np.ndarray:
+    """Each observer's total observed weight, the denominator of its reputation fractions."""
+    return np.bincount(row, weights=weight, minlength=n)
+
+
+def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
+                     denom=None, keys=None) -> np.ndarray:
     """Reputation for showing each stance: one row per observer 0..n-1, column = Position code.
 
     ``row``, ``weight`` and ``stance`` are per edge: the observer, the
     :func:`observed_weights` entry and the target's shown Position code.  A
     term is ``alpha`` times the (centered) weighted fraction of the observer's
     neighbors showing that stance; 0 when the observer's total weight is 0.
+    The :func:`observer_totals` ``denom`` and the keys ``3 * row`` may be
+    passed precomputed: they do not depend on the stances.
     """
-    denom = np.bincount(row, weights=weight, minlength=n)
+    if denom is None:
+        denom = observer_totals(row, weight, n)
+    if keys is None:
+        keys = 3 * row
     # One keyed pass sums each observer's weight per stance.
-    num = np.bincount(row * 3 + stance, weights=weight, minlength=3 * n).reshape(n, 3)
-    has_obs = (denom > 0.0)[:, None]
+    num = np.bincount(keys + stance, weights=weight, minlength=3 * n).reshape(n, 3)
+    has_obs = denom > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(has_obs, num / np.where(has_obs, denom[:, None], 1.0), 0.0)
-    rep = spec.alpha * (frac - 0.5) if spec.centered else spec.alpha * frac
-    return np.where(has_obs, rep, 0.0)
+        rep = num / np.where(has_obs, denom, 1.0)[:, None]  # the fractions, in place below
+    if spec.centered:
+        rep -= 0.5
+    rep *= spec.alpha
+    rep[~has_obs] = 0.0
+    return rep
 
 
 def _reputation(agent, position, network, publics, spec, scores=None) -> float:

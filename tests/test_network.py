@@ -88,6 +88,55 @@ def test_network_stores_source_sorted_arrays():
     assert net.edges == ((0, 2, 0.5), (0, 1, 2.0), (2, 0, 1.0))
 
 
+def reference_network(n, edges):
+    """The constructor's checks and stable sort as first written, over an (m, 2) id array:
+    the stored (src, dst, w, row_ptr), or the message of the error it raises."""
+    triples = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    ids, w = triples[:, :2], triples[:, 2]
+    for bad, problem in (
+        ((ids != np.floor(ids)).any(axis=1), "has a non-integral agent id"),
+        (((ids < 0) | (ids >= n)).any(axis=1), "references an unknown agent id"),
+        (ids[:, 0] == ids[:, 1], "is a self-loop, which is not allowed"),
+        (~np.isfinite(w) | (w < 0.0), "weight must be finite and >= 0"),
+    ):
+        if bad.any():
+            s, t = ids[np.argmax(bad)].tolist()
+            return f"edge ({s:g}, {t:g}) {problem}"
+    order = np.argsort(ids[:, 0], kind="stable")
+    src = ids[order, 0].astype(np.int64)
+    return src, ids[order, 1].astype(np.int64), w[order], np.searchsorted(src, np.arange(n + 1))
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists over a few agents, sorted by source or not, some with one bad entry."""
+    n = draw(st.integers(1, 6))
+    agent = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(agent, agent, st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=15))
+    if draw(st.booleans()):
+        edges.sort(key=lambda e: e[0])
+    edges = [list(e) for e in edges if e[0] != e[1]]
+    if edges and draw(st.booleans()):  # corrupt one field of one edge
+        bad = st.sampled_from([-1.0, float(n), 0.5, float("nan"), float("inf"), -0.25])
+        edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 2))] = draw(bad)
+    return n, edges
+
+
+@given(edge_lists())
+@example((3, [[0, 2, 1.0], [1, 1, 1.0], [0, 0.5, 1.0]]))  # a later problem found first in order
+def test_network_constructor_matches_the_reference(case):
+    n, edges = case
+    expected = reference_network(n, edges)
+    if isinstance(expected, str):
+        with pytest.raises(InvalidParameterError) as raised:
+            SocialNetwork(n, edges)
+        assert str(raised.value) == expected
+        return
+    net = SocialNetwork(n, edges)
+    for got, want in zip((net.src, net.dst, net.w, net.row_ptr), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_network_arrays_are_read_only():
     """Influence scores and the last step's reputation terms are cached on the network."""
     edges = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])

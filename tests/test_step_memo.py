@@ -291,6 +291,69 @@ def test_changed_network_and_specs_are_seen():
         assert state_bits(step(new_state, changed)) == state_bits(fresh_step(new_state, changed))
 
 
+def memo_bits(memo):
+    """Every array a step keeps, level by level, as bytes."""
+    levels = (memo.base, memo.keys, memo.weight, memo.denom, memo.rep, memo.p, memo.chosen, memo.best)
+    return tuple(bits(a) for a in levels)
+
+
+@contextmanager
+def counting_levels():
+    """Counts, per step, the calls that recompute each memo level: the network level
+    (``edge_weights``), the exit level (``observed_weights``) and the stance level
+    (``reputation_terms``); yields a function that returns and resets the three counts."""
+    with counting("edge_weights") as base, counting("observed_weights") as weights, \
+            counting("reputation_terms") as terms:
+        def taken():
+            counts = (len(base), len(weights), len(terms))
+            for calls in (base, weights, terms):
+                calls.clear()
+            return counts
+        yield taken
+
+
+def test_in_place_edits_invalidate_only_their_levels():
+    """An exit edited in place recomputes the observed weights and everything below them; a
+    stance edited in place recomputes the reputation terms alone; either way the kept arrays
+    equal those of a step that keeps nothing."""
+    state, scenario = still_world()
+    state = step(state, scenario)
+    with counting_levels() as taken:
+        step(state, scenario)
+        assert taken() == (0, 0, 0)
+        state.y[0] = Position.U
+        new = step(state, scenario)
+        assert taken() == (0, 0, 1)
+        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        taken()  # not the fresh step's calls
+        state.exited[1] = True
+        new = step(state, scenario)
+        assert taken() == (0, 1, 1)
+        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        taken()
+        state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
+        step(new, scenario)
+        assert taken() == (0, 1, 1)
+
+
+def test_replaced_network_or_spec_rebuilds_the_base_weights():
+    state, scenario = still_world()
+    spec = replace(scenario.reputation, variant=ReputationVariant.ITERATIVE_INFLUENCE)
+    scenario = SimpleNamespace(**{**vars(scenario), "reputation": spec})
+    state = step(state, scenario)
+    reversed_ring = replace(state, network=SocialNetwork(3, [(0, 2, 1.0), (1, 0, 1.0), (2, 1, 2.0)]))
+    rescaled = SimpleNamespace(**{**vars(scenario), "reputation": replace(spec, alpha=1.5)})
+    with counting("influence_scores") as scores, counting_levels() as taken:
+        step(state, scenario)
+        assert (len(scores), taken()) == (0, (0, 0, 0))
+        for new_state, new_scenario in ((reversed_ring, scenario), (state, rescaled)):
+            new = step(new_state, new_scenario)
+            assert (len(scores), taken()) == (1, (1, 1, 1))
+            assert memo_bits(new._memo) == memo_bits(fresh_step(new_state, new_scenario)._memo)
+            scores.clear()
+            taken()  # not the fresh step's calls
+
+
 def test_negative_falsification_streak_still_raises():
     """With kappa 0 a negative streak leaves the penalty as it was, but the check still fires."""
     state, scenario = still_world(kappa=0.0)
@@ -346,3 +409,25 @@ def test_choice_runs_once_per_step_whose_decision_inputs_changed():
     )
     assert len(inputs) == 240
     assert len(calls) == len(rebel) == changed < 240
+
+
+def test_observed_weights_run_once_per_step_whose_exits_changed():
+    """One ``observed_weights`` call per step whose exit flags differ from the previous step's,
+    and one influence solve for the whole run; the first step counts as changed."""
+    scenario = iterative_exits_scenario()
+    exits, real_step = [], engine.step
+
+    def recording_step(state, scenario):
+        exits.append(state.exited.copy())
+        return real_step(state, scenario)
+
+    engine.step = recording_step
+    try:
+        with counting("observed_weights") as calls, counting("influence_scores") as scores:
+            run(scenario)
+    finally:
+        engine.step = real_step
+    changed = 1 + sum(not np.array_equal(e, e0) for e0, e in zip(exits, exits[1:]))
+    assert len(exits) == 240
+    assert len(calls) == changed and 1 < changed < 240
+    assert len(scores) == 1
