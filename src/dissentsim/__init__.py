@@ -8,38 +8,13 @@ wins.  The package provides the decision model, reputation variants on a
 directed weighted network, a deterministic synchronous dynamics engine with
 timed events and exit, cascade/fixed-point analysis, strict JSON scenario I/O
 with CSV/SVG output, and a CLI.
+
+The scenario types and the errors load with the package; the numpy-backed
+names (the model, network, engine and analysis kernels) load on first use.
 """
 
-from .analysis import (
-    CascadeReport,
-    RenderOptions,
-    cascade_equilibria,
-    cascade_trajectory,
-    falsification_series,
-    first_movers,
-    rebellion_thresholds_zero_support,
-    render_svg,
-    share_space_thresholds,
-    zero_support_soft_terms,
-)
-from .engine import (
-    AgentState,
-    Environment,
-    Event,
-    ExitSpec,
-    IntegritySpec,
-    SimState,
-    StepRecord,
-    apply_events,
-    check_exit,
-    consistent,
-    effective_params,
-    init_state,
-    integrity_value,
-    perceived_probability,
-    run,
-    step,
-)
+from importlib import import_module
+
 from .errors import (
     ConvergenceError,
     DissentSimError,
@@ -49,36 +24,20 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .model import (
-    TIE_EPS,
-    AgentParams,
-    Position,
-    PrivateType,
-    SoftTerms,
-    choose_positions,
-    decide,
-    payoff_nojoin,
-    payoff_rebel,
-    payoff_statusquo,
-    threshold_nj_over_u,
-    threshold_r_over_nj,
-)
-from .network import (
-    NetworkKind,
-    NetworkSpec,
-    ReputationSpec,
-    ReputationVariant,
-    SocialNetwork,
-    generate_network,
-    influence_scores,
-    public_sentiment,
-    reputation_fraction,
-    reputation_iterative,
-)
 from .scenario import (
     Constant,
+    Environment,
+    Event,
+    ExitSpec,
     Group,
+    IntegritySpec,
+    NetworkKind,
+    NetworkSpec,
     PopulationSpec,
+    Position,
+    PrivateType,
+    ReputationSpec,
+    ReputationVariant,
     Scenario,
     TruncNormal,
     Uniform,
@@ -88,6 +47,71 @@ from .scenario import (
     serialize_scenario,
     write_csv,
 )
+
+#: The numpy-backed public names, by the module that holds them.  Each is imported on
+#: first use (PEP 562), so loading and checking a scenario imports no numpy.
+_KERNELS = {
+    "analysis": (
+        "CascadeReport",
+        "RenderOptions",
+        "cascade_equilibria",
+        "cascade_trajectory",
+        "falsification_series",
+        "first_movers",
+        "rebellion_thresholds_zero_support",
+        "render_svg",
+        "share_space_thresholds",
+        "zero_support_soft_terms",
+    ),
+    "engine": (
+        "AgentState",
+        "SimState",
+        "StepRecord",
+        "apply_events",
+        "check_exit",
+        "consistent",
+        "effective_params",
+        "init_state",
+        "integrity_value",
+        "perceived_probability",
+        "run",
+        "step",
+    ),
+    "model": (
+        "TIE_EPS",
+        "AgentParams",
+        "SoftTerms",
+        "choose_positions",
+        "decide",
+        "payoff_nojoin",
+        "payoff_rebel",
+        "payoff_statusquo",
+        "threshold_nj_over_u",
+        "threshold_r_over_nj",
+    ),
+    "network": (
+        "SocialNetwork",
+        "generate_network",
+        "influence_scores",
+        "public_sentiment",
+        "reputation_fraction",
+        "reputation_iterative",
+    ),
+}
+_HOME = {name: module for module, names in _KERNELS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

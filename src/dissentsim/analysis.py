@@ -66,7 +66,12 @@ def cascade_trajectory(
     itself.  ``p_of_share`` must be monotone non-decreasing, which bounds the
     trajectory by n+1 productive updates.
     """
-    sorted_thr = _clean_thresholds(thresholds)
+    return _trajectory(_clean_thresholds(thresholds), p_of_share, s0)
+
+
+def _trajectory(sorted_thr: np.ndarray, p_of_share: Callable[[float], float],
+                s0: float) -> list[float]:
+    """:func:`cascade_trajectory` over thresholds already checked and sorted."""
     n = len(sorted_thr)
     if not 0.0 <= s0 <= 1.0:
         raise InvalidParameterError(f"s0 must lie in [0, 1], got {s0!r}")
@@ -97,23 +102,24 @@ def cascade_equilibria(
     """Full cascade report: every lattice fixed point plus the tipping seed.
 
     Fixed points are verified by definition — count(threshold < p_of_share(e))
-    equals n*e exactly.  The tipping seed is the minimal k such that iterating
-    the share map from k/n converges to the largest equilibrium; because the
-    map is monotone the reachable limit is monotone in k, so the scan is a
-    binary search over k.
+    equals n*e exactly, for every lattice share e = k/n at once: ``p_of_share``
+    is called on each in turn and one ``searchsorted`` counts the movers.  The
+    tipping seed is the minimal k such that iterating the share map from k/n
+    converges to the largest equilibrium; because the map is monotone the
+    reachable limit is monotone in k, so the scan is a binary search over k.
     """
     sorted_thr = _clean_thresholds(thresholds)
     n = len(sorted_thr)
 
-    equilibria = tuple(
-        k / n for k in range(n + 1) if _movers(sorted_thr, p_of_share(k / n)) == k
-    )
+    p = np.array([p_of_share(k / n) for k in range(n + 1)], dtype=np.float64)
+    fixed = np.flatnonzero(np.searchsorted(sorted_thr, p, side="left") == np.arange(n + 1))
+    equilibria = tuple(k / n for k in fixed.tolist())
     if not equilibria:
         return CascadeReport(tuple(sorted_thr), (), None)
     largest = equilibria[-1]
 
     def reaches_largest(k: int) -> bool:
-        return cascade_trajectory(sorted_thr, p_of_share, k / n)[-1] == largest
+        return _trajectory(sorted_thr, p_of_share, k / n)[-1] == largest
 
     lo, hi = 0, n  # reaches_largest(n) always holds: from 1.0 the map descends to the largest fixed point
     while lo < hi:

@@ -22,26 +22,9 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (
-    cascade_equilibria,
-    first_movers,
-    render_svg,
-    share_space_thresholds,
-    zero_support_soft_terms,
-)
-from .engine import (
-    Environment,
-    apply_events,
-    effective_params,
-    init_state,
-    perceived_probability,
-    run,
-    sample_population,
-)
 from .errors import (
     ConvergenceError,
     GenerationError,
@@ -50,8 +33,35 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .model import Position, PrivateType, threshold_nj_over_u, threshold_r_over_nj
-from .scenario import SEED_LIMIT, parse_scenario, write_csv
+from .scenario import SEED_LIMIT, Environment, Position, PrivateType, parse_scenario, write_csv
+
+#: The numpy-backed names the commands call, by module.  :func:`_bind_kernels` imports
+#: them once a command has parsed its scenario, so ``validate`` imports no numpy.
+_KERNELS = {
+    "analysis": ("cascade_equilibria", "first_movers", "render_svg", "share_space_thresholds",
+                 "zero_support_soft_terms"),
+    "engine": ("apply_events", "effective_params", "init_state", "perceived_probability", "run",
+               "sample_population"),
+    "model": ("threshold_nj_over_u", "threshold_r_over_nj"),
+}
+
+
+def _bind_kernels() -> None:
+    """Fill each :data:`_KERNELS` name this module lacks into its globals.  A name already
+    set is kept, so one replaced from outside (``setattr(cli, name, ...)``) stays."""
+    for module, names in _KERNELS.items():
+        kernel = import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(kernel, name))
+
+
+def __getattr__(name: str):
+    """The :data:`_KERNELS` names as attributes of this module, bound on first use."""
+    if not any(name in names for names in _KERNELS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_kernels()
+    return globals()[name]
+
 
 _PATH_SEGMENT = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 _INDEX = re.compile(r"\[(\d+)\]")
@@ -61,13 +71,6 @@ THRESHOLDS_HEADER = "id,x,threshold_R_over_NJ,threshold_NJ_over_U,p0"
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _fmt_ext(value: float) -> str:
-    """Fixed 6-decimal format with literal inf/-inf for unbounded thresholds."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
 
 
 def _final_shares(records):
@@ -88,6 +91,7 @@ def cmd_run(args) -> int:
         if not 0 <= args.seed < SEED_LIMIT:
             raise InvalidParameterError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
+    _bind_kernels()
     state = init_state(scenario)
     records = run(scenario, state)
     with open(args.out, "wb") as sink:
@@ -107,6 +111,7 @@ def cmd_run(args) -> int:
 
 def cmd_thresholds(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
+    _bind_kernels()
     pa = sample_population(scenario)
     env0 = _env0(scenario)
     eff = effective_params(pa, env0)
@@ -118,9 +123,7 @@ def cmd_thresholds(args) -> int:
     lines = [THRESHOLDS_HEADER]
     rows = zip(pa.x_rebel.tolist(), thr_r.tolist(), thr_nj.tolist(), p0.tolist())
     for i, (x_rebel, r, nj, p) in enumerate(rows):
-        lines.append(
-            f"{i},{rebel if x_rebel else loyal},{_fmt_ext(r)},{_fmt_ext(nj)},{p:.6f}"
-        )
+        lines.append(f"{i},{rebel if x_rebel else loyal},{r:.6f},{nj:.6f},{p:.6f}")
     Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"thresholds for {len(p0)} agents csv={args.out}")
     return 0
@@ -128,6 +131,7 @@ def cmd_thresholds(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
+    _bind_kernels()
     thresholds = share_space_thresholds(
         sample_population(scenario), _env0(scenario), scenario.integrity
     )
@@ -137,7 +141,7 @@ def cmd_equilibrium(args) -> int:
     tipping = "none" if report.tipping_seed is None else f"{report.tipping_seed}/{n}"
     print(
         f"equilibria=[{eq}] tipping_seed={tipping} "
-        f"thresholds: n={n} min={_fmt_ext(min(thresholds))} max={_fmt_ext(max(thresholds))}"
+        f"thresholds: n={n} min={thresholds.min():.6f} max={thresholds.max():.6f}"
     )
     return 0
 
@@ -188,6 +192,8 @@ def _parse_sweep_spec(text: str):
         if not ok:
             problems.append("'grid' must be {lo, hi, count} with finite lo <= hi and integer count >= 1")
         else:
+            import numpy as np  # deferred: only a grid needs it, and a sweep imports it anyway
+
             values = [float(v) for v in np.linspace(grid["lo"], grid["hi"], grid["count"])]
 
     seeds = None
@@ -276,6 +282,7 @@ def cmd_sweep(args) -> int:
         doc["seed"] = seed
         scenarios.append(parse_scenario(json.dumps(doc)))
 
+    _bind_kernels()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = ["param,value,seed,share_R,share_U,share_NJ"]

@@ -30,27 +30,22 @@ which does not branch per element.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import GenerationError, InvalidParameterError
 from .model import (
-    FACTOR_NAMES,
     AgentParams,
-    Position,
-    PrivateType,
     SoftTerms,
+    check_params,
     choose_positions,
     payoff_nojoin,
     payoff_rebel,
     payoff_statusquo,
 )
 from .network import (
-    ReputationSpec,
-    ReputationVariant,
     SocialNetwork,
     edge_weights,
     generate_network,
@@ -59,14 +54,26 @@ from .network import (
     observer_totals,
     reputation_terms,
 )
-
-#: Environment offset names events may shift.
-DELTA_FIELDS = ("dF", "dS", "dC", "dc", "dA_U", "dA_R", "dp")
-
-#: Characters allowed in event labels (kept CSV-safe: no ',', ';', newlines).
-_LABEL_SAFE = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.- "
+from .scenario import (  # re-exported: the spec types are load-time names
+    DELTA_FIELDS,
+    FACTOR_NAMES,
+    Constant,
+    Environment,
+    Event,
+    ExitSpec,
+    Group,
+    IntegritySpec,
+    PopulationSpec,
+    Position,
+    PrivateType,
+    ReputationSpec,
+    ReputationVariant,
+    TruncNormal,
+    Uniform,
 )
+
+#: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
+REJECTION_CAP = 1000
 
 
 def consistent(y, x):
@@ -78,98 +85,6 @@ def consistent(y, x):
     """
     x_rebel = np.asarray(x is PrivateType.PRO_REBELLION if isinstance(x, PrivateType) else x)
     return y == np.int8(Position.U) + x_rebel  # the preferred stance: U, or R = U + 1 for a rebel
-
-
-@dataclass(frozen=True)
-class IntegritySpec:
-    """Integrity reward/penalty shape.
-
-    A consistent stance earns ``+nu_match``.  Any falsified stance costs
-    ``min(cap, nu0 + kappa * d)`` where ``d`` counts consecutive falsifying
-    steps, so sustained pretence wears on the agent up to a cap.
-    """
-
-    nu_match: float
-    nu0: float
-    kappa: float
-    cap: float
-
-    def __post_init__(self):
-        for name in ("nu_match", "nu0", "kappa", "cap"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.cap <= 0.0:
-            raise InvalidParameterError(f"cap must be > 0, got {self.cap!r}")
-        if self.nu0 > self.cap:
-            raise InvalidParameterError(
-                f"nu0 must not exceed cap, got nu0={self.nu0!r} > cap={self.cap!r}"
-            )
-
-
-@dataclass(frozen=True)
-class Environment:
-    """Shared additive offsets on the hard factors, plus the share->p coupling.
-
-    ``dp`` shifts every agent's perceived win probability directly;
-    ``beta_share`` scales how strongly the previous rebel share feeds it.
-    """
-
-    dF: float = 0.0
-    dS: float = 0.0
-    dC: float = 0.0
-    dc: float = 0.0
-    dA_U: float = 0.0
-    dA_R: float = 0.0
-    dp: float = 0.0
-    beta_share: float = 0.0
-
-    def __post_init__(self):
-        for name in DELTA_FIELDS + ("beta_share",):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-        if self.beta_share < 0.0:
-            raise InvalidParameterError(f"beta_share must be >= 0, got {self.beta_share!r}")
-
-
-@dataclass(frozen=True)
-class Event:
-    """A timed additive shock: at ``step``, add ``deltas`` to the environment."""
-
-    step: int
-    label: str
-    deltas: Mapping[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", dict(self.deltas))
-        if self.step < 0:
-            raise InvalidParameterError(f"event step must be >= 0, got {self.step!r}")
-        if not self.label or not set(self.label) <= _LABEL_SAFE:
-            raise InvalidParameterError(
-                f"event label {self.label!r} must be non-empty and use only "
-                "letters, digits, '_', '-', '.', or spaces"
-            )
-        for key, value in self.deltas.items():
-            if key not in DELTA_FIELDS:
-                raise InvalidParameterError(f"unknown event delta {key!r}")
-            if not np.isfinite(value):
-                raise InvalidParameterError(f"event delta {key} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ExitSpec:
-    """Leave-the-system rule: exit after ``patience`` consecutive steps whose
-    best available payoff falls below ``threshold``."""
-
-    threshold: float
-    patience: int
-
-    def __post_init__(self):
-        if math.isnan(self.threshold) or self.threshold == math.inf:
-            raise InvalidParameterError("exit threshold must be a real value or -inf")
-        if self.patience < 1:
-            raise InvalidParameterError(f"exit patience must be >= 1, got {self.patience!r}")
 
 
 @dataclass
@@ -263,7 +178,9 @@ class _StepMemo(NamedTuple):
        every falsification penalty: the decision (``p``, ``chosen``, ``best``).
 
     ``exited``, ``y`` and ``penalty`` are private copies, so a later step
-    compares them by content; the arrays it hands out are read-only.
+    compares them by content; the arrays it hands out are read-only.  So
+    are the others but ``weight``, which only :func:`reputation_terms` reads:
+    ``np.bincount`` copies a read-only weights array on every call.
     """
 
     network: SocialNetwork
@@ -564,7 +481,7 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
-    for kept in (base, keys, weight, denom, rep, p, chosen, best):
+    for kept in (base, keys, denom, rep, p, chosen, best):
         kept.setflags(write=False)
     return _StepMemo(net, spec, base, keys, exited, weight, denom, y_prev, rep, integrity, pa,
                      env, penalty, p, chosen, best)
@@ -600,14 +517,81 @@ def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(2)
 
 
+def _sample(dist: Constant | Uniform | TruncNormal, rng: np.random.Generator,
+            size: int) -> np.ndarray:
+    """``size`` draws of one factor; a truncated normal redraws until each lands in [lo, hi]."""
+    if isinstance(dist, Constant):
+        return np.full(size, float(dist.value))
+    if isinstance(dist, Uniform):
+        if dist.lo == dist.hi:
+            return np.full(size, float(dist.lo))
+        return rng.uniform(dist.lo, dist.hi, size)
+    out = rng.normal(dist.mean, dist.sd, size)
+    bad = (out < dist.lo) | (out > dist.hi)
+    rounds = 0
+    while bad.any():
+        rounds += 1
+        if rounds > REJECTION_CAP:
+            raise GenerationError(
+                f"trunc_normal(mean={dist.mean}, sd={dist.sd}, lo={dist.lo}, hi={dist.hi}) "
+                f"exceeded {REJECTION_CAP} redraw rounds"
+            )
+        out[bad] = rng.normal(dist.mean, dist.sd, int(bad.sum()))
+        bad = (out < dist.lo) | (out > dist.hi)
+    return out
+
+
+def _draw_group(group: Group, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """One group's factor columns, drawn in FACTOR_NAMES order, then (c, C) redrawn until C >= c."""
+    dists = {name: group.factors.get(name, Constant(0.0)) for name in FACTOR_NAMES}
+    drawn: dict[str, np.ndarray] = {}
+    for name, dist in dists.items():
+        try:
+            drawn[name] = _sample(dist, rng, group.count)
+        except GenerationError as exc:
+            raise GenerationError(f"group {group.label!r}, factor {name}: {exc}") from None
+    bad = drawn["C"] < drawn["c"]
+    rounds = 0
+    while bad.any():
+        rounds += 1
+        if rounds > REJECTION_CAP:
+            raise GenerationError(
+                f"group {group.label!r}: could not satisfy C >= c within "
+                f"{REJECTION_CAP} redraw rounds"
+            )
+        k = int(bad.sum())
+        drawn["c"][bad] = _sample(dists["c"], rng, k)
+        drawn["C"][bad] = _sample(dists["C"], rng, k)
+        bad = drawn["C"] < drawn["c"]
+    return drawn
+
+
+def sample_params(spec: PopulationSpec, seed) -> ParamArrays:
+    """Draw every group's agents, in declaration order, as one column per factor.
+
+    Groups draw in turn from one generator (see :func:`_draw_group`); the
+    joined columns pass the checks of AgentParams.validate, applied
+    elementwise.  Deterministic for (spec, seed); ``seed`` may be an int or a
+    numpy SeedSequence.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = [_draw_group(group, rng) for group in spec.groups]
+    params = ParamArrays(
+        x_rebel=np.repeat(
+            [g.x is PrivateType.PRO_REBELLION for g in spec.groups], [g.count for g in spec.groups]
+        ).astype(bool),
+        **{name: np.concatenate([np.empty(0)] + [d[name] for d in drawn]) for name in FACTOR_NAMES},
+    )
+    check_params(params)
+    return params
+
+
 def sample_population(scenario) -> ParamArrays:
     """The scenario's population in id order, drawn from its population stream alone.
 
     Analyses that need only the agents' parameters call this instead of
     :func:`init_state`, which also builds the network.
     """
-    from .scenario import sample_params  # deferred: scenario-io depends on engine types
-
     pop_seq, _ = _seed_streams(scenario.seed)
     return sample_params(scenario.population, pop_seq)
 

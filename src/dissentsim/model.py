@@ -18,32 +18,16 @@ to evaluate whole populations at once through the exact same expressions.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .scenario import FACTOR_NAMES, NONNEGATIVE_FACTORS, Position, PrivateType  # re-exported
 
 #: Absolute tolerance under which two stance payoffs count as tied.
 TIE_EPS = 1e-9
-
-
-class Position(enum.IntEnum):
-    """Public stance.  Integer codes double as the tie-break order NJ < U < R."""
-
-    NJ = 0
-    U = 1
-    R = 2
-
-
-class PrivateType(enum.Enum):
-    """An agent's true, privately held preference."""
-
-    PRO_REBELLION = "pro_rebellion"
-    PRO_STATUS_QUO = "pro_status_quo"
-
 
 #: Stable tie-break order: earliest wins when the previous stance is not tied.
 TIE_ORDER = (Position.NJ, Position.U, Position.R)
@@ -101,13 +85,6 @@ class AgentParams:
         check_params(self)
         if not isinstance(self.x, PrivateType):
             raise InvalidParameterError(f"x must be a PrivateType, got {self.x!r}")
-
-
-#: The numeric AgentParams fields, in the order a population draws them.
-FACTOR_NAMES = ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ", "p_base")
-
-#: Factors that must never be negative.
-NONNEGATIVE_FACTORS = ("F", "S", "A_U", "A_R", "c", "C")
 
 
 def _require(ok, message: str, **values) -> None:

@@ -11,7 +11,6 @@ for more.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -19,42 +18,39 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError, NotFoundError
-from .model import Position
-
-#: Default damping factor for the influence iteration.
-DEFAULT_DAMPING = 0.85
-#: Default L1 convergence tolerance for the influence iteration.
-DEFAULT_TOL = 1e-12
-#: Default iteration cap for the influence iteration.
-DEFAULT_MAX_ITERS = 200
-
-#: Most directed edges a scenario's network may have (see :func:`edge_count`).  An edge
-#: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
-EDGE_BUDGET = 50_000_000
-
-#: Most agents a scenario may have.  A run holds about 330 bytes per agent at its peak
-#: (measured with no edges: 68 MB at 10^5 agents, 362 MB at 10^6), so 10^7 need ~3.3 GB.
-AGENT_BUDGET = 10_000_000
-
-#: Most uniforms a scenario's network generator may draw (see :func:`draw_count`).
-#: ``erdos_renyi`` draws one per ordered pair whatever ``p_edge`` is, at 3-4 ns each:
-#: 1e11 draws (n of about 3.2e5) take 5-7 minutes, and 10^6 agents about an hour.
-DRAW_BUDGET = 100_000_000_000
+from .scenario import (  # re-exported: the spec types, defaults and budgets are load-time names
+    AGENT_BUDGET,
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    DRAW_BUDGET,
+    EDGE_BUDGET,
+    NetworkKind,
+    NetworkSpec,
+    Position,
+    ReputationSpec,
+    ReputationVariant,
+    draw_count,
+    edge_count,
+)
 
 #: Numeric stance values used by the sentiment index: R=+1, U=-1, NJ=0.
 SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
 
-class ReputationVariant(enum.Enum):
-    UNWEIGHTED_FRACTION = "unweighted_fraction"
-    WEIGHTED_FRACTION = "weighted_fraction"
-    ITERATIVE_INFLUENCE = "iterative_influence"
+def _network_size(n) -> int:
+    if not np.isfinite(n) or n != np.floor(n):
+        raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
+    if n < 1:
+        raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
+    return int(n)
 
 
-class NetworkKind(enum.Enum):
-    COMPLETE = "complete"
-    ERDOS_RENYI = "erdos_renyi"
-    SMALL_WORLD = "small_world"
+def _refuse_edges(bad, src, dst, problem: str) -> None:
+    """Raise ``problem`` for the first edge where ``bad`` holds, if any."""
+    if bad.any():
+        first = np.argmax(bad)
+        raise InvalidParameterError(f"edge ({src[first]:g}, {dst[first]:g}) {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,31 +74,36 @@ class SocialNetwork:
     row_ptr: np.ndarray
 
     def __init__(self, n: int, edges):
-        if not np.isfinite(n) or n != np.floor(n):
-            raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
-        n = int(n)
-        if n < 1:
-            raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
+        n = _network_size(n)
         triples = np.asarray(edges, dtype=np.float64)
         if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
             raise InvalidParameterError(f"edges need 3 columns (src, dst, w), got {triples.shape}")
-        src, dst, w = triples.reshape(-1, 3).T
-        for bad, problem in (
-            ((src != np.floor(src)) | (dst != np.floor(dst)), "has a non-integral agent id"),
-            ((src < 0) | (src >= n) | (dst < 0) | (dst >= n), "references an unknown agent id"),
-            (src == dst, "is a self-loop, which is not allowed"),
-            (~np.isfinite(w) | (w < 0.0), "weight must be finite and >= 0"),
-        ):
-            if bad.any():  # name the first offending edge
-                first = np.argmax(bad)
-                raise InvalidParameterError(f"edge ({src[first]:g}, {dst[first]:g}) {problem}")
+        self._store(n, *triples.reshape(-1, 3).T)
+
+    @classmethod
+    def _from_columns(cls, n: int, src, dst, w) -> "SocialNetwork":
+        """The network of the edges ``src[e] -> dst[e]`` of weight ``w[e]``, checked as the
+        triples are.  The generators hand their int64 ids over this way, without a float
+        copy; ``src`` and ``dst`` are stored as they are (and made read-only) when int64."""
+        network = cls.__new__(cls)
+        network._store(_network_size(n), src, dst, w)
+        return network
+
+    def _store(self, n: int, src, dst, w) -> None:
+        if src.dtype.kind == "f" or dst.dtype.kind == "f":  # integer ids are integral
+            _refuse_edges((src != np.floor(src)) | (dst != np.floor(dst)), src, dst,
+                          "has a non-integral agent id")
+        _refuse_edges((src < 0) | (src >= n) | (dst < 0) | (dst >= n), src, dst,
+                      "references an unknown agent id")
+        _refuse_edges(src == dst, src, dst, "is a self-loop, which is not allowed")
+        _refuse_edges(~np.isfinite(w) | (w < 0.0), src, dst, "weight must be finite and >= 0")
         if np.any(src[1:] < src[:-1]):  # generators emit their edges in CSR order already
             order = np.argsort(src, kind="stable")
             src, dst, w = src[order], dst[order], w[order]
-        src = src.astype(np.int64)
+        src = src.astype(np.int64, copy=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst.astype(np.int64))
+        object.__setattr__(self, "dst", dst.astype(np.int64, copy=False))
         object.__setattr__(self, "w", w + 0.0)  # a copy, with any -0.0 weight stored as 0.0
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
         for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
@@ -127,37 +128,6 @@ class SocialNetwork:
         """(target, weight) pairs observed by ``agent``."""
         row = self._row(agent)
         return list(zip(self.dst[row].tolist(), self.w[row].tolist()))
-
-
-@dataclass(frozen=True)
-class ReputationSpec:
-    """How reputation terms are computed.
-
-    ``alpha`` scales the whole term; ``centered`` subtracts 1/2 from the
-    conforming fraction before scaling, making minority stances cost
-    reputation instead of merely earning less.  The iterative variant also
-    needs solver controls (damping, tol, max_iters); they default sensibly
-    and are ignored by the fraction variants.
-    """
-
-    variant: ReputationVariant
-    alpha: float
-    centered: bool = True
-    damping: float = DEFAULT_DAMPING
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-
-    def __post_init__(self):
-        if not isinstance(self.variant, ReputationVariant):
-            raise InvalidParameterError(f"unknown reputation variant {self.variant!r}")
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
-            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not 0.0 < self.damping < 1.0:
-            raise InvalidParameterError(f"damping must lie in (0, 1), got {self.damping!r}")
-        if not np.isfinite(self.tol) or self.tol <= 0.0:
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
 def edge_weights(spec: ReputationSpec, w, dst, scores=None) -> np.ndarray:
@@ -285,8 +255,14 @@ def influence_scores(
         edge_p = np.where(out_strength[src] > 0.0, w / out_strength[src], 0.0)
 
     x = np.full(n, 1.0 / n, dtype=np.float64)
+    # The iterations allocate no per-edge array: the mass each edge carries is refilled in
+    # place, and the ids are writable copies made once, because take and bincount copy a
+    # read-only index array on every call (as take does its output in its "raise" mode).
+    sources, targets, moved = src.copy(), dst.copy(), np.empty(len(src))
     for _ in range(max_iters):
-        flow = np.bincount(dst, weights=x[src] * edge_p, minlength=n)
+        np.take(x, sources, out=moved, mode="clip")  # every id is in range: clip moves none
+        moved *= edge_p
+        flow = np.bincount(targets, weights=moved, minlength=n)
         dangling_mass = float(x[dangling].sum())
         x_next = damping * (flow + dangling_mass / n) + (1.0 - damping) / n
         residual = float(np.abs(x_next - x).sum())
@@ -340,54 +316,8 @@ def public_sentiment(
     return acc / total
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Which generator builds the graph, plus its shape parameters."""
-
-    kind: NetworkKind
-    p_edge: float | None = None
-    k: int | None = None
-    rewire_p: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, NetworkKind):
-            raise InvalidParameterError(f"unknown network kind {self.kind!r}")
-        if self.kind is NetworkKind.COMPLETE:
-            if self.p_edge is not None or self.k is not None or self.rewire_p is not None:
-                raise InvalidParameterError("complete networks take no shape parameters")
-        elif self.kind is NetworkKind.ERDOS_RENYI:
-            if self.k is not None or self.rewire_p is not None:
-                raise InvalidParameterError("erdos_renyi takes only p_edge")
-            if self.p_edge is None or not 0.0 <= self.p_edge <= 1.0:
-                raise InvalidParameterError(f"p_edge must lie in [0, 1], got {self.p_edge!r}")
-        else:  # SMALL_WORLD
-            if self.p_edge is not None:
-                raise InvalidParameterError("small_world takes k and rewire_p, not p_edge")
-            if self.k is None or self.k < 0 or self.k % 2 != 0:
-                raise InvalidParameterError(f"k must be a non-negative even integer, got {self.k!r}")
-            if self.rewire_p is None or not 0.0 <= self.rewire_p <= 1.0:
-                raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
-
-
-def edge_count(spec: NetworkSpec, n: int) -> float:
-    """Directed edges the generator builds for ``n`` agents (the expected count for erdos_renyi)."""
-    if spec.kind is NetworkKind.COMPLETE:
-        return float(n * (n - 1))
-    if spec.kind is NetworkKind.ERDOS_RENYI:
-        return spec.p_edge * n * (n - 1)
-    return float(n * spec.k)
-
-
-def draw_count(spec: NetworkSpec, n: int) -> float:
-    """Uniforms the generator draws for ``n`` agents where the edge budget does not bound
-    them: n² for erdos_renyi, one per ordered pair whatever ``p_edge`` is; 0 otherwise.
-    complete draws none; small_world draws n·k/2 uniforms, one per lattice tie, plus the
-    targets of the rewired ties, which the edge budget bounds."""
-    return float(n) * n if spec.kind is NetworkKind.ERDOS_RENYI else 0.0
-
-
 def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
-    return SocialNetwork(n, np.column_stack((src, dst, np.ones(len(dst)))))
+    return SocialNetwork._from_columns(n, src, dst, np.ones(len(dst)))
 
 
 def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:

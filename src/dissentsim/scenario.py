@@ -1,4 +1,4 @@
-"""Scenario documents: strict JSON parsing, population sampling, CSV output.
+"""Scenario documents and the types they build: strict JSON parsing and CSV output.
 
 A scenario pins everything a run needs — population groups with factor
 distributions, network generator, reputation variant, integrity shape,
@@ -7,57 +7,275 @@ so identical documents reproduce identical trajectories byte for byte.
 The JSON schema is strict: unknown fields anywhere are rejected, and
 validation reports *all* violations with their field paths, not just the
 first.  See docs/scenario-schema.md for the field-by-field reference.
+
+This module is the load-time layer: the spec types, their checks, the size
+budgets, parsing, serialization and the CSV writer, none of which imports
+numpy.  The array kernels (:mod:`model`, :mod:`network`, :mod:`engine`,
+:mod:`analysis`) build on it and re-export its types; sampling a population
+lives in :mod:`engine`.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+from .errors import InvalidParameterError, ScenarioParseError, ScenarioValidationError
 
-from .engine import (
-    DELTA_FIELDS,
-    Event,
-    ExitSpec,
-    IntegritySpec,
-    ParamArrays,
-    StepRecord,
-)
-from .errors import (
-    GenerationError,
-    InvalidParameterError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
-from .model import FACTOR_NAMES, NONNEGATIVE_FACTORS, AgentParams, PrivateType, check_params
-from .network import (
-    AGENT_BUDGET,
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    DRAW_BUDGET,
-    EDGE_BUDGET,
-    NetworkKind,
-    NetworkSpec,
-    ReputationSpec,
-    ReputationVariant,
-    draw_count,
-    edge_count,
-)
-
-#: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
-REJECTION_CAP = 1000
+if TYPE_CHECKING:
+    from .engine import StepRecord
+    from .model import AgentParams
 
 #: CSV header for step records (fixed contract; LF line endings, UTF-8).
 CSV_HEADER = "t,share_R,share_U,share_NJ,n_exited,n_falsifying,mean_p,events"
 
 #: Seeds are 64-bit unsigned integers: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**64
+
+#: Default damping factor for the influence iteration.
+DEFAULT_DAMPING = 0.85
+#: Default L1 convergence tolerance for the influence iteration.
+DEFAULT_TOL = 1e-12
+#: Default iteration cap for the influence iteration.
+DEFAULT_MAX_ITERS = 200
+
+#: Most directed edges a scenario's network may have (see :func:`edge_count`).  An edge
+#: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
+EDGE_BUDGET = 50_000_000
+
+#: Most agents a scenario may have.  A run holds about 330 bytes per agent at its peak
+#: (measured with no edges: 68 MB at 10^5 agents, 362 MB at 10^6), so 10^7 need ~3.3 GB.
+AGENT_BUDGET = 10_000_000
+
+#: Most uniforms a scenario's network generator may draw (see :func:`draw_count`).
+#: ``erdos_renyi`` draws one per ordered pair whatever ``p_edge`` is, at 3-4 ns each:
+#: 1e11 draws (n of about 3.2e5) take 5-7 minutes, and 10^6 agents about an hour.
+DRAW_BUDGET = 100_000_000_000
+
+#: The numeric AgentParams fields, in the order a population draws them.
+FACTOR_NAMES = ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ", "p_base")
+
+#: Factors that must never be negative.
+NONNEGATIVE_FACTORS = ("F", "S", "A_U", "A_R", "c", "C")
+
+#: Environment offset names events may shift.
+DELTA_FIELDS = ("dF", "dS", "dC", "dc", "dA_U", "dA_R", "dp")
+
+#: Characters allowed in event labels (kept CSV-safe: no ',', ';', newlines).
+_LABEL_SAFE = set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.- "
+)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number.  An integer too large for a float is not,
+    and neither is a value that is no number, so each spec's check raises its own
+    InvalidParameterError instead of an OverflowError or a TypeError."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
+class Position(enum.IntEnum):
+    """Public stance.  Integer codes double as the tie-break order NJ < U < R."""
+
+    NJ = 0
+    U = 1
+    R = 2
+
+
+class PrivateType(enum.Enum):
+    """An agent's true, privately held preference."""
+
+    PRO_REBELLION = "pro_rebellion"
+    PRO_STATUS_QUO = "pro_status_quo"
+
+
+class ReputationVariant(enum.Enum):
+    UNWEIGHTED_FRACTION = "unweighted_fraction"
+    WEIGHTED_FRACTION = "weighted_fraction"
+    ITERATIVE_INFLUENCE = "iterative_influence"
+
+
+class NetworkKind(enum.Enum):
+    COMPLETE = "complete"
+    ERDOS_RENYI = "erdos_renyi"
+    SMALL_WORLD = "small_world"
+
+
+@dataclass(frozen=True)
+class ReputationSpec:
+    """How reputation terms are computed.
+
+    ``alpha`` scales the whole term; ``centered`` subtracts 1/2 from the
+    conforming fraction before scaling, making minority stances cost
+    reputation instead of merely earning less.  The iterative variant also
+    needs solver controls (damping, tol, max_iters); they default sensibly
+    and are ignored by the fraction variants.
+    """
+
+    variant: ReputationVariant
+    alpha: float
+    centered: bool = True
+    damping: float = DEFAULT_DAMPING
+    tol: float = DEFAULT_TOL
+    max_iters: int = DEFAULT_MAX_ITERS
+
+    def __post_init__(self):
+        if not isinstance(self.variant, ReputationVariant):
+            raise InvalidParameterError(f"unknown reputation variant {self.variant!r}")
+        if not _finite(self.alpha) or self.alpha < 0.0:
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if not 0.0 < self.damping < 1.0:
+            raise InvalidParameterError(f"damping must lie in (0, 1), got {self.damping!r}")
+        if not _finite(self.tol) or self.tol <= 0.0:
+            raise InvalidParameterError(f"tol must be > 0, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    """Which generator builds the graph, plus its shape parameters."""
+
+    kind: NetworkKind
+    p_edge: float | None = None
+    k: int | None = None
+    rewire_p: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, NetworkKind):
+            raise InvalidParameterError(f"unknown network kind {self.kind!r}")
+        if self.kind is NetworkKind.COMPLETE:
+            if self.p_edge is not None or self.k is not None or self.rewire_p is not None:
+                raise InvalidParameterError("complete networks take no shape parameters")
+        elif self.kind is NetworkKind.ERDOS_RENYI:
+            if self.k is not None or self.rewire_p is not None:
+                raise InvalidParameterError("erdos_renyi takes only p_edge")
+            if self.p_edge is None or not 0.0 <= self.p_edge <= 1.0:
+                raise InvalidParameterError(f"p_edge must lie in [0, 1], got {self.p_edge!r}")
+        else:  # SMALL_WORLD
+            if self.p_edge is not None:
+                raise InvalidParameterError("small_world takes k and rewire_p, not p_edge")
+            if self.k is None or self.k < 0 or self.k % 2 != 0:
+                raise InvalidParameterError(f"k must be a non-negative even integer, got {self.k!r}")
+            if self.rewire_p is None or not 0.0 <= self.rewire_p <= 1.0:
+                raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
+
+
+def edge_count(spec: NetworkSpec, n: int) -> float:
+    """Directed edges the generator builds for ``n`` agents (the expected count for erdos_renyi)."""
+    if spec.kind is NetworkKind.COMPLETE:
+        return float(n * (n - 1))
+    if spec.kind is NetworkKind.ERDOS_RENYI:
+        return spec.p_edge * n * (n - 1)
+    return float(n * spec.k)
+
+
+def draw_count(spec: NetworkSpec, n: int) -> float:
+    """Uniforms the generator draws for ``n`` agents where the edge budget does not bound
+    them: n² for erdos_renyi, one per ordered pair whatever ``p_edge`` is; 0 otherwise.
+    complete draws none; small_world draws n·k/2 uniforms, one per lattice tie, plus the
+    targets of the rewired ties, which the edge budget bounds."""
+    return float(n) * n if spec.kind is NetworkKind.ERDOS_RENYI else 0.0
+
+
+@dataclass(frozen=True)
+class IntegritySpec:
+    """Integrity reward/penalty shape.
+
+    A consistent stance earns ``+nu_match``.  Any falsified stance costs
+    ``min(cap, nu0 + kappa * d)`` where ``d`` counts consecutive falsifying
+    steps, so sustained pretence wears on the agent up to a cap.
+    """
+
+    nu_match: float
+    nu0: float
+    kappa: float
+    cap: float
+
+    def __post_init__(self):
+        for name in ("nu_match", "nu0", "kappa", "cap"):
+            value = getattr(self, name)
+            if not _finite(value) or value < 0.0:
+                raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.cap <= 0.0:
+            raise InvalidParameterError(f"cap must be > 0, got {self.cap!r}")
+        if self.nu0 > self.cap:
+            raise InvalidParameterError(
+                f"nu0 must not exceed cap, got nu0={self.nu0!r} > cap={self.cap!r}"
+            )
+
+
+@dataclass(frozen=True)
+class Environment:
+    """Shared additive offsets on the hard factors, plus the share->p coupling.
+
+    ``dp`` shifts every agent's perceived win probability directly;
+    ``beta_share`` scales how strongly the previous rebel share feeds it.
+    """
+
+    dF: float = 0.0
+    dS: float = 0.0
+    dC: float = 0.0
+    dc: float = 0.0
+    dA_U: float = 0.0
+    dA_R: float = 0.0
+    dp: float = 0.0
+    beta_share: float = 0.0
+
+    def __post_init__(self):
+        for name in DELTA_FIELDS + ("beta_share",):
+            value = getattr(self, name)
+            if not _finite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+        if self.beta_share < 0.0:
+            raise InvalidParameterError(f"beta_share must be >= 0, got {self.beta_share!r}")
+
+
+@dataclass(frozen=True)
+class Event:
+    """A timed additive shock: at ``step``, add ``deltas`` to the environment."""
+
+    step: int
+    label: str
+    deltas: Mapping[str, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", dict(self.deltas))
+        if self.step < 0:
+            raise InvalidParameterError(f"event step must be >= 0, got {self.step!r}")
+        if not self.label or not set(self.label) <= _LABEL_SAFE:
+            raise InvalidParameterError(
+                f"event label {self.label!r} must be non-empty and use only "
+                "letters, digits, '_', '-', '.', or spaces"
+            )
+        for key, value in self.deltas.items():
+            if key not in DELTA_FIELDS:
+                raise InvalidParameterError(f"unknown event delta {key!r}")
+            if not _finite(value):
+                raise InvalidParameterError(f"event delta {key} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ExitSpec:
+    """Leave-the-system rule: exit after ``patience`` consecutive steps whose
+    best available payoff falls below ``threshold``."""
+
+    threshold: float
+    patience: int
+
+    def __post_init__(self):
+        if not (_finite(self.threshold) or self.threshold == -math.inf):
+            raise InvalidParameterError("exit threshold must be a real value or -inf")
+        if self.patience < 1:
+            raise InvalidParameterError(f"exit patience must be >= 1, got {self.patience!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +287,6 @@ class Constant:
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, float(self.value))
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -81,18 +296,13 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo > self.hi:
+        if not (_finite(self.lo) and _finite(self.hi)) or self.lo > self.hi:
             raise InvalidParameterError(
                 f"uniform bounds need finite lo <= hi, got [{self.lo!r}, {self.hi!r}]"
             )
 
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.lo == self.hi:
-            return np.full(size, float(self.lo))
-        return rng.uniform(self.lo, self.hi, size)
 
 
 @dataclass(frozen=True)
@@ -105,34 +315,19 @@ class TruncNormal:
     hi: float = math.inf
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.sd)) or self.sd < 0:
+        if not (_finite(self.mean) and _finite(self.sd)) or self.sd < 0:
             raise InvalidParameterError(
                 f"trunc_normal needs finite mean and sd >= 0, got mean={self.mean!r}, sd={self.sd!r}"
             )
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
+        if not self.lo <= self.hi:  # also when either is NaN
             raise InvalidParameterError(
                 f"trunc_normal bounds need lo <= hi, got [{self.lo!r}, {self.hi!r}]"
             )
-        if math.isinf(self.lo):
+        if not _finite(self.lo):
             raise InvalidParameterError("trunc_normal lo must be finite")
 
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = rng.normal(self.mean, self.sd, size)
-        bad = (out < self.lo) | (out > self.hi)
-        rounds = 0
-        while bad.any():
-            rounds += 1
-            if rounds > REJECTION_CAP:
-                raise GenerationError(
-                    f"trunc_normal(mean={self.mean}, sd={self.sd}, lo={self.lo}, hi={self.hi}) "
-                    f"exceeded {REJECTION_CAP} redraw rounds"
-                )
-            out[bad] = rng.normal(self.mean, self.sd, int(bad.sum()))
-            bad = (out < self.lo) | (out > self.hi)
-        return out
 
 
 Distribution = Constant | Uniform | TruncNormal
@@ -196,53 +391,10 @@ class Scenario:
         return self.population.n_total
 
 
-def _draw_group(group: Group, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """One group's factor columns, drawn in FACTOR_NAMES order, then (c, C) redrawn until C >= c."""
-    dists = {name: group.factors.get(name, Constant(0.0)) for name in FACTOR_NAMES}
-    drawn: dict[str, np.ndarray] = {}
-    for name, dist in dists.items():
-        try:
-            drawn[name] = dist.sample(rng, group.count)
-        except GenerationError as exc:
-            raise GenerationError(f"group {group.label!r}, factor {name}: {exc}") from None
-    bad = drawn["C"] < drawn["c"]
-    rounds = 0
-    while bad.any():
-        rounds += 1
-        if rounds > REJECTION_CAP:
-            raise GenerationError(
-                f"group {group.label!r}: could not satisfy C >= c within "
-                f"{REJECTION_CAP} redraw rounds"
-            )
-        k = int(bad.sum())
-        drawn["c"][bad] = dists["c"].sample(rng, k)
-        drawn["C"][bad] = dists["C"].sample(rng, k)
-        bad = drawn["C"] < drawn["c"]
-    return drawn
-
-
-def sample_params(spec: PopulationSpec, seed) -> ParamArrays:
-    """Draw every group's agents, in declaration order, as one column per factor.
-
-    Groups draw in turn from one generator (see :func:`_draw_group`); the
-    joined columns pass the checks of AgentParams.validate, applied
-    elementwise.  Deterministic for (spec, seed); ``seed`` may be an int or a
-    numpy SeedSequence.
-    """
-    rng = np.random.default_rng(seed)
-    drawn = [_draw_group(group, rng) for group in spec.groups]
-    params = ParamArrays(
-        x_rebel=np.repeat(
-            [g.x is PrivateType.PRO_REBELLION for g in spec.groups], [g.count for g in spec.groups]
-        ).astype(bool),
-        **{name: np.concatenate([np.empty(0)] + [d[name] for d in drawn]) for name in FACTOR_NAMES},
-    )
-    check_params(params)
-    return params
-
-
 def generate_population(spec: PopulationSpec, seed) -> list[AgentParams]:
-    """The :func:`sample_params` population as one AgentParams per agent, in id order."""
+    """The :func:`engine.sample_params` population as one AgentParams per agent, in id order."""
+    from .engine import sample_params  # deferred: sampling needs numpy, loading does not
+
     return sample_params(spec, seed).to_params()
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dissentsim import (
     AgentParams,
@@ -118,6 +120,74 @@ def test_equilibria_are_fixed_points_and_tipping_matches_brute_force():
             if cascade_trajectory(thresholds, p_map, k / n)[-1] == largest
         )
         assert report.tipping_seed == brute
+
+
+def reference_report(thresholds, p_of_share):
+    """The cascade report as first written: one ``searchsorted`` per lattice share, and a
+    tipping search whose every trajectory re-lists, re-checks and re-sorts the thresholds."""
+    def clean(values):
+        arr = np.asarray(list(values), dtype=np.float64)
+        assert arr.size and not np.isnan(arr).any()
+        return np.sort(arr)
+
+    def movers(sorted_thr, p):
+        return int(np.searchsorted(sorted_thr, p, side="left"))
+
+    def last_share(values, s):
+        sorted_thr = clean(values)
+        for _ in range(len(sorted_thr) + 3):
+            s_next = movers(sorted_thr, p_of_share(s)) / len(sorted_thr)
+            if s_next == s:
+                return s
+            s = s_next
+        raise AssertionError("a monotone map reaches a fixed point")
+
+    sorted_thr = clean(thresholds)
+    n = len(sorted_thr)
+    equilibria = tuple(k / n for k in range(n + 1) if movers(sorted_thr, p_of_share(k / n)) == k)
+    if not equilibria:
+        return tuple(sorted_thr), (), None
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if last_share(sorted_thr, mid / n) == equilibria[-1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return tuple(sorted_thr), equilibria, lo
+
+
+threshold = st.one_of(st.sampled_from([-math.inf, math.inf, 0.0, 0.25, 0.5, 1.0]),
+                      st.floats(-0.5, 1.5))
+
+
+@st.composite
+def monotone_maps(draw):
+    """A non-decreasing share->p map: clamped or unclamped affine, a step, or a power."""
+    a, b = draw(st.floats(-0.5, 1.0)), draw(st.floats(0.0, 3.0))
+    return draw(st.sampled_from([
+        lambda s: min(1.0, a + b * s),
+        lambda s: a + b * s,
+        lambda s: 1.0 if s >= a else 0.0,
+        lambda s: s ** (1.0 + b),
+    ]))
+
+
+@given(st.lists(threshold, min_size=1, max_size=40), monotone_maps())
+@example([0.5], IDENTITY)
+@example([math.inf], lambda s: 0.5)
+@example([-math.inf, -math.inf, 0.5, 0.5], lambda s: 0.5 + s / 2)
+def test_lattice_scan_in_one_pass_matches_the_scalar_scan(thresholds, p_of_share):
+    """Same report, and the same calls of ``p_of_share`` in the same order."""
+    want_calls, got_calls = [], []
+
+    def recorded(calls):
+        return lambda s: calls.append(s) or p_of_share(s)
+
+    want = reference_report(thresholds, recorded(want_calls))
+    report = cascade_equilibria(thresholds, recorded(got_calls))
+    assert (report.sorted_thresholds, report.equilibria, report.tipping_seed) == want
+    assert got_calls == want_calls
 
 
 def test_cascade_input_validation():

@@ -125,16 +125,24 @@ def edge_lists(draw):
 @given(edge_lists())
 @example((3, [[0, 2, 1.0], [1, 1, 1.0], [0, 0.5, 1.0]]))  # a later problem found first in order
 def test_network_constructor_matches_the_reference(case):
+    """The triples and the columns the generators hand over (int64 ids where every id is
+    an integer) give the reference's arrays, or its error message."""
     n, edges = case
     expected = reference_network(n, edges)
-    if isinstance(expected, str):
-        with pytest.raises(InvalidParameterError) as raised:
-            SocialNetwork(n, edges)
-        assert str(raised.value) == expected
-        return
-    net = SocialNetwork(n, edges)
-    for got, want in zip((net.src, net.dst, net.w, net.row_ptr), expected):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    src, dst, w = np.asarray(edges, dtype=np.float64).reshape(-1, 3).T.copy()
+    if np.isfinite(src).all() and np.isfinite(dst).all() and (src == np.floor(src)).all() \
+            and (dst == np.floor(dst)).all():
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+    for build in (lambda: SocialNetwork(n, edges),
+                  lambda: SocialNetwork._from_columns(n, src, dst, w)):
+        if isinstance(expected, str):
+            with pytest.raises(InvalidParameterError) as raised:
+                build()
+            assert str(raised.value) == expected
+            continue
+        net = build()
+        for got, want in zip((net.src, net.dst, net.w, net.row_ptr), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_network_arrays_are_read_only():
@@ -260,7 +268,25 @@ def test_influence_triangle_matches_oracle():
         assert got == pytest.approx(want, abs=1e-8)
 
 
+def reference_influence(net, damping=0.85, tol=1e-12, max_iters=200):
+    """The iteration as first written, which allocates each edge's mass anew."""
+    n, src, dst, w = net.n, net.src, net.dst, net.w
+    out_strength = np.bincount(src, weights=w, minlength=n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        edge_p = np.where(out_strength[src] > 0.0, w / out_strength[src], 0.0)
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iters):
+        flow = np.bincount(dst, weights=x[src] * edge_p, minlength=n)
+        x_next = damping * (flow + float(x[out_strength == 0.0].sum()) / n) + (1.0 - damping) / n
+        residual = float(np.abs(x_next - x).sum())
+        x = x_next
+        if residual < tol:
+            return x
+    raise AssertionError("the reference did not converge")
+
+
 def test_influence_sum_and_nonneg_on_random_graphs():
+    """The scores sum to 1, are >= 0, and equal the reference iteration's bit for bit."""
     rng = np.random.default_rng(4242)
     for _ in range(20):
         n = int(rng.integers(2, 25))
@@ -270,9 +296,11 @@ def test_influence_sum_and_nonneg_on_random_graphs():
             for j in range(n)
             if i != j and rng.random() < 0.3
         ]
-        scores = influence_scores(SocialNetwork(n, edges))
+        net = SocialNetwork(n, edges)
+        scores = influence_scores(net)
         assert abs(float(scores.sum()) - 1.0) <= 1e-9
         assert (scores >= 0).all()
+        assert scores.tobytes() == reference_influence(net).tobytes()
 
 
 def test_influence_nonconvergence_error_carries_state():

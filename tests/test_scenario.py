@@ -11,12 +11,17 @@ import pytest
 
 from dissentsim import (
     Constant,
+    Environment,
+    Event,
+    ExitSpec,
     GenerationError,
     Group,
+    IntegritySpec,
     InvalidParameterError,
     NetworkKind,
     PopulationSpec,
     PrivateType,
+    ReputationSpec,
     ReputationVariant,
     ScenarioParseError,
     ScenarioValidationError,
@@ -687,6 +692,23 @@ def test_integers_past_2_64_read_as_floats():
     scenario = parse_scenario(json.dumps(doc))
     assert scenario.beta_share == 2.0**64 and scenario.exit.threshold == -(2.0**64)
     assert scenario.population.groups[0].factors["F"].value == 2.0**64
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda: ReputationSpec(ReputationVariant.UNWEIGHTED_FRACTION, alpha=10**400), "alpha"),
+    (lambda: Environment(dF=10**400), "dF"),
+    (lambda: IntegritySpec(1, 10**400, 0, 1), "nu0"),
+    (lambda: Event(0, "shock", {"dp": -10**400}), "dp"),
+    (lambda: Uniform(0.0, 10**400), "uniform"),
+    (lambda: TruncNormal(0.0, 1.0, lo=10**400, hi=math.inf), "lo must be finite"),
+    (lambda: ExitSpec(threshold=10**400, patience=1), "exit threshold"),
+    (lambda: ReputationSpec(ReputationVariant.UNWEIGHTED_FRACTION, alpha="1"), "alpha"),
+])
+def test_spec_checks_refuse_integers_past_float_range(make, needle):
+    """Built directly (the parser reads such integers as +-inf), a spec refuses an integer
+    too large for a float, or a value that is no number, with its own error."""
+    with pytest.raises(InvalidParameterError, match=needle):
+        make()
 
 
 def test_equal_costs_warning_names_the_caller():
