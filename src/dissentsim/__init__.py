@@ -15,38 +15,44 @@ names (the model, network, engine and analysis kernels) load on first use.
 
 from importlib import import_module
 
-from .errors import (
-    ConvergenceError,
-    DissentSimError,
-    GenerationError,
-    InvalidParameterError,
-    NotFoundError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
-from .scenario import (
-    Constant,
-    Environment,
-    Event,
-    ExitSpec,
-    Group,
-    IntegritySpec,
-    NetworkKind,
-    NetworkSpec,
-    PopulationSpec,
-    Position,
-    PrivateType,
-    ReputationSpec,
-    ReputationVariant,
-    Scenario,
-    TruncNormal,
-    Uniform,
-    donbass_baseline,
-    generate_population,
-    parse_scenario,
-    serialize_scenario,
-    write_csv,
-)
+__version__ = "0.1.0"
+
+#: The public names that load with the package, by the module that holds them: the errors
+#: and the scenario types, parsing and output, none of which imports numpy.
+_EAGER = {
+    "errors": (
+        "ConvergenceError",
+        "DissentSimError",
+        "GenerationError",
+        "InvalidParameterError",
+        "NotFoundError",
+        "ScenarioParseError",
+        "ScenarioValidationError",
+    ),
+    "scenario": (
+        "Constant",
+        "Environment",
+        "Event",
+        "ExitSpec",
+        "Group",
+        "IntegritySpec",
+        "NetworkKind",
+        "NetworkSpec",
+        "PopulationSpec",
+        "Position",
+        "PrivateType",
+        "ReputationSpec",
+        "ReputationVariant",
+        "Scenario",
+        "TruncNormal",
+        "Uniform",
+        "donbass_baseline",
+        "generate_population",
+        "parse_scenario",
+        "serialize_scenario",
+        "write_csv",
+    ),
+}
 
 #: The numpy-backed public names, by the module that holds them.  Each is imported on
 #: first use (PEP 562), so loading and checking a scenario imports no numpy.
@@ -98,8 +104,12 @@ _KERNELS = {
         "reputation_iterative",
     ),
 }
-_HOME = {name: module for module, names in _KERNELS.items() for name in names}
+_HOME = {name: module for table in (_EAGER, _KERNELS) for module, names in table.items()
+         for name in names}
+globals().update({name: getattr(import_module(f".{module}", __name__), name)
+                  for module, names in _EAGER.items() for name in names})
 
+__all__ = ["__version__", *_HOME]
 
 def __getattr__(name: str):
     if name not in _HOME:
@@ -111,82 +121,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # model
-    "TIE_EPS",
-    "Position",
-    "PrivateType",
-    "SoftTerms",
-    "AgentParams",
-    "payoff_rebel",
-    "payoff_statusquo",
-    "payoff_nojoin",
-    "choose_positions",
-    "decide",
-    "threshold_nj_over_u",
-    "threshold_r_over_nj",
-    # network
-    "SocialNetwork",
-    "ReputationVariant",
-    "ReputationSpec",
-    "NetworkKind",
-    "NetworkSpec",
-    "generate_network",
-    "influence_scores",
-    "reputation_fraction",
-    "reputation_iterative",
-    "public_sentiment",
-    # engine
-    "Environment",
-    "Event",
-    "IntegritySpec",
-    "ExitSpec",
-    "AgentState",
-    "SimState",
-    "StepRecord",
-    "consistent",
-    "effective_params",
-    "perceived_probability",
-    "integrity_value",
-    "check_exit",
-    "apply_events",
-    "init_state",
-    "step",
-    "run",
-    # scenario
-    "Constant",
-    "Uniform",
-    "TruncNormal",
-    "Group",
-    "PopulationSpec",
-    "Scenario",
-    "generate_population",
-    "parse_scenario",
-    "serialize_scenario",
-    "write_csv",
-    "donbass_baseline",
-    # analysis
-    "CascadeReport",
-    "cascade_trajectory",
-    "cascade_equilibria",
-    "first_movers",
-    "rebellion_thresholds_zero_support",
-    "share_space_thresholds",
-    "zero_support_soft_terms",
-    "falsification_series",
-    "render_svg",
-    "RenderOptions",
-    # errors
-    "DissentSimError",
-    "InvalidParameterError",
-    "NotFoundError",
-    "ConvergenceError",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "GenerationError",
-]

@@ -15,10 +15,6 @@ command prints a single summary line to stdout.
 from __future__ import annotations
 
 import argparse
-import copy
-import json
-import math
-import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -33,7 +29,15 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .scenario import SEED_LIMIT, Environment, Position, PrivateType, parse_scenario, write_csv
+from .scenario import (
+    Environment,
+    Position,
+    PrivateType,
+    parse_scenario,
+    parse_sweep_spec,
+    sweep_document,
+    write_csv,
+)
 
 #: The numpy-backed names the commands call, by module.  :func:`_bind_kernels` imports
 #: them once a command has parsed its scenario, so ``validate`` imports no numpy.
@@ -63,9 +67,6 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-_PATH_SEGMENT = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
-_INDEX = re.compile(r"\[(\d+)\]")
-
 THRESHOLDS_HEADER = "id,x,threshold_R_over_NJ,threshold_NJ_over_U,p0"
 
 
@@ -88,9 +89,7 @@ def _env0(scenario) -> Environment:
 def cmd_run(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
     if args.seed is not None:
-        if not 0 <= args.seed < SEED_LIMIT:
-            raise InvalidParameterError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
-        scenario = replace(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=args.seed)  # Scenario checks the seed
     _bind_kernels()
     state = init_state(scenario)
     records = run(scenario, state)
@@ -146,128 +145,19 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
-def _parse_sweep_spec(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"sweep spec is not valid JSON: {exc.msg}", exc.lineno, exc.colno)
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError(["sweep spec must be a JSON object"])
-    unknown = set(doc) - {"path", "values", "grid", "seeds"}
-    if unknown:
-        problems.append(f"sweep spec has unknown keys: {sorted(unknown)}")
-
-    param_path = doc.get("path")
-    if not isinstance(param_path, str) or not param_path:
-        problems.append("sweep spec needs 'path': a dot path into the scenario document")
-
-    has_values = "values" in doc
-    has_grid = "grid" in doc
-    values: list[float] = []
-    if has_values == has_grid:
-        problems.append("sweep spec needs exactly one of 'values' or 'grid'")
-    elif has_values:
-        raw = doc["values"]
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
-            or any(not math.isfinite(v) for v in raw)
-        ):
-            problems.append("'values' must be a non-empty list of finite numbers")
-        else:
-            values = [float(v) for v in raw]
-    else:
-        grid = doc["grid"]
-        ok = isinstance(grid, dict) and set(grid) == {"lo", "hi", "count"}
-        if ok:
-            lo, hi, count = grid["lo"], grid["hi"], grid["count"]
-            ok = (
-                not isinstance(lo, bool) and isinstance(lo, (int, float)) and math.isfinite(lo)
-                and not isinstance(hi, bool) and isinstance(hi, (int, float)) and math.isfinite(hi)
-                and not isinstance(count, bool) and isinstance(count, int) and count >= 1
-                and lo <= hi
-            )
-        if not ok:
-            problems.append("'grid' must be {lo, hi, count} with finite lo <= hi and integer count >= 1")
-        else:
-            import numpy as np  # deferred: only a grid needs it, and a sweep imports it anyway
-
-            values = [float(v) for v in np.linspace(grid["lo"], grid["hi"], grid["count"])]
-
-    seeds = None
-    if "seeds" in doc:
-        raw = doc["seeds"]
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or any(isinstance(s, bool) or not isinstance(s, int) for s in raw)
-            or any(not 0 <= s < SEED_LIMIT for s in raw)
-        ):
-            problems.append("'seeds' must be a non-empty list of 64-bit unsigned integers")
-        else:
-            seeds = [int(s) for s in raw]
-
-    if problems:
-        raise ScenarioValidationError(problems)
-    return param_path, values, seeds
-
-
-def _set_by_path(doc, path: str, value: float) -> None:
-    """Assign into a raw scenario document at a dot path like events[3].deltas.dC.
-
-    The target must already exist and hold a number; anything else is a
-    validation error so typos never create new keys silently.  A target that
-    holds an integer gets integral values as integers, so integer fields
-    (``network.k``, ``horizon``, a group's ``count``) can be swept; a
-    non-integral value is written as given, and parsing rejects it for an
-    integer field.
-    """
-    node = doc
-    tokens: list[tuple[str, object]] = []
-    for segment in path.split("."):
-        m = _PATH_SEGMENT.match(segment)
-        if m is None:
-            raise ScenarioValidationError([f"sweep path segment {segment!r} is malformed"])
-        tokens.append(("key", m.group(1)))
-        for idx in _INDEX.findall(m.group(2)):
-            tokens.append(("index", int(idx)))
-
-    def descend(container, token):
-        kind, key = token
-        if kind == "key":
-            if not isinstance(container, dict) or key not in container:
-                raise ScenarioValidationError([f"sweep path {path!r} does not exist in the scenario"])
-            return container[key]
-        if not isinstance(container, list) or not 0 <= key < len(container):
-            raise ScenarioValidationError([f"sweep path {path!r} does not exist in the scenario"])
-        return container[key]
-
-    for token in tokens[:-1]:
-        node = descend(node, token)
-    current = descend(node, tokens[-1])
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ScenarioValidationError([f"sweep path {path!r} does not point at a number"])
-    if isinstance(current, int) and value.is_integer():
-        value = int(value)
-    kind, key = tokens[-1]
-    node[key] = value
-
-
 def _sanitize_for_filename(path: str) -> str:
     return path.replace("[", "_").replace("]", "_").replace(".", "_")
 
 
 def cmd_sweep(args) -> int:
-    param_path, values, seeds = _parse_sweep_spec(_read_text(args.spec))
-    base_doc = json.loads(_read_text(args.scenario))
+    param_path, values, seeds = parse_sweep_spec(_read_text(args.spec))
+    text = _read_text(args.scenario)
     # Surface scenario problems once, before any per-value work.
-    parse_scenario(json.dumps(base_doc))
+    base = parse_scenario(text)
 
-    run_seeds = seeds if seeds is not None else [int(base_doc.get("seed", 0))]
+    seeds = seeds if seeds is not None else [base.seed]
     stem = _sanitize_for_filename(param_path)
-    cells = [(v, seed, f"{stem}={v:g}_seed={seed}.csv") for v in values for seed in run_seeds]
+    cells = [(v, seed, f"{stem}={v:g}_seed={seed}.csv") for v in values for seed in seeds]
     # Values that print alike under %g, or repeated seeds, would overwrite each other's CSV.
     repeats = Counter(name for _, _, name in cells)
     clashes = [f"{k} sweep cells would all write {name}" for name, k in repeats.items() if k > 1]
@@ -275,12 +165,8 @@ def cmd_sweep(args) -> int:
         raise ScenarioValidationError(clashes)
 
     # Every cell is checked before the first one runs, so a bad value writes nothing.
-    scenarios = []
-    for value, seed, _ in cells:
-        doc = copy.deepcopy(base_doc)
-        _set_by_path(doc, param_path, value)
-        doc["seed"] = seed
-        scenarios.append(parse_scenario(json.dumps(doc)))
+    scenarios = [parse_scenario(sweep_document(text, param_path, value, seed))
+                 for value, seed, _ in cells]
 
     _bind_kernels()
     out_dir = Path(args.out)

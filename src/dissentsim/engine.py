@@ -36,14 +36,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GenerationError, InvalidParameterError
-from .model import (
+from .model import (  # the payoff_* are bound here for perfbench/trace_cli.py's call sites
     AgentParams,
-    SoftTerms,
+    _check_finite,
     check_params,
     choose_positions,
+    nojoin_kernel,
     payoff_nojoin,
     payoff_rebel,
     payoff_statusquo,
+    rebel_kernel,
+    statusquo_kernel,
 )
 from .network import (
     SocialNetwork,
@@ -275,16 +278,22 @@ def effective_params(params: AgentParams | ParamArrays, env: Environment):
 
     Tastes, private preference, and the probability baseline are untouched.
     Elementwise: returns the same type it is given (AgentParams or ParamArrays).
+    This is where offsets meet factors, so it raises InvalidParameterError
+    unless every factor of the result is finite: an offset sum that
+    overflows, or a state built by hand with a non-finite factor.
     """
-    return replace(
-        params,
-        F=np.maximum(0.0, params.F + env.dF),
-        S=np.maximum(0.0, params.S + env.dS),
-        C=np.maximum(0.0, params.C + env.dC),
-        c=np.maximum(0.0, params.c + env.dc),
-        A_U=np.maximum(0.0, params.A_U + env.dA_U),
-        A_R=np.maximum(0.0, params.A_R + env.dA_R),
-    )
+    with np.errstate(over="ignore"):  # an offset sum that overflows is refused below
+        eff = replace(
+            params,
+            F=np.maximum(0.0, params.F + env.dF),
+            S=np.maximum(0.0, params.S + env.dS),
+            C=np.maximum(0.0, params.C + env.dC),
+            c=np.maximum(0.0, params.c + env.dc),
+            A_U=np.maximum(0.0, params.A_U + env.dA_U),
+            A_R=np.maximum(0.0, params.A_R + env.dA_R),
+        )
+    _check_finite(**{name: getattr(eff, name) for name in FACTOR_NAMES})
+    return eff
 
 
 def perceived_probability(
@@ -475,10 +484,13 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     p = perceived_probability(pa, share_R_prev, env)
     integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
 
+    # The kernels' inputs are checked where they are made: the factors and p_base by
+    # effective_params, the reputation denominators by observer_totals; integ and p are
+    # finite by construction.
     NJ, U, R = Position.NJ, Position.U, Position.R
-    e_nj = payoff_nojoin(eff.S, eff.c, p, SoftTerms(rep[:, NJ], integ[NJ]), pa.V_NJ)
-    e_u = payoff_statusquo(eff.S, eff.A_R, eff.C, p, SoftTerms(rep[:, U], integ[U]), pa.V_U)
-    e_r = payoff_rebel(eff.F, eff.A_U, p, SoftTerms(rep[:, R], integ[R]), pa.V_R)
+    e_nj = nojoin_kernel(eff.S, eff.c, p, rep[:, NJ], integ[NJ], pa.V_NJ)
+    e_u = statusquo_kernel(eff.S, eff.A_R, eff.C, p, rep[:, U], integ[U], pa.V_U)
+    e_r = rebel_kernel(eff.F, eff.A_U, p, rep[:, R], integ[R], pa.V_R)
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
     for kept in (base, keys, denom, rep, p, chosen, best):

@@ -106,8 +106,7 @@ def check_params(params) -> None:
     for name in NONNEGATIVE_FACTORS:
         _require(getattr(params, name) >= 0, f"{name} must be >= 0",
                  **{name: getattr(params, name)})
-    _require((params.p_base >= 0.0) & (params.p_base <= 1.0), "p_base must lie in [0, 1]",
-             p_base=params.p_base)
+    _check_probability(p_base=params.p_base)
     _require(params.C >= params.c, "C >= c violated", C=params.C, c=params.c)
     if np.any(params.C == params.c):
         warnings.warn(
@@ -123,10 +122,27 @@ def _check_finite(**named) -> None:
             raise InvalidParameterError(f"{name} must be finite")
 
 
-def _check_probability(p) -> None:
-    arr = np.asarray(p)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InvalidParameterError("p must lie in [0, 1]")
+def _check_probability(**named) -> None:
+    for name, p in named.items():
+        _require((p >= 0.0) & (p <= 1.0), f"{name} must lie in [0, 1]", **{name: p})
+
+
+# The payoff formulas, unchecked: the engine calls them on inputs checked where they are
+# made, and each public payoff function checks its inputs, then calls its kernel.
+
+def rebel_kernel(F, A_U, p, rep, integ, V_R):
+    """:func:`payoff_rebel` without its checks."""
+    return p * F - (1.0 - p) * A_U + rep + integ + V_R
+
+
+def statusquo_kernel(S, A_R, C, p, rep, integ, V_U):
+    """:func:`payoff_statusquo` without its checks."""
+    return S * (1.0 - p) - A_R * p - C + rep + integ + V_U
+
+
+def nojoin_kernel(S, c, p, rep, integ, V_NJ):
+    """:func:`payoff_nojoin` without its checks."""
+    return S * (1.0 - p) - c + rep + integ + V_NJ
 
 
 def payoff_rebel(F, A_U, p, soft: SoftTerms, V_R):
@@ -135,9 +151,9 @@ def payoff_rebel(F, A_U, p, soft: SoftTerms, V_R):
     Wins F with probability p; eats the rebels'-enemy punishment A_U if the
     status quo survives instead.
     """
-    _check_probability(p)
+    _check_probability(p=p)
     _check_finite(F=F, A_U=A_U, V_R=V_R)
-    return p * F - (1.0 - p) * A_U + soft.rep + soft.integ + V_R
+    return rebel_kernel(F, A_U, p, soft.rep, soft.integ, V_R)
 
 
 def payoff_statusquo(S, A_R, C, p, soft: SoftTerms, V_U):
@@ -146,16 +162,16 @@ def payoff_statusquo(S, A_R, C, p, soft: SoftTerms, V_U):
     Keeps S if the status quo survives, eats the rebel punishment A_R if the
     rebellion wins, and always pays the activism cost C.
     """
-    _check_probability(p)
+    _check_probability(p=p)
     _check_finite(S=S, A_R=A_R, C=C, V_U=V_U)
-    return S * (1.0 - p) - A_R * p - C + soft.rep + soft.integ + V_U
+    return statusquo_kernel(S, A_R, C, p, soft.rep, soft.integ, V_U)
 
 
 def payoff_nojoin(S, c, p, soft: SoftTerms, V_NJ):
     """Expected payoff of abstaining: keeps S if the status quo survives, pays c."""
-    _check_probability(p)
+    _check_probability(p=p)
     _check_finite(S=S, c=c, V_NJ=V_NJ)
-    return S * (1.0 - p) - c + soft.rep + soft.integ + V_NJ
+    return nojoin_kernel(S, c, p, soft.rep, soft.integ, V_NJ)
 
 
 def choose_positions(e_nj, e_u, e_r, previous) -> np.ndarray:

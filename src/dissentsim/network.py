@@ -153,8 +153,13 @@ def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None, base=Non
 
 
 def observer_totals(row, weight, n: int) -> np.ndarray:
-    """Each observer's total observed weight, the denominator of its reputation fractions."""
-    return np.bincount(row, weights=weight, minlength=n)
+    """Each observer's total observed weight, the denominator of its reputation fractions.
+    It must be finite; then so is each stance's sum, which adds a subset of the same
+    non-negative weights in the same order, and every fraction lies in [0, 1]."""
+    denom = np.bincount(row, weights=weight, minlength=n)
+    if not np.isfinite(denom).all():
+        raise InvalidParameterError("an observer's total observed weight must be finite")
+    return denom
 
 
 def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
@@ -233,12 +238,9 @@ def influence_scores(
     Results are memoized on the network instance per (damping, tol, max_iters);
     safe for concurrent reads once built.
     """
-    if not 0.0 < damping < 1.0:
-        raise InvalidParameterError(f"damping must lie in (0, 1), got {damping!r}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise InvalidParameterError(f"tol must be > 0, got {tol!r}")
-    if max_iters < 1:
-        raise InvalidParameterError(f"max_iters must be >= 1, got {max_iters!r}")
+    # The spec states the solver controls' rules: damping in (0, 1), tol > 0, max_iters >= 1.
+    ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.0, damping=damping, tol=tol,
+                   max_iters=max_iters)
 
     key = (float(damping), float(tol), int(max_iters))
     memo = network._influence_memo

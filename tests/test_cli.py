@@ -10,6 +10,7 @@ import pytest
 from dissentsim import parse_scenario, payoff_nojoin, payoff_rebel
 from dissentsim.cli import main
 from dissentsim.model import SoftTerms
+from dissentsim.scenario import SWEEP_CELL_BUDGET, parse_sweep_spec
 
 ZERO_SOFT = SoftTerms(rep=0.0, integ=0.0)
 
@@ -353,7 +354,7 @@ def test_sweep_spec_validation(ladder, tmp_path, capsys):
         ('{"path": "beta_share"}', "exactly one"),
         ('{"path": "beta_share", "values": [1.0], "grid": {"lo": 0, "hi": 1, "count": 2}}', "exactly one"),
         ('{"path": "beta_share", "values": []}', "non-empty"),
-        ('{"path": "beta_share", "values": [1.0], "extra": 1}', "unknown keys"),
+        ('{"path": "beta_share", "values": [1.0], "extra": 1}', "unknown field"),
         ('{"path": "beta_share", "grid": {"lo": 2, "hi": 1, "count": 2}}', "grid"),
         ('{"path": "beta_share", "values": [1.0], "seeds": [-1]}', "seeds"),
         ('{"values": [1.0]}', "path"),
@@ -363,6 +364,66 @@ def test_sweep_spec_validation(ladder, tmp_path, capsys):
         spec.write_text(body)
         assert main(["sweep", str(ladder), str(spec), "--out", str(tmp_path / "d")]) == 1
         assert needle in capsys.readouterr().err
+
+
+def test_sweep_refuses_the_seed_as_its_path(tmp_path, capsys):
+    """Each cell's seed is written after the swept value, so a swept seed would be lost: every
+    file would be the base seed's run.  Seeds are swept by ``seeds``."""
+    scenario = tmp_path / "seeded.json"
+    scenario.write_text(json.dumps({**json.loads(ladder_doc(0.05)), "seed": 20140301}))
+    spec, out = tmp_path / "spec.json", tmp_path / "d"
+    spec.write_text('{"path": "seed", "values": [1, 2, 3]}')
+    assert main(["sweep", str(scenario), str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: spec.path: a sweep varies the seed by 'seeds', not by 'path'\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_reports_malformed_scenario_json_as_validate_does(tmp_path, capsys):
+    bad, spec = tmp_path / "bad.json", tmp_path / "spec.json"
+    bad.write_text('{"horizon": 3,\n}')
+    spec.write_text('{"path": "horizon", "values": [2]}')
+    assert main(["validate", str(bad)]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: invalid JSON at line 2, column 1: ")
+    assert main(["sweep", str(bad), str(spec), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == expected
+
+
+def test_sweep_cell_budget(ladder, tmp_path, capsys):
+    """Cells are counted from the spec, before a grid value is made or a cell is parsed."""
+    def spec(**fields):
+        return json.dumps({"path": "beta_share", **fields})
+
+    grid = {"lo": 0.0, "hi": 1.0}
+    assert len(parse_sweep_spec(spec(grid={**grid, "count": SWEEP_CELL_BUDGET}))[1]) == 10_000
+    _, values, seeds = parse_sweep_spec(spec(values=[0.5] * 100, seeds=list(range(100))))
+    assert len(values) * len(seeds) == SWEEP_CELL_BUDGET
+    over = [
+        (spec(grid={**grid, "count": SWEEP_CELL_BUDGET + 1}), 10_001),
+        (spec(values=[0.5], seeds=list(range(SWEEP_CELL_BUDGET + 1))), 10_001),
+        (spec(values=[0.5] * 101, seeds=list(range(100))), 10_100),
+        (spec(grid={**grid, "count": 10**15}), 10**15),
+    ]
+    for body, cells in over:
+        path, out = tmp_path / "spec.json", tmp_path / "d"
+        path.write_text(body)
+        assert main(["sweep", str(ladder), str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid: spec: has {cells} cells, more than the budget of 1e+04\n"
+        )
+        assert not out.exists()
+
+
+def test_sweep_refuses_a_horizon_over_its_budget(ladder, tmp_path, capsys):
+    spec, out = tmp_path / "spec.json", tmp_path / "d"
+    spec.write_text('{"path": "horizon", "values": [5, 1000001]}')
+    assert main(["sweep", str(ladder), str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: horizon: has 1000001 steps, more than the budget of 1e+06\n"
+    )
+    assert not out.exists()  # refused before the first cell ran
 
 
 # ---------------------------------------------------------------- validate

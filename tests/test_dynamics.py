@@ -123,6 +123,22 @@ def test_effective_params_offsets_and_clamp():
     assert out.x is a.x and out.p_base == a.p_base
 
 
+@pytest.mark.filterwarnings("error")
+def test_step_refuses_non_finite_effective_factors():
+    """The payoffs' inputs are checked where they are made: a hand-built state with an infinite
+    factor, offsets that overflow a factor, and an observer whose total weight overflows.  Each
+    raises, with no numpy overflow warning."""
+    with pytest.raises(InvalidParameterError, match="F must be finite"):
+        step(state_of([params(F=math.inf), params()]), plain_scenario())
+    surge = [Event(0, "surge", {"dF": 1e308})]
+    with pytest.raises(InvalidParameterError, match="F must be finite"):
+        step(state_of([params(F=1e308), params()]), plain_scenario(events=surge))
+    heavy = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])
+    weighted = ReputationSpec(ReputationVariant.WEIGHTED_FRACTION, alpha=1.0)
+    with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
+        step(state_of([params()] * 3, network=heavy), plain_scenario(reputation=weighted))
+
+
 def test_perceived_probability():
     assert perceived_probability(params(p_base=0.3), 0.7, Environment()) == 0.3
     assert perceived_probability(

@@ -90,6 +90,29 @@ def test_the_baseline_loads_without_numpy():
     assert out == "False\n"
 
 
+PUBLIC = [
+    "AgentParams", "AgentState", "CascadeReport", "Constant", "ConvergenceError",
+    "DissentSimError", "Environment", "Event", "ExitSpec", "GenerationError", "Group",
+    "IntegritySpec", "InvalidParameterError", "NetworkKind", "NetworkSpec", "NotFoundError",
+    "PopulationSpec", "Position", "PrivateType", "RenderOptions", "ReputationSpec",
+    "ReputationVariant", "Scenario", "ScenarioParseError", "ScenarioValidationError", "SimState",
+    "SocialNetwork", "SoftTerms", "StepRecord", "TIE_EPS", "TruncNormal", "Uniform",
+    "__version__", "apply_events", "cascade_equilibria", "cascade_trajectory", "check_exit",
+    "choose_positions", "consistent", "decide", "donbass_baseline", "effective_params",
+    "falsification_series", "first_movers", "generate_network", "generate_population",
+    "influence_scores", "init_state", "integrity_value", "parse_scenario", "payoff_nojoin",
+    "payoff_rebel", "payoff_statusquo", "perceived_probability", "public_sentiment",
+    "rebellion_thresholds_zero_support", "render_svg", "reputation_fraction",
+    "reputation_iterative", "run", "serialize_scenario", "share_space_thresholds", "step",
+    "threshold_nj_over_u", "threshold_r_over_nj", "write_csv", "zero_support_soft_terms",
+]
+
+
+def test_the_public_surface_is_pinned():
+    assert len(dissentsim.__all__) == len(set(dissentsim.__all__)) == 67
+    assert sorted(dissentsim.__all__) == PUBLIC
+
+
 def test_every_public_name_resolves_and_is_listed():
     listed = dir(dissentsim)
     for name in dissentsim.__all__:

@@ -33,7 +33,16 @@ from dissentsim import (
     step,
 )
 from dissentsim.engine import FACTOR_NAMES, Environment, ParamArrays, exit_update, falsification_penalty
-from dissentsim.model import TIE_EPS
+from dissentsim.model import (
+    TIE_EPS,
+    SoftTerms,
+    nojoin_kernel,
+    payoff_nojoin,
+    payoff_rebel,
+    payoff_statusquo,
+    rebel_kernel,
+    statusquo_kernel,
+)
 from dissentsim.network import edge_weights, observed_weights
 
 # ---------------------------------------------------------------- references
@@ -68,6 +77,16 @@ def reference_observed_weights(spec, w, dst, hidden, scores=None):
     elif spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
         w = w * scores[dst]
     return np.where(hidden, 0.0, w)
+
+
+def reference_payoffs(v):
+    """The rebel, status quo and abstain payoffs, in the order of operations of the formulas
+    the engine evaluated before it called the kernels."""
+    F, S, A_U, A_R, c, C, p, rep, integ = (v[k] for k in ("F", "S", "A_U", "A_R", "c", "C", "p",
+                                                           "rep", "integ"))
+    return (p * F - (1.0 - p) * A_U + rep + integ + v["V_R"],
+            S * (1.0 - p) - A_R * p - C + rep + integ + v["V_U"],
+            S * (1.0 - p) - c + rep + integ + v["V_NJ"])
 
 
 def reference_consistent(y, x_rebel):
@@ -206,6 +225,52 @@ def test_falsification_penalty_rejects_a_negative_streak_in_any_shape():
     for bad in (np.array([0, -1, 3]), -1, np.array([[2], [-4]])):
         with pytest.raises(InvalidParameterError, match="d_falsify must be >= 0"):
             falsification_penalty(spec, bad)
+
+
+# ---------------------------------------------------------------- payoff kernels
+
+factor = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(-1e6, 1e6))
+probability = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def payoff_inputs(draw):
+    """The payoffs' factors, p and soft terms: 0-d scalars or arrays of one length."""
+    names = ("F", "S", "A_U", "A_R", "c", "C", "V_R", "V_U", "V_NJ", "rep", "integ")
+    if draw(st.booleans()):
+        return {**{name: draw(factor) for name in names}, "p": draw(probability)}
+    n = draw(st.integers(0, 10))
+    column = st.lists(factor, min_size=n, max_size=n).map(np.array)
+    return {**{name: draw(column) for name in names},
+            "p": draw(st.lists(probability, min_size=n, max_size=n).map(np.array))}
+
+
+TIED = dict(F=1.0, S=1.0, A_U=0.0, A_R=0.0, c=0.0, C=0.0, V_R=0.0, V_U=0.0, V_NJ=0.0, rep=0.0,
+            integ=0.0)  # at p = 0.5 every stance pays 0.5
+
+
+# Decimal fractions round differently under any other order or grouping of the operations.
+ROUNDING = dict(F=0.7, S=0.3, A_U=1.0, A_R=0.5, c=0.9, C=0.8, V_R=0.4, V_U=0.8, V_NJ=0.4, rep=0.3,
+                integ=0.1, p=0.3)
+
+
+@given(payoff_inputs())
+@example(ROUNDING)
+@example({**TIED, "p": 0.5})
+@example({**{k: np.array([v, -0.0]) for k, v in TIED.items()}, "p": np.array([0.5, 1.0])})
+@example({**{k: -0.0 for k in TIED}, "p": 0.0})
+def test_the_engine_payoff_kernels_are_the_public_payoffs(v):
+    """Bit for bit, and both equal the reference formulas, so the engine, which calls the
+    kernels unchecked, decides as the public payoffs would."""
+    soft = SoftTerms(v["rep"], v["integ"])
+    terms = (v["p"], v["rep"], v["integ"])
+    rebel, statusquo, nojoin = reference_payoffs(v)
+    assert_same(rebel_kernel(v["F"], v["A_U"], *terms, v["V_R"]), rebel)
+    assert_same(payoff_rebel(v["F"], v["A_U"], v["p"], soft, v["V_R"]), rebel)
+    assert_same(statusquo_kernel(v["S"], v["A_R"], v["C"], *terms, v["V_U"]), statusquo)
+    assert_same(payoff_statusquo(v["S"], v["A_R"], v["C"], v["p"], soft, v["V_U"]), statusquo)
+    assert_same(nojoin_kernel(v["S"], v["c"], *terms, v["V_NJ"]), nojoin)
+    assert_same(payoff_nojoin(v["S"], v["c"], v["p"], soft, v["V_NJ"]), nojoin)
 
 
 # ---------------------------------------------------------------- the step tail

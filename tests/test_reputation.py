@@ -118,23 +118,24 @@ def scenario_of(spec, exit=None, integrity=None):
 
 @contextmanager
 def payoff_spy():
-    """Yields a dict that the next steps fill with the reputation terms passed to each payoff."""
+    """Yields a dict that the next steps fill with the reputation terms passed to each payoff
+    kernel."""
     seen = {}
 
     def spy(pos, payoff):
         def wrapped(*args):
-            seen[pos] = args[-2].rep  # the SoftTerms argument
+            seen[pos] = args[-3]  # the rep argument: (..., p, rep, integ, V)
             return payoff(*args)
         return wrapped
 
-    saved = engine.payoff_nojoin, engine.payoff_statusquo, engine.payoff_rebel
-    engine.payoff_nojoin, engine.payoff_statusquo, engine.payoff_rebel = (
+    saved = engine.nojoin_kernel, engine.statusquo_kernel, engine.rebel_kernel
+    engine.nojoin_kernel, engine.statusquo_kernel, engine.rebel_kernel = (
         spy(pos, fn) for pos, fn in zip(STANCES, saved)
     )
     try:
         yield seen
     finally:
-        engine.payoff_nojoin, engine.payoff_statusquo, engine.payoff_rebel = saved
+        engine.nojoin_kernel, engine.statusquo_kernel, engine.rebel_kernel = saved
 
 
 def step_terms(net, y, exited, spec):

@@ -36,6 +36,7 @@ from dissentsim import (
     write_csv,
 )
 from dissentsim.network import AGENT_BUDGET
+from dissentsim.scenario import HORIZON_BUDGET
 
 MINIMAL_DOC = """
 {"horizon": 3,
@@ -239,6 +240,16 @@ def test_population_over_agent_budget_rejected():
         "population: has 10000001 agents, more than the budget of 1e+07"
     ]
     assert parse_scenario(crowd(AGENT_BUDGET)).n_total == 10_000_000
+
+
+def test_horizon_over_budget_rejected():
+    """A run keeps one record per step: a horizon past the budget is refused before any step."""
+    assert parse_scenario(_doc(horizon=HORIZON_BUDGET)).horizon == 1_000_000
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_scenario(_doc(horizon=HORIZON_BUDGET + 1))
+    assert excinfo.value.violations == ["horizon: has 1000001 steps, more than the budget of 1e+06"]
+    with pytest.raises(ScenarioValidationError, match="^horizon: has 10{300} steps"):
+        parse_scenario(_doc(horizon=10**300))
 
 
 def test_network_kind_violations():

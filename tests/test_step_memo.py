@@ -399,7 +399,7 @@ def test_choice_runs_once_per_step_whose_decision_inputs_changed():
 
     engine.step = recording_step
     try:
-        with counting("choose_positions") as calls, counting("payoff_rebel") as rebel:
+        with counting("choose_positions") as calls, counting("rebel_kernel") as rebel:
             run(scenario)
     finally:
         engine.step = real_step
