@@ -21,16 +21,20 @@ per-edge base weights while the network and the reputation spec are
 unchanged, the observed weights and each observer's total while the exit
 flags are unchanged too, the reputation terms while the stances are
 unchanged too, and the whole decision while the parameters, the
-environment, the integrity spec and every falsification penalty are
-unchanged as well; :func:`run` then reuses the previous record.  Inputs
-that can be edited in place are compared by content, so manual stepping
-stays exact after such edits.  The per-element rules are mask arithmetic,
-which does not branch per element.
+environment, the integrity and exit specs and the falsification streaks
+clipped where the penalty stops changing are unchanged as well; :func:`run`
+then reuses the previous record.  The decision level also keeps the
+masks of the step's tail, so a still step costs two content checks, one
+integer key and the streak updates.  Inputs that can be edited in place
+are compared by content, so manual stepping stays exact after such edits.
+The per-element rules are mask arithmetic, which does not branch per
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -77,6 +81,8 @@ from .scenario import (  # re-exported: the spec types are load-time names
 
 #: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
 REJECTION_CAP = 1000
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def consistent(y, x):
@@ -174,34 +180,50 @@ class _StepMemo(NamedTuple):
     Four levels, each valid while its own key and every key above it match:
 
     1. the network (by identity: its arrays are read-only) and the reputation
-       spec: the per-edge base weights and the bincount keys ``3 * src``;
+       spec: the per-edge base weights, the bincount keys ``3 * src`` and a
+       per-edge int64 buffer, ``scratch``;
     2. the exit flags: the observed weights and each observer's total;
     3. the previous stances: the reputation terms;
-    4. the parameters, the environment after events, the integrity spec and
-       every falsification penalty: the decision (``p``, ``chosen``, ``best``).
+    4. the parameters, the environment after events (both by identity), the
+       integrity and exit specs, and the falsification streaks clipped at
+       :func:`_steady_streak`: the decision (``p``, ``chosen``, ``best``) and
+       the masks of the step's tail (see :func:`_tail_masks`).
 
-    ``exited``, ``y`` and ``penalty`` are private copies, so a later step
-    compares them by content; the arrays it hands out are read-only.  So
-    are the others but ``weight``, which only :func:`reputation_terms` reads:
-    ``np.bincount`` copies a read-only weights array on every call.
+    The effective factors ``eff`` are kept while the parameters and the
+    environment are the same objects, through changes of the levels above.
+
+    ``exited``, ``y`` and ``streaks`` are private copies, so a later step
+    compares them by content; the arrays it hands out are read-only.  So are
+    the others but ``weight`` and ``scratch``, which only ``np.bincount``
+    reads: it copies a read-only array on every call.  ``scratch`` holds the
+    observers' ids for their totals, then the stance keys for the reputation
+    terms; every step from a state that shares the first level writes it.
     """
 
     network: SocialNetwork
     reputation: ReputationSpec
     base: np.ndarray
     keys: np.ndarray
+    scratch: np.ndarray
     exited: np.ndarray
     weight: np.ndarray
     denom: np.ndarray
     y: np.ndarray
     rep: np.ndarray
     integrity: IntegritySpec
+    exit: ExitSpec | None
     params: ParamArrays
     env: Environment
-    penalty: np.ndarray
+    eff: ParamArrays
+    streaks: np.ndarray
     p: np.ndarray
     chosen: np.ndarray
     best: np.ndarray
+    y_next: np.ndarray
+    grow: np.ndarray
+    keep: np.ndarray
+    low: np.ndarray | None
+    hold: np.ndarray | None
 
 
 @dataclass
@@ -222,6 +244,7 @@ class SimState:
     low_payoff_streak: np.ndarray
     _last_events: tuple[str, ...] = ()
     _memo: _StepMemo | None = None  # what the step that made this state read and decided
+    _schedule: tuple | None = None  # the events that step read, by :func:`_index_events`
 
     @property
     def n(self) -> int:
@@ -333,6 +356,26 @@ def falsification_penalty(spec: IntegritySpec, d_falsify):
     return np.minimum(spec.cap, spec.nu0 + spec.kappa * d_falsify)
 
 
+@lru_cache(maxsize=256)
+def _steady_streak(spec: IntegritySpec) -> int:
+    """The least streak from which :func:`falsification_penalty` stays as it is up to the
+    int64 maximum: 0 when ``kappa`` is 0, the first streak at ``cap`` when one reaches it.
+
+    The penalty does not decrease as the streak grows (``kappa >= 0``, and int-to-float
+    conversion and rounding are monotone), so streaks that are equal once clipped at this
+    one have equal penalties.  Found by bisection in Python floats, which convert and round
+    as the float64 arrays do.
+    """
+    def penalty(d: int) -> float:
+        return min(spec.cap, spec.nu0 + spec.kappa * float(d))
+
+    steady, lo, hi = penalty(_INT64_MAX), 0, _INT64_MAX
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if penalty(mid) == steady else (mid + 1, hi)
+    return lo
+
+
 def integrity_by_stance(spec: IntegritySpec, x, penalty):
     """:func:`integrity_value` of showing each stance, rows indexed by Position code.
 
@@ -353,8 +396,22 @@ def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patienc
     """
     if exit_patience < 1:
         raise InvalidParameterError(f"exit patience must be >= 1, got {exit_patience!r}")
-    streak = (streak + 1) * np.less(best_payoff, exit_threshold)
-    return streak, exited | (streak >= exit_patience)
+    low = np.less(best_payoff, exit_threshold)
+    return _exits(streak, exited, low, low, exit_patience)
+
+
+def _streak(count, grow, keep):
+    """``count`` one longer where ``grow``, as it was where ``keep`` alone, and 0 elsewhere."""
+    count = count + grow
+    count *= keep
+    return count
+
+
+def _exits(streak, exited, low, hold, patience: int):
+    """The low-payoff streak, grown where ``low`` and kept where ``hold``, and the exit
+    flags: an agent exits for good once its streak reaches ``patience``."""
+    streak = _streak(streak, low, hold)
+    return streak, exited | (streak >= patience)
 
 
 def check_exit(
@@ -384,6 +441,20 @@ def apply_events(
     return out
 
 
+def _index_events(events, kept: tuple | None) -> tuple:
+    """``events`` and each step's events in list order, keyed by step.
+
+    ``kept``, the pair the previous step made, is returned as it is when it holds the
+    same events tuple; any other sequence may have changed in place, so it is indexed anew.
+    """
+    if kept is not None and kept[0] is events and isinstance(events, tuple):
+        return kept
+    index: dict = {}
+    for ev in events:
+        index.setdefault(ev.step, []).append(ev)
+    return events, index
+
+
 def step(state: SimState, scenario) -> SimState:
     """One synchronous step; returns the successor state.
 
@@ -400,45 +471,58 @@ def step(state: SimState, scenario) -> SimState:
     (see :func:`_decide`).  The inputs are compared by content or equality,
     never by the identity of anything that can change in place, so manual
     stepping stays exact after in-place edits of ``y``, ``exited`` or
-    ``d_falsify``, and an input that fails a check still raises.
+    ``d_falsify``, and an input that fails a check still raises.  The
+    streaks and exits are updated on every step, from masks the decision
+    keeps (see :func:`_tail_masks`).
     """
     t = state.t
-    env = apply_events(state.env, scenario.events, t)
-    labels = tuple(ev.label for ev in scenario.events if ev.step == t)
+    schedule = _index_events(scenario.events, state._schedule)
+    fired = schedule[1].get(t, ())
+    env = apply_events(state.env, fired, t)
+    labels = tuple(ev.label for ev in fired)
+    if state.exited.all():
+        return replace(state, t=t + 1, env=env, _last_events=labels, _memo=None,
+                       _schedule=schedule)
 
-    active = ~state.exited
-    if not active.any():
-        return replace(state, t=t + 1, env=env, _last_events=labels, _memo=None)
-
-    memo = _decide(state, scenario, env, active)
-    # Mask arithmetic, which does not branch per element: exited agents keep their values.
-    exited = state.exited
-    y_new = (memo.chosen * active + state.y * exited).astype(np.int8, copy=False)
-    reset = active & consistent(y_new, state.params.x_rebel)
-    d_new = (state.d_falsify + active) * ~reset  # 0 when consistent, else one more
-
-    exited_new = exited
-    streak_new = state.low_payoff_streak
+    memo = _decide(state, scenario, env)
+    exited, streak = state.exited, state.low_payoff_streak  # handed on as they are without exits
     if scenario.exit is not None:
-        streak, exited_new = exit_update(
-            streak_new, exited, memo.best, scenario.exit.threshold, scenario.exit.patience,
-        )
-        streak_new = streak * active + streak_new * exited  # exited agents are frozen
-
+        streak, exited = _exits(streak, exited, memo.low, memo.hold, scenario.exit.patience)
     return replace(
         state,
         t=t + 1,
         env=env,
-        y=y_new,
-        d_falsify=d_new,
-        exited=exited_new,
-        low_payoff_streak=streak_new,
+        y=memo.y_next.copy(),
+        d_falsify=_streak(state.d_falsify, memo.grow, memo.keep),
+        exited=exited,
+        low_payoff_streak=streak,
         _last_events=labels,
         _memo=memo,
+        _schedule=schedule,
     )
 
 
-def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> _StepMemo:
+def _tail_masks(chosen, best, y, exited, x_rebel, exit_rule):
+    """The step's new stances, and the int64 masks ``grow, keep`` of the falsification
+    streaks and ``low, hold`` of the low-payoff streaks (None without an exit rule).
+
+    Exited agents keep their stance and both streaks.  An active agent's falsification
+    streak grows while its new stance contradicts its preference, its low-payoff streak
+    while its best payoff is below the exit threshold, and either resets otherwise.  Masks
+    of the streaks' int64 dtype keep the updates free of casts.
+    """
+    active = ~exited
+    y_next = (chosen * active + y * exited).astype(np.int8, copy=False)
+    grow = active & ~consistent(y_next, x_rebel)
+    grow, keep = grow.astype(np.int64), (grow | exited).astype(np.int64)
+    low = hold = None
+    if exit_rule is not None:
+        low = active & np.less(best, exit_rule.threshold)
+        low, hold = low.astype(np.int64), (low | exited).astype(np.int64)
+    return y_next, grow, keep, low, hold
+
+
+def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     """The step's decision, reusing what ``state._memo`` kept where its inputs are unchanged.
 
     The levels of :class:`_StepMemo` are checked in order, and each computes
@@ -454,34 +538,43 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     same_exits = same_net and np.array_equal(last.exited, exited)
     same_public = same_exits and np.array_equal(last.y, y_prev)
     if same_net:
-        base, keys = last.base, last.keys
+        base, keys, scratch = last.base, last.keys, last.scratch
     else:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
         base, keys = edge_weights(spec, net.w, net.dst, scores), 3 * net.src
+        scratch = np.empty_like(keys)
     if same_exits:
         exited, weight, denom = last.exited, last.weight, last.denom
     else:  # an exit changed since the last step
         weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
-        exited, denom = exited.copy(), observer_totals(net.src, weight, net.n)
+        np.copyto(scratch, net.src)
+        exited, denom = exited.copy(), observer_totals(scratch, weight, net.n)
     if same_public:
         y_prev, rep = last.y, last.rep
     else:  # a stance changed since the last step
-        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n, denom, keys)
+        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n, denom, keys, scratch)
         y_prev = y_prev.copy()
-    penalty = falsification_penalty(integrity, state.d_falsify)  # checks d_falsify every step
+    streaks = np.minimum(state.d_falsify, _steady_streak(integrity))
+    same_inputs = (
+        last is not None
+        and last.params is pa  # read-only columns
+        and last.env is env  # frozen; apply_events returns it as is when no event fires
+    )
     if (
         same_public
-        and last.env is env  # frozen; apply_events returns it as is when no event fires
-        and last.params is pa  # read-only columns
+        and same_inputs
         and last.integrity == integrity
-        and np.array_equal(last.penalty, penalty)
+        and last.exit == scenario.exit
+        and np.array_equal(last.streaks, streaks)  # never equal while a streak is negative
     ):
         return last
 
+    active = ~exited
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / int(active.sum())
-    eff = effective_params(pa, env)
+    eff = last.eff if same_inputs else effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
+    penalty = falsification_penalty(integrity, state.d_falsify)  # raises on a negative streak
     integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
 
     # The kernels' inputs are checked where they are made: the factors and p_base by
@@ -493,10 +586,17 @@ def _decide(state: SimState, scenario, env: Environment, active: np.ndarray) -> 
     e_r = rebel_kernel(eff.F, eff.A_U, p, rep[:, R], integ[R], pa.V_R)
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
-    for kept in (base, keys, denom, rep, p, chosen, best):
-        kept.setflags(write=False)
-    return _StepMemo(net, spec, base, keys, exited, weight, denom, y_prev, rep, integrity, pa,
-                     env, penalty, p, chosen, best)
+    y_next, grow, keep, low, hold = _tail_masks(chosen, best, y_prev, exited, pa.x_rebel,
+                                                scenario.exit)
+    for kept in (base, keys, denom, rep, streaks, p, chosen, best, y_next, grow, keep, low, hold):
+        if kept is not None:
+            kept.setflags(write=False)
+    return _StepMemo(
+        network=net, reputation=spec, base=base, keys=keys, scratch=scratch, exited=exited,
+        weight=weight, denom=denom, y=y_prev, rep=rep, integrity=integrity, exit=scenario.exit,
+        params=pa, env=env, eff=eff, streaks=streaks, p=p, chosen=chosen, best=best,
+        y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
+    )
 
 
 def _record_from(state: SimState) -> StepRecord:

@@ -118,7 +118,7 @@ def check_params(params) -> None:
 
 def _check_finite(**named) -> None:
     for name, value in named.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise InvalidParameterError(f"{name} must be finite")
 
 

@@ -163,7 +163,7 @@ def observer_totals(row, weight, n: int) -> np.ndarray:
 
 
 def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
-                     denom=None, keys=None) -> np.ndarray:
+                     denom=None, keys=None, out=None) -> np.ndarray:
     """Reputation for showing each stance: one row per observer 0..n-1, column = Position code.
 
     ``row``, ``weight`` and ``stance`` are per edge: the observer, the
@@ -171,14 +171,16 @@ def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
     term is ``alpha`` times the (centered) weighted fraction of the observer's
     neighbors showing that stance; 0 when the observer's total weight is 0.
     The :func:`observer_totals` ``denom`` and the keys ``3 * row`` may be
-    passed precomputed: they do not depend on the stances.
+    passed precomputed: they do not depend on the stances.  ``out``, a
+    writable int64 array of one entry per edge, may be passed to hold the
+    keys of the stances instead of a new array.
     """
     if denom is None:
         denom = observer_totals(row, weight, n)
     if keys is None:
         keys = 3 * row
     # One keyed pass sums each observer's weight per stance.
-    num = np.bincount(keys + stance, weights=weight, minlength=3 * n).reshape(n, 3)
+    num = np.bincount(np.add(keys, stance, out=out), weights=weight, minlength=3 * n).reshape(n, 3)
     has_obs = denom > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         rep = num / np.where(has_obs, denom, 1.0)[:, None]  # the fractions, in place below

@@ -32,7 +32,14 @@ from dissentsim import (
     consistent,
     step,
 )
-from dissentsim.engine import FACTOR_NAMES, Environment, ParamArrays, exit_update, falsification_penalty
+from dissentsim.engine import (
+    FACTOR_NAMES,
+    Environment,
+    ParamArrays,
+    _steady_streak,
+    exit_update,
+    falsification_penalty,
+)
 from dissentsim.model import (
     TIE_EPS,
     SoftTerms,
@@ -225,6 +232,49 @@ def test_falsification_penalty_rejects_a_negative_streak_in_any_shape():
     for bad in (np.array([0, -1, 3]), -1, np.array([[2], [-4]])):
         with pytest.raises(InvalidParameterError, match="d_falsify must be >= 0"):
             falsification_penalty(spec, bad)
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@st.composite
+def integrity_specs(draw):
+    """Caps and slopes that saturate early, late, at the int64 maximum or never: kappa 0,
+    nu0 at the cap, subnormal slopes, and (cap - nu0) / kappa far past the int64 range."""
+    cap = draw(st.one_of(st.sampled_from([0.6, 1.0, 1e-300, 1e300]), st.floats(1e-6, 1e6)))
+    nu0 = draw(st.one_of(st.just(cap), st.just(0.0), st.floats(0.0, cap)))
+    kappa = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-13, 0.02]),
+                           st.floats(0.0, 10.0)))
+    return IntegritySpec(nu_match=0.0, nu0=nu0, kappa=kappa, cap=cap)
+
+
+@given(integrity_specs(), st.lists(st.integers(0, INT64_MAX), max_size=4))
+@example(IntegritySpec(nu_match=0.0, nu0=0.4, kappa=0.0, cap=0.6), [])
+@example(IntegritySpec(nu_match=0.0, nu0=0.6, kappa=0.02, cap=0.6), [])
+@example(IntegritySpec(nu_match=0.0, nu0=0.4, kappa=0.02, cap=0.6), [])  # 0.4 + 0.02 * 10 rounds
+@example(IntegritySpec(nu_match=0.0, nu0=0.0, kappa=5e-324, cap=1.0), [2**53, 2**53 + 1])
+@example(IntegritySpec(nu_match=0.0, nu0=0.5, kappa=1e-300, cap=1e300), [])  # never moves
+@example(IntegritySpec(nu_match=0.0, nu0=1.0 - 2**-53, kappa=1e-30, cap=1.0), [])  # one ulp
+def test_the_steady_streak_bounds_where_the_penalty_changes(spec, more):
+    """The penalty is the same for every streak from the steady one on and differs below it;
+    it is at the cap exactly from there on whenever any int64 streak reaches the cap; and
+    streaks equal once clipped there have bit-equal penalties."""
+    steady = _steady_streak(spec)
+    assert 0 <= steady <= INT64_MAX
+    if spec.kappa == 0.0:
+        assert steady == 0
+    probes = {0, 1, 2, steady, INT64_MAX, *more}
+    probes |= {d for d in (steady - 1, steady + 1) if 0 <= d <= INT64_MAX}
+    streaks = np.array(sorted(probes), dtype=np.int64)
+    penalty = falsification_penalty(spec, streaks)
+    last = penalty[-1]
+    assert ((penalty == last) == (streaks >= steady)).all()
+    if last == spec.cap:
+        assert ((penalty == spec.cap) == (streaks >= steady)).all()
+    keys = np.minimum(streaks, steady)
+    for key in np.unique(keys):
+        same = penalty[keys == key]
+        assert len({x.tobytes() for x in same}) == 1
 
 
 # ---------------------------------------------------------------- payoff kernels

@@ -183,6 +183,62 @@ def test_run_equals_fresh_steps(world):
     checked_run(scenario, state)
 
 
+# ---------------------------------------------------------------- the events index
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(DELTA_FIELDS),
+                          st.sampled_from([-0.5, 0.25, 1.0, 0.1])), max_size=10))
+def test_the_events_index_equals_the_scan(drawn):
+    """Each step's events, looked up in the index, are the full scan's in list order, and a
+    step folds and labels them so: for a tuple of unsorted events and for a list."""
+    events = [Event(step=s, label=f"e{k}", deltas={name: delta})
+              for k, (s, name, delta) in enumerate(drawn)]
+    start, scenario = still_world()
+    for held in (tuple(events), events):
+        scenario.events = held
+        state = start
+        for t in range(6):
+            fired = [ev for ev in events if ev.step == t]
+            assert list(engine._index_events(held, state._schedule)[1].get(t, ())) == fired
+            new = step(state, scenario)
+            assert new.env == engine.apply_events(state.env, events, t)
+            assert new._last_events == tuple(ev.label for ev in fired)
+            state = new
+
+
+def test_an_events_list_edited_between_steps_is_seen():
+    """Only a tuple's index is kept: a list may have changed in place since the last step."""
+    state, scenario = still_world()
+    state = step(state, scenario)
+    scenario.events.append(Event(step=1, label="late", deltas={"dp": 0.25}))
+    new = step(state, scenario)
+    assert new._last_events == ("late",) and new.env.dp == 0.25
+
+
+def test_a_scenario_with_unsorted_events_runs_them_in_list_order():
+    """The committed timeline reversed, with two more events at step 0 whose sum depends on
+    the order: ``run`` calls ``apply_events`` once per step and labels and folds each
+    step's events in list order."""
+    doc = json.loads(DONBASS_PATH.read_text(encoding="utf-8"))
+    for group in doc["population"]["groups"]:
+        group["count"] = 10
+    doc["horizon"] = 20
+    doc["events"] = [e for e in doc["events"] if e["step"] < 20]
+    scenario = parse_scenario(json.dumps(doc))
+    calm = tuple(Event(step=0, label="calm", deltas={"dC": dC}) for dC in (0.1, 0.2))
+    events = (*reversed(scenario.events), *calm)
+    scenario = replace(scenario, events=events)
+    with counting("apply_events") as calls, last_state() as seen:
+        records = run(scenario)
+    assert [t for _, _, t in calls] == list(range(20))
+    assert [r.events for r in records] == [
+        tuple(ev.label for ev in events if ev.step == t) for t in range(20)
+    ]
+    env = Environment(beta_share=scenario.beta_share)
+    for t in range(20):
+        env = engine.apply_events(env, events, t)
+    assert seen[0].env == env
+
+
 # ---------------------------------------------------------------- explicit cases
 
 def still_world(kappa=0.0, nu0=0.6, d_falsify=(0, 0, 0), exit=None, horizon=6):
@@ -252,6 +308,54 @@ def test_edits_through_shared_arrays_are_seen():
     new.exited[1] = True  # also the input's flags, which the step read as all False
     assert choices(new, scenario) == 1
     assert state_bits(step(new, scenario)) == state_bits(fresh_step(new, scenario))
+
+
+def test_replaced_exit_spec_recomputes_the_masks():
+    """The exit rule joins the decision's key: the kept masks of the low-payoff streaks
+    belong to the rule they were made for."""
+    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5))
+    state = step(state, scenario)
+    assert choices(state, scenario) == 0
+    for rule in (ExitSpec(threshold=0.5, patience=5), ExitSpec(threshold=1.0, patience=2), None):
+        changed = SimpleNamespace(**{**vars(scenario), "exit": rule})
+        assert choices(state, changed) == 1
+        new = step(state, changed)
+        assert state_bits(new) == state_bits(fresh_step(state, changed))
+        assert state_bits(step(new, changed)) == state_bits(fresh_step(new, changed))
+
+
+def test_in_place_streak_edits_below_and_above_the_steady_streak_are_seen():
+    """Penalties 0.2 + 0.1 d reach the cap of 1 at d = 8, so streaks from 8 on share a key:
+    an edit among them repeats the decision, an edit below 8 recomputes it."""
+    state, scenario = still_world(kappa=0.1, nu0=0.2, d_falsify=(10, 10, 10))
+    assert engine._steady_streak(scenario.integrity) == 8
+    state = step(state, scenario)
+    for edit, recomputed in ((8, 0), (10**12, 0), (7, 1), (0, 1)):
+        state.d_falsify[1] = edit
+        assert choices(state, scenario) == recomputed
+        assert state_bits(step(state, scenario)) == state_bits(fresh_step(state, scenario))
+        state = step(state, scenario)
+
+
+def test_a_still_step_hands_out_arrays_of_its_own():
+    """Editing the arrays of a state made by a still step changes neither the kept memo nor
+    the state it was stepped from."""
+    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5))
+    state = step(state, scenario)
+    new = step(state, scenario)
+    assert new._memo is state._memo
+    arrays = ("y", "d_falsify", "exited", "low_payoff_streak")
+    kept = [bits(getattr(state, name)) for name in arrays]
+    masks = (new._memo.y, new._memo.exited, new._memo.streaks, new._memo.y_next, new._memo.grow,
+             new._memo.keep, new._memo.low, new._memo.hold)
+    before = memo_bits(new._memo), [bits(a) for a in masks]
+    new.y[:] = Position.R
+    new.d_falsify[:] = 99
+    new.exited[:] = True
+    new.low_payoff_streak[:] = 4
+    assert [bits(getattr(state, name)) for name in arrays] == kept
+    assert (memo_bits(new._memo), [bits(a) for a in masks]) == before
+    assert state_bits(step(state, scenario)) == state_bits(fresh_step(state, scenario))
 
 
 def test_replaced_environment_is_seen():
@@ -354,6 +458,23 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
             taken()  # not the fresh step's calls
 
 
+def test_the_edge_buffer_is_kept_with_the_network():
+    """The writable per-edge buffer is made once per network and spec; the observer totals
+    and reputation terms made through it equal the public kernels'."""
+    state, scenario = still_world()
+    first = step(state, scenario)
+    first.y[0] = Position.U
+    first.exited[2] = True
+    second = step(first, scenario)
+    memo, net, spec = second._memo, first.network, scenario.reputation
+    assert memo.scratch is first._memo.scratch and memo.scratch.flags.writeable
+    weight = engine.observed_weights(spec, net.w, net.dst, first.exited[net.dst])
+    assert bits(memo.weight) == bits(weight)
+    assert bits(memo.denom) == bits(engine.observer_totals(net.src, weight, net.n))
+    expected = engine.reputation_terms(spec, net.src, weight, first.y[net.dst], net.n)
+    assert bits(memo.rep) == bits(expected)
+
+
 def test_negative_falsification_streak_still_raises():
     """With kappa 0 a negative streak leaves the penalty as it was, but the check still fires."""
     state, scenario = still_world(kappa=0.0)
@@ -409,6 +530,16 @@ def test_choice_runs_once_per_step_whose_decision_inputs_changed():
     )
     assert len(inputs) == 240
     assert len(calls) == len(rebel) == changed < 240
+
+
+def test_effective_factors_are_made_once_per_environment():
+    """``effective_params`` runs on the first step and at each event, not on the other steps
+    whose decision is recomputed: the parameters and the environment are the same objects."""
+    scenario = iterative_exits_scenario()
+    with counting("effective_params") as calls, counting("choose_positions") as chosen:
+        run(scenario)
+    fired = {ev.step for ev in scenario.events if 0 < ev.step < scenario.horizon}
+    assert len(calls) == 1 + len(fired) < len(chosen)
 
 
 def test_observed_weights_run_once_per_step_whose_exits_changed():
