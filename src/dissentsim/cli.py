@@ -90,6 +90,8 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)  # Scenario checks the seed
+    if args.svg is not None and scenario.horizon == 0:  # refused before any file is written
+        raise InvalidParameterError("--svg charts the steps, but the scenario's horizon is 0")
     _bind_kernels()
     state = init_state(scenario)
     records = run(scenario, state)

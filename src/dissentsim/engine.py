@@ -15,20 +15,10 @@ the arrays.  The single-agent calls (``check_exit`` here, and the reputation
 functions in :mod:`network`) are n=1 views over the same kernels.
 
 Stances under preference falsification stand still for long stretches, so
-each state carries a memo of the step that made it: that step's inputs and
-what it computed from them, in four levels.  The next step reuses the
-per-edge base weights while the network and the reputation spec are
-unchanged, the observed weights and each observer's total while the exit
-flags are unchanged too, the reputation terms while the stances are
-unchanged too, and the whole decision while the parameters, the
-environment, the integrity and exit specs and the falsification streaks
-clipped where the penalty stops changing are unchanged as well; :func:`run`
-then reuses the previous record.  The decision level also keeps the
-masks of the step's tail, so a still step costs two content checks, one
-integer key and the streak updates.  Inputs that can be edited in place
-are compared by content, so manual stepping stays exact after such edits.
-The per-element rules are mask arithmetic, which does not branch per
-element.
+each state carries a memo of the step that made it (:class:`_StepMemo`): the
+next step recomputes only what its changed inputs reach, and :func:`run`
+reuses the previous record when the decision is reused.  The per-element
+rules are mask arithmetic, which does not branch per element.
 """
 
 from __future__ import annotations
@@ -184,16 +174,18 @@ class _StepMemo(NamedTuple):
        per-edge int64 buffer, ``scratch``;
     2. the exit flags: the observed weights and each observer's total;
     3. the previous stances: the reputation terms;
-    4. the parameters, the environment after events (both by identity), the
+    4. the parameters (by identity: their columns are read-only), the
+       environment after events (field by field, see :func:`_same_env`), the
        integrity and exit specs, and the falsification streaks clipped at
-       :func:`_steady_streak`: the decision (``p``, ``chosen``, ``best``) and
-       the masks of the step's tail (see :func:`_tail_masks`).
+       :func:`_steady_streak`: the perceived probability ``p`` and the new
+       stances and masks of the step's tail (see :func:`_tail_masks`).
 
     The effective factors ``eff`` are kept while the parameters and the
-    environment are the same objects, through changes of the levels above.
+    environment are the same, through changes of the levels above.
 
     ``exited``, ``y`` and ``streaks`` are private copies, so a later step
-    compares them by content; the arrays it hands out are read-only.  So are
+    compares them by content and stays exact after in-place edits of a
+    state's arrays; the arrays it hands out are read-only.  So are
     the others but ``weight`` and ``scratch``, which only ``np.bincount``
     reads: it copies a read-only array on every call.  ``scratch`` holds the
     observers' ids for their totals, then the stance keys for the reputation
@@ -217,8 +209,6 @@ class _StepMemo(NamedTuple):
     eff: ParamArrays
     streaks: np.ndarray
     p: np.ndarray
-    chosen: np.ndarray
-    best: np.ndarray
     y_next: np.ndarray
     grow: np.ndarray
     keep: np.ndarray
@@ -363,11 +353,11 @@ def _steady_streak(spec: IntegritySpec) -> int:
 
     The penalty does not decrease as the streak grows (``kappa >= 0``, and int-to-float
     conversion and rounding are monotone), so streaks that are equal once clipped at this
-    one have equal penalties.  Found by bisection in Python floats, which convert and round
-    as the float64 arrays do.
+    one have equal penalties.  Found by bisection over the penalty itself, on int64 streaks.
     """
-    def penalty(d: int) -> float:
-        return min(spec.cap, spec.nu0 + spec.kappa * float(d))
+    def penalty(d: int) -> np.float64:
+        with np.errstate(over="ignore"):  # kappa * d may pass the float64 range: the cap holds
+            return falsification_penalty(spec, np.int64(d))
 
     steady, lo, hi = penalty(_INT64_MAX), 0, _INT64_MAX
     while lo < hi:
@@ -465,13 +455,9 @@ def step(state: SimState, scenario) -> SimState:
     check on the best payoff; advance t.  All decisions read only step-t-1
     public state.  Exited agents are frozen and invisible to neighbors.
 
-    The decision (perceived probability, chosen stances, best payoff) is a
-    pure function of its inputs, so a step whose inputs equal those of the
-    step that made ``state`` repeats that step's work instead of redoing it
-    (see :func:`_decide`).  The inputs are compared by content or equality,
-    never by the identity of anything that can change in place, so manual
-    stepping stays exact after in-place edits of ``y``, ``exited`` or
-    ``d_falsify``, and an input that fails a check still raises.  The
+    The decision is a pure function of its inputs, so a step reuses what the
+    step that made ``state`` kept where they are unchanged (see
+    :class:`_StepMemo`); an input that fails a check still raises.  The
     streaks and exits are updated on every step, from masks the decision
     keeps (see :func:`_tail_masks`).
     """
@@ -479,11 +465,6 @@ def step(state: SimState, scenario) -> SimState:
     schedule = _index_events(scenario.events, state._schedule)
     fired = schedule[1].get(t, ())
     env = apply_events(state.env, fired, t)
-    labels = tuple(ev.label for ev in fired)
-    if state.exited.all():
-        return replace(state, t=t + 1, env=env, _last_events=labels, _memo=None,
-                       _schedule=schedule)
-
     memo = _decide(state, scenario, env)
     exited, streak = state.exited, state.low_payoff_streak  # handed on as they are without exits
     if scenario.exit is not None:
@@ -496,10 +477,20 @@ def step(state: SimState, scenario) -> SimState:
         d_falsify=_streak(state.d_falsify, memo.grow, memo.keep),
         exited=exited,
         low_payoff_streak=streak,
-        _last_events=labels,
+        _last_events=tuple(ev.label for ev in fired),
         _memo=memo,
         _schedule=schedule,
     )
+
+
+def _same_env(a: Environment, b: Environment) -> bool:
+    """Whether two environments hold the same bits in every field.  ``==`` alone takes
+    ``-0.0`` for ``0.0``, and numpy keeps the sign of a zero through ``np.maximum`` and
+    ``np.clip``, so the factors or ``p`` made under one could differ from the other's."""
+    if a is b:
+        return True
+    first, second = (np.array(list(vars(env).values())).tobytes() for env in (a, b))
+    return first == second
 
 
 def _tail_masks(chosen, best, y, exited, x_rebel, exit_rule):
@@ -526,10 +517,8 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     """The step's decision, reusing what ``state._memo`` kept where its inputs are unchanged.
 
     The levels of :class:`_StepMemo` are checked in order, and each computes
-    afresh only when its own key or one above it changed: a new network or
-    spec rebuilds the base weights, new exits the observed weights and their
-    totals, new stances the reputation terms.  When every input matches, the
-    kept decision is returned as it is.
+    afresh only when its own key or one above it changed.  When every input
+    matches, the kept decision is returned as it is.
     """
     last = state._memo
     net, spec, integrity, pa = state.network, scenario.reputation, scenario.integrity, state.params
@@ -556,11 +545,7 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
         rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n, denom, keys, scratch)
         y_prev = y_prev.copy()
     streaks = np.minimum(state.d_falsify, _steady_streak(integrity))
-    same_inputs = (
-        last is not None
-        and last.params is pa  # read-only columns
-        and last.env is env  # frozen; apply_events returns it as is when no event fires
-    )
+    same_inputs = last is not None and last.params is pa and _same_env(last.env, env)
     if (
         same_public
         and same_inputs
@@ -571,7 +556,7 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
         return last
 
     active = ~exited
-    share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / int(active.sum())
+    share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / max(int(active.sum()), 1)
     eff = last.eff if same_inputs else effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
     penalty = falsification_penalty(integrity, state.d_falsify)  # raises on a negative streak
@@ -588,13 +573,13 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
     y_next, grow, keep, low, hold = _tail_masks(chosen, best, y_prev, exited, pa.x_rebel,
                                                 scenario.exit)
-    for kept in (base, keys, denom, rep, streaks, p, chosen, best, y_next, grow, keep, low, hold):
+    for kept in (base, keys, denom, rep, streaks, p, y_next, grow, keep, low, hold):
         if kept is not None:
             kept.setflags(write=False)
     return _StepMemo(
         network=net, reputation=spec, base=base, keys=keys, scratch=scratch, exited=exited,
         weight=weight, denom=denom, y=y_prev, rep=rep, integrity=integrity, exit=scenario.exit,
-        params=pa, env=env, eff=eff, streaks=streaks, p=p, chosen=chosen, best=best,
+        params=pa, env=env, eff=eff, streaks=streaks, p=p,
         y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
     )
 
@@ -602,24 +587,16 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
 def _record_from(state: SimState) -> StepRecord:
     active = ~state.exited
     n_active = int(active.sum())
-    n_exited = int(state.exited.sum())
-    if n_active == 0:
-        return StepRecord(
-            t=state.t - 1, share_R=0.0, share_U=0.0, share_NJ=0.0,
-            n_exited=n_exited, n_falsifying=0, mean_p=0.0,
-            events=state._last_events,
-        )
-    counts = np.bincount(state.y[active], minlength=3)
-    n_falsifying = int((active & ~consistent(state.y, state.params.x_rebel)).sum())
-    mean_p = float(state._memo.p[active].mean()) if state._memo is not None else 0.0
+    per_active = max(n_active, 1)  # nobody active: every share and ``mean_p`` are 0
+    shares = np.bincount(state.y[active], minlength=3) / per_active
     return StepRecord(
         t=state.t - 1,
-        share_R=int(counts[Position.R]) / n_active,
-        share_U=int(counts[Position.U]) / n_active,
-        share_NJ=int(counts[Position.NJ]) / n_active,
-        n_exited=n_exited,
-        n_falsifying=n_falsifying,
-        mean_p=mean_p,
+        share_R=float(shares[Position.R]),
+        share_U=float(shares[Position.U]),
+        share_NJ=float(shares[Position.NJ]),
+        n_exited=state.n - n_active,
+        n_falsifying=int((active & ~consistent(state.y, state.params.x_rebel)).sum()),
+        mean_p=float(state._memo.p[active].sum() / per_active),
         events=state._last_events,
     )
 
@@ -740,10 +717,9 @@ def run(scenario, state: SimState | None = None) -> list[StepRecord]:
     records = []
     for _ in range(scenario.horizon):
         new = step(state, scenario)
-        if (  # nothing the record reads changed: only t and the events differ
+        if (  # a reused decision repeats the stances: with the exits, only t and the events differ
             records
             and new._memo is state._memo
-            and np.array_equal(new.y, state.y)
             and np.array_equal(new.exited, state.exited)
         ):
             records.append(replace(records[-1], t=new.t - 1, events=new._last_events))

@@ -101,6 +101,21 @@ def test_run_svg_output(ladder, tmp_path):
     assert text.startswith("<svg") and text.endswith("</svg>\n")
 
 
+def test_run_svg_refuses_a_zero_horizon_before_writing(ladder, tmp_path, capsys):
+    """A zero-step scenario is valid and ``run`` writes its empty CSV, but there is nothing
+    to chart: ``--svg`` is refused, and neither file is written."""
+    doc = json.loads(ladder.read_text())
+    doc["horizon"] = 0
+    ladder.write_text(json.dumps(doc))
+    out, svg = tmp_path / "out.csv", tmp_path / "chart.svg"
+    assert main(["run", str(ladder), "--out", str(out), "--svg", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert "--svg" in err and "horizon is 0" in err
+    assert not out.exists() and not svg.exists()
+    assert main(["run", str(ladder), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"t,share_R,share_U,share_NJ,n_exited,n_falsifying,mean_p,events\n"
+
+
 def test_run_missing_scenario_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")]) == 1
     assert "error:" in capsys.readouterr().err

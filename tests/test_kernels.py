@@ -11,6 +11,7 @@ threshold and on integrity penalties that saturate.
 """
 
 import math
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from dissentsim import (
     consistent,
     step,
 )
+from dissentsim import engine
 from dissentsim.engine import (
     FACTOR_NAMES,
     Environment,
@@ -363,14 +365,34 @@ def stepping(draw):
     return state, scenario, draw(st.integers(1, 6))
 
 
+@contextmanager
+def choices_seen():
+    """Yields a dict that holds the stances and the best payoffs of the latest
+    ``engine.choose_positions`` call."""
+    seen, real = {}, engine.choose_positions
+
+    def spy(e_nj, e_u, e_r, previous):
+        seen["chosen"] = real(e_nj, e_u, e_r, previous)
+        seen["best"] = np.maximum(np.maximum(e_nj, e_u), e_r)
+        return seen["chosen"]
+
+    engine.choose_positions = spy
+    try:
+        yield seen
+    finally:
+        engine.choose_positions = real
+
+
 @given(stepping())
 def test_step_tail_matches_the_selects(world):
+    """Also once every agent has exited.  A step that reuses its predecessor's decision
+    reads the same inputs, so the latest choice made is the one it repeats."""
     state, scenario, steps = world
-    for _ in range(steps):
-        if state.exited.all():
-            break  # nobody decides: the step keeps every array as it is
-        new = step(state, scenario)
-        expected = reference_tail(state, new._memo.chosen, new._memo.best, scenario.exit)
-        for got, want in zip((new.y, new.d_falsify, new.exited, new.low_payoff_streak), expected):
-            assert_same(got, want)
-        state = new
+    with choices_seen() as seen:
+        for _ in range(steps):
+            new = step(state, scenario)
+            expected = reference_tail(state, seen["chosen"], seen["best"], scenario.exit)
+            for got, want in zip((new.y, new.d_falsify, new.exited, new.low_payoff_streak),
+                                 expected):
+                assert_same(got, want)
+            state = new

@@ -1,7 +1,7 @@
 """A step repeats its predecessor's decision only when every input of it is unchanged.
 
-:func:`step` keeps its inputs and its decision (perceived probability,
-chosen stances, best payoff) on the state it returns, and the next step
+:func:`step` keeps its inputs and its decision (perceived probability, new
+stances and the masks of the streak updates) on the state it returns, and the next step
 reuses them when the network, the specs, the parameters, the environment
 after events, the stances, the exit flags and the falsification penalties
 all match; :func:`run` reuses the previous record when a step changed
@@ -113,10 +113,10 @@ def checked_run(scenario, state):
     return records, len(calls)
 
 
-def make_state(net, params, y, d_falsify=None, exited=None):
+def make_state(net, params, y, d_falsify=None, exited=None, env=None):
     n = net.n
     return SimState(
-        t=0, env=Environment(beta_share=0.5), network=net, params=params,
+        t=0, env=Environment(beta_share=0.5) if env is None else env, network=net, params=params,
         y=np.asarray(y, dtype=np.int8),
         d_falsify=np.zeros(n, dtype=np.int64) if d_falsify is None else np.asarray(d_falsify),
         exited=np.zeros(n, dtype=bool) if exited is None else np.asarray(exited),
@@ -135,6 +135,9 @@ def make_scenario(horizon, integrity, exit=None, events=(), spec=None):
 
 coarse = st.sampled_from([0.0, 0.5, 1.0])  # tie-prone: payoffs often coincide exactly
 factor = st.one_of(coarse, coarse, st.floats(0.0, 2.0))
+# Zeros of both signs: numpy keeps the sign of a zero through np.maximum and np.clip, so an
+# environment that differs from another only there must not share its decision.
+signed = st.sampled_from([0.0, -0.0, 0.25, -0.5])
 
 
 @st.composite
@@ -146,7 +149,7 @@ def worlds(draw):
     column = st.lists(factor, min_size=n, max_size=n).map(np.array)
     params = ParamArrays(
         **{name: draw(column) for name in FACTOR_NAMES if name != "p_base"},
-        p_base=draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)
+        p_base=draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)
                     .map(np.array)),
         x_rebel=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
     )
@@ -154,8 +157,8 @@ def worlds(draw):
     integrity = IntegritySpec(nu_match=draw(coarse), nu0=0.1,
                               kappa=draw(st.sampled_from([0.0, 0.05, 0.2])), cap=0.5)
     horizon = draw(st.integers(1, 25))
-    deltas = st.dictionaries(st.sampled_from(DELTA_FIELDS), st.sampled_from([-0.5, 0.25, 0.5]),
-                             max_size=3)  # may be empty: an event that shifts nothing
+    deltas = st.dictionaries(st.sampled_from(DELTA_FIELDS), st.one_of(signed, st.just(0.5)),
+                             max_size=3)  # may be empty or zero: an event that shifts nothing
     events = [
         Event(step=s, label=f"e{k}", deltas=d)
         for k, (s, d) in enumerate(sorted(draw(st.lists(
@@ -168,11 +171,17 @@ def worlds(draw):
     ))
     spec = ReputationSpec(draw(st.sampled_from(ReputationVariant)), alpha=draw(coarse),
                           centered=draw(st.booleans()))
+    env = Environment(beta_share=draw(st.sampled_from([0.5, 0.0, -0.0])),
+                      **draw(st.dictionaries(st.sampled_from(DELTA_FIELDS), signed, max_size=3)))
     state = make_state(
         net, params,
         y=draw(st.lists(st.sampled_from(list(Position)), min_size=n, max_size=n)),
         d_falsify=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
-        exited=draw(st.lists(st.sampled_from([False, False, False, True]), min_size=n, max_size=n)),
+        exited=draw(st.one_of(
+            st.lists(st.sampled_from([False, False, False, True]), min_size=n, max_size=n),
+            st.just([True] * n),  # nobody left to decide
+        )),
+        env=env,
     )
     return make_scenario(horizon, integrity, exit_rule, events, spec), state
 
@@ -369,6 +378,22 @@ def test_replaced_environment_is_seen():
     assert new._memo.p.tolist() == [0.75] * 3  # 0.5 + 0.25; nobody showed R
 
 
+def test_an_environment_that_differs_only_in_the_sign_of_a_zero_is_seen():
+    """``-0.0 == 0.0``, but with ``p_base``, ``beta_share`` and ``dp`` all ``-0.0`` the
+    perceived probability is ``-0.0``: an event of ``dp: 0.0`` makes it ``0.0``, so the
+    environments must be compared bit for bit."""
+    state, scenario = still_world()
+    state = replace(state, env=Environment(beta_share=-0.0, dp=-0.0),
+                    params=replace(state.params, p_base=np.full(state.n, -0.0)))
+    scenario.events = [Event(step=1, label="zero", deltas={"dp": 0.0})]
+    state = step(state, scenario)
+    assert bits(state._memo.p) == bits(np.full(state.n, -0.0))
+    assert choices(state, scenario) == 1
+    new = step(state, scenario)
+    assert new.env == state.env and state_bits(new) == state_bits(fresh_step(state, scenario))
+    assert bits(new._memo.p) == bits(np.zeros(state.n))
+
+
 def test_replaced_params_are_seen():
     state, scenario = still_world()
     state = step(state, scenario)
@@ -397,7 +422,8 @@ def test_changed_network_and_specs_are_seen():
 
 def memo_bits(memo):
     """Every array a step keeps, level by level, as bytes."""
-    levels = (memo.base, memo.keys, memo.weight, memo.denom, memo.rep, memo.p, memo.chosen, memo.best)
+    levels = (memo.base, memo.keys, memo.weight, memo.denom, memo.rep, memo.p, memo.y_next,
+              memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -532,14 +558,61 @@ def test_choice_runs_once_per_step_whose_decision_inputs_changed():
     assert len(calls) == len(rebel) == changed < 240
 
 
+def environments(scenario):
+    """The environment each step of ``scenario`` decides under, after its events."""
+    envs, env = [], Environment(beta_share=scenario.beta_share)
+    for t in range(scenario.horizon):
+        env = engine.apply_events(env, scenario.events, t)
+        envs.append(env)
+    return envs
+
+
 def test_effective_factors_are_made_once_per_environment():
-    """``effective_params`` runs on the first step and at each event, not on the other steps
-    whose decision is recomputed: the parameters and the environment are the same objects."""
+    """``effective_params`` runs on the first step and at each event that changes the
+    environment, not on the other steps whose decision is recomputed.  The baseline's
+    ``tv_ban`` shifts nothing, so it is an event that fires and changes nothing."""
     scenario = iterative_exits_scenario()
     with counting("effective_params") as calls, counting("choose_positions") as chosen:
         run(scenario)
+    envs = environments(scenario)
+    changes = sum(env != last for last, env in zip(envs, envs[1:]))
     fired = {ev.step for ev in scenario.events if 0 < ev.step < scenario.horizon}
-    assert len(calls) == 1 + len(fired) < len(chosen)
+    assert changes < len(fired)
+    assert len(calls) == 1 + changes < len(chosen)
+
+
+def test_marker_events_recompute_nothing():
+    """With an event of no offsets at every step, ``choose_positions`` runs once per step
+    whose stances, exits, penalties or environment changed, and ``effective_params`` once
+    per step whose environment changed; the first step counts as changed.  The records are
+    the run's without the markers, but for the events' labels."""
+    scenario = iterative_exits_scenario()
+    markers = tuple(Event(step=t, label="mark", deltas={}) for t in range(scenario.horizon))
+    marked = replace(scenario, events=(*scenario.events, *markers))
+    spec, inputs, real_step = scenario.integrity, [], engine.step
+
+    def recording_step(state, scenario):
+        penalty = engine.falsification_penalty(spec, state.d_falsify)
+        inputs.append((state.y.copy(), state.exited.copy(), penalty))
+        return real_step(state, scenario)
+
+    engine.step = recording_step
+    try:
+        with counting("choose_positions") as calls, counting("effective_params") as factors:
+            records = run(marked)
+    finally:
+        engine.step = real_step
+    envs = environments(marked)
+    assert envs == environments(scenario)
+    new_env = [env != last for last, env in zip(envs, envs[1:])]
+    changed = 1 + sum(
+        moved or not all(map(np.array_equal, now, before))
+        for before, now, moved in zip(inputs, inputs[1:], new_env)
+    )
+    assert len(calls) == changed < scenario.horizon
+    assert len(factors) == 1 + sum(new_env)
+    unlabelled = [record_bits(replace(r, events=())) for r in run(scenario)]
+    assert [record_bits(replace(r, events=())) for r in records] == unlabelled
 
 
 def test_observed_weights_run_once_per_step_whose_exits_changed():
