@@ -14,11 +14,14 @@ population's arrays, and :func:`step` and the cascade analysis call them on
 the arrays.  The single-agent calls (``check_exit`` here, and the reputation
 functions in :mod:`network`) are n=1 views over the same kernels.
 
-Stances under preference falsification stand still for long stretches, so
-each state carries a memo of the step that made it (:class:`_StepMemo`): the
-next step recomputes only what its changed inputs reach, and :func:`run`
-reuses the previous record when the decision is reused.  The per-element
-rules are mask arithmetic, which does not branch per element.
+Stances under preference falsification stand still for long stretches and then
+flip in cascades, so each state carries a memo of the step that made it
+(:class:`_StepMemo`): the next step recomputes only what its changed inputs
+reach, and :func:`run` reuses the previous record when the decision is reused.
+Under the fraction variants on integral weights the memo keeps each observer's
+observed weight per stance, and a step walks only the audiences of the agents
+whose stance or exit changed.  The per-element rules are mask arithmetic, which
+does not branch per element.
 """
 
 from __future__ import annotations
@@ -44,12 +47,15 @@ from .model import (  # the payoff_* are bound here for perfbench/trace_cli.py's
 )
 from .network import (
     SocialNetwork,
+    counted,
     edge_weights,
     generate_network,
     influence_scores,
     observed_weights,
     observer_totals,
     reputation_terms,
+    stance_counts,
+    terms_from_counts,
 )
 from .scenario import (  # re-exported: the spec types are load-time names
     DELTA_FIELDS,
@@ -169,10 +175,8 @@ class _StepMemo(NamedTuple):
 
     Four levels, each valid while its own key and every key above it match:
 
-    1. the network (by identity: its arrays are read-only) and the reputation
-       spec: the per-edge base weights, the bincount keys ``3 * src`` and a
-       per-edge int64 buffer, ``scratch``;
-    2. the exit flags: the observed weights and each observer's total;
+    1. the network (by identity: its arrays are read-only) and the reputation spec;
+    2. the exit flags: each observer's total observed weight ``denom``;
     3. the previous stances: the reputation terms;
     4. the parameters (by identity: their columns are read-only), the
        environment after events (field by field, see :func:`_same_env`), the
@@ -180,27 +184,33 @@ class _StepMemo(NamedTuple):
        :func:`_steady_streak`: the perceived probability ``p`` and the new
        stances and masks of the step's tail (see :func:`_tail_masks`).
 
+    Where :func:`~dissentsim.network.counted` holds (the fraction variants on integral
+    weights), levels 2 and 3 keep the counts ``num`` of :func:`stance_counts`, and a change
+    walks only the in-edges of the agents whose stance or exit flag changed: the memo holds
+    no array with an entry per edge.  Otherwise level 3 makes a keyed pass over every edge
+    with what ``edges`` keeps: the per-edge base weights, the bincount keys ``3 * src`` and
+    an int64 buffer ``scratch`` (level 1), and the observed weights ``weight`` (level 2).
+
     The effective factors ``eff`` are kept while the parameters and the
     environment are the same, through changes of the levels above.
 
     ``exited``, ``y`` and ``streaks`` are private copies, so a later step
     compares them by content and stays exact after in-place edits of a
-    state's arrays; the arrays it hands out are read-only.  So are
-    the others but ``weight`` and ``scratch``, which only ``np.bincount``
-    reads: it copies a read-only array on every call.  ``scratch`` holds the
-    observers' ids for their totals, then the stance keys for the reputation
-    terms; every step from a state that shares the first level writes it.
+    state's arrays.  States share memos, so a step replaces what it changes and
+    never updates a kept array in place.  The kept arrays are read-only, but
+    ``weight`` and ``scratch``, which only ``np.bincount`` reads: it copies a
+    read-only array on every call.  ``scratch`` holds the observers' ids for their
+    totals, then the stance keys for the reputation terms; every step from a state
+    that shares the first level writes it.
     """
 
     network: SocialNetwork
     reputation: ReputationSpec
-    base: np.ndarray
-    keys: np.ndarray
-    scratch: np.ndarray
+    edges: tuple | None  # (base, keys, scratch, weight), see above
     exited: np.ndarray
-    weight: np.ndarray
     denom: np.ndarray
     y: np.ndarray
+    num: np.ndarray | None
     rep: np.ndarray
     integrity: IntegritySpec
     exit: ExitSpec | None
@@ -526,24 +536,19 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     same_net = last is not None and last.network is net and last.reputation == spec
     same_exits = same_net and np.array_equal(last.exited, exited)
     same_public = same_exits and np.array_equal(last.y, y_prev)
-    if same_net:
-        base, keys, scratch = last.base, last.keys, last.scratch
-    else:
-        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
-        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        base, keys = edge_weights(spec, net.w, net.dst, scores), 3 * net.src
-        scratch = np.empty_like(keys)
-    if same_exits:
-        exited, weight, denom = last.exited, last.weight, last.denom
-    else:  # an exit changed since the last step
-        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
-        np.copyto(scratch, net.src)
-        exited, denom = exited.copy(), observer_totals(scratch, weight, net.n)
     if same_public:
-        y_prev, rep = last.y, last.rep
-    else:  # a stance changed since the last step
-        rep = reputation_terms(spec, net.src, weight, y_prev[net.dst], net.n, denom, keys, scratch)
-        y_prev = y_prev.copy()
+        edges, denom, num, rep = last.edges, last.denom, last.num, last.rep
+    elif counted(spec, net):  # walk the changed agents' audiences
+        since = (last.num, last.y, last.exited) if same_net else None
+        edges, num = None, stance_counts(spec, net, y_prev, exited, since)
+        denom = last.denom if same_exits else num.sum(axis=1)
+        rep = terms_from_counts(spec, num, denom)
+    else:
+        edges, denom, rep = _edge_pass(net, spec, y_prev, exited, last if same_net else None,
+                                       same_exits)
+        num = None
+    exited = last.exited if same_exits else exited.copy()
+    y_prev = last.y if same_public else y_prev.copy()
     streaks = np.minimum(state.d_falsify, _steady_streak(integrity))
     same_inputs = last is not None and last.params is pa and _same_env(last.env, env)
     if (
@@ -563,8 +568,8 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
 
     # The kernels' inputs are checked where they are made: the factors and p_base by
-    # effective_params, the reputation denominators by observer_totals; integ and p are
-    # finite by construction.
+    # effective_params, the reputation denominators by observer_totals or, for counts, by
+    # network.counted; integ and p are finite by construction.
     NJ, U, R = Position.NJ, Position.U, Position.R
     e_nj = nojoin_kernel(eff.S, eff.c, p, rep[:, NJ], integ[NJ], pa.V_NJ)
     e_u = statusquo_kernel(eff.S, eff.A_R, eff.C, p, rep[:, U], integ[U], pa.V_U)
@@ -573,15 +578,37 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
     y_next, grow, keep, low, hold = _tail_masks(chosen, best, y_prev, exited, pa.x_rebel,
                                                 scenario.exit)
-    for kept in (base, keys, denom, rep, streaks, p, y_next, grow, keep, low, hold):
+    for kept in (denom, num, rep, streaks, p, y_next, grow, keep, low, hold):
         if kept is not None:
             kept.setflags(write=False)
     return _StepMemo(
-        network=net, reputation=spec, base=base, keys=keys, scratch=scratch, exited=exited,
-        weight=weight, denom=denom, y=y_prev, rep=rep, integrity=integrity, exit=scenario.exit,
-        params=pa, env=env, eff=eff, streaks=streaks, p=p,
-        y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
+        network=net, reputation=spec, edges=edges, exited=exited, denom=denom, y=y_prev,
+        num=num, rep=rep, integrity=integrity, exit=scenario.exit, params=pa, env=env, eff=eff,
+        streaks=streaks, p=p, y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
     )
+
+
+def _edge_pass(net, spec, y, exited, last, same_exits):
+    """The kept ``edges``, the observer totals and the reputation terms of a keyed pass over
+    every edge (see :class:`_StepMemo`), reusing ``last``'s first level unless it is None,
+    and its second while ``same_exits``."""
+    if last is None:
+        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+        base, keys = edge_weights(spec, net.w, net.dst, scores), 3 * net.src
+        base.setflags(write=False)
+        keys.setflags(write=False)
+        scratch = np.empty_like(keys)
+    else:
+        base, keys, scratch, weight = last.edges
+    if same_exits:
+        denom = last.denom
+    else:  # an exit changed since the last step
+        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
+        np.copyto(scratch, net.src)
+        denom = observer_totals(scratch, weight, net.n)
+    rep = reputation_terms(spec, net.src, weight, y[net.dst], net.n, denom, keys, scratch)
+    return (base, keys, scratch, weight), denom, rep
 
 
 def _record_from(state: SimState) -> StepRecord:

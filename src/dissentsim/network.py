@@ -63,8 +63,8 @@ class SocialNetwork:
     stably sorted by source as ``src``, ``dst`` and ``w``; agent i's are
     ``row_ptr[i]:row_ptr[i + 1]``.
     The ``edges`` tuples and ``out_edges`` are views built on request.
-    Instances are immutable (the arrays are read-only copies), so views and
-    influence scores are cached.
+    Instances are immutable (the arrays are read-only copies), so views, the
+    in-edge index and influence scores are cached.
     """
 
     n: int
@@ -117,6 +117,26 @@ class SocialNetwork:
     @cached_property
     def _influence_memo(self) -> dict:
         return {}
+
+    @cached_property
+    def _integral_totals(self) -> bool:
+        """Whether every weight is integral and every observer's total weight is below 2**53.
+        Then each sum of some of an observer's weights is an integer that float64 holds
+        exactly, whatever the order of the additions."""
+        if not np.array_equal(self.w, np.floor(self.w)):
+            return False
+        return bool(np.bincount(self.src, weights=self.w, minlength=self.n).max() < 2.0**53)
+
+    @cached_property
+    def _audiences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each agent's in-edges, as CSR arrays by target: ``ptr``, then the observer and the
+        weight of each edge.  A stable transpose of the edges, built on first use."""
+        order = np.argsort(self.dst, kind="stable")
+        index = (np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order),
+                 self.src[order], self.w[order])
+        for array in index:
+            array.setflags(write=False)
+        return index
 
     def _row(self, agent: int) -> slice:
         """The slice of ``src``/``dst``/``w`` holding ``agent``'s out-edges."""
@@ -181,6 +201,12 @@ def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
         keys = 3 * row
     # One keyed pass sums each observer's weight per stance.
     num = np.bincount(np.add(keys, stance, out=out), weights=weight, minlength=3 * n).reshape(n, 3)
+    return terms_from_counts(spec, num, denom)
+
+
+def terms_from_counts(spec: ReputationSpec, num, denom) -> np.ndarray:
+    """:func:`reputation_terms` from each observer's observed weight per stance ``num``, an
+    (n, 3) array, and its total ``denom``."""
     has_obs = denom > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         rep = num / np.where(has_obs, denom, 1.0)[:, None]  # the fractions, in place below
@@ -189,6 +215,48 @@ def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
     rep *= spec.alpha
     rep[~has_obs] = 0.0
     return rep
+
+
+def counted(spec: ReputationSpec, network: SocialNetwork) -> bool:
+    """Whether ``spec``'s reputation terms over ``network`` can come from :func:`stance_counts`:
+    under ``unweighted_fraction``, and under ``weighted_fraction`` on integral weights whose
+    every observer's total is below 2**53.  Each count is then an integer that float64 holds
+    exactly, so counts kept up to date edge by edge equal the keyed pass's bit for bit."""
+    if spec.variant is ReputationVariant.WEIGHTED_FRACTION:
+        return network._integral_totals
+    return spec.variant is ReputationVariant.UNWEIGHTED_FRACTION
+
+
+def _tally(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarray:
+    """The weights of the in-edges of ``agents`` (a mask), summed per observer and by the
+    stance ``y`` gives each agent: an (n, 3) float64 array, from a walk over those edges."""
+    ptr, observers, weights = network._audiences
+    agents = np.flatnonzero(agents)
+    first, sizes = ptr[agents], ptr[agents + 1] - ptr[agents]
+    edges = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+    edges += np.arange(edges.size)  # the positions of the agents' in-edges, in order
+    keys = observers[edges]
+    keys *= 3
+    keys += np.repeat(y[agents], sizes)
+    weight = None if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION else weights[edges]
+    tally = np.bincount(keys, weights=weight, minlength=3 * network.n)
+    return tally.reshape(-1, 3).astype(np.float64, copy=False)
+
+
+def stance_counts(spec: ReputationSpec, network: SocialNetwork, y, exited, since=None) -> np.ndarray:
+    """Each observer's observed weight per stance, the (n, 3) numerators of
+    :func:`reputation_terms`, where :func:`counted` holds.  ``since``, an earlier call's
+    ``(counts, y, exited)`` over the same network and spec, is brought up to date over the
+    in-edges of the agents whose stance or exit flag differs: each edge's weight leaves the
+    count of the old stance if its target was visible, and joins that of the new one if it
+    is now."""
+    visible = ~exited
+    if since is None:
+        return _tally(spec, network, visible, y)
+    counts, y_then, exited_then = since
+    changed = (y != y_then) | (exited != exited_then)
+    return (counts - _tally(spec, network, changed & ~exited_then, y_then)
+            + _tally(spec, network, changed & visible, y))
 
 
 def _reputation(agent, position, network, publics, spec, scores=None) -> float:
@@ -320,8 +388,14 @@ def public_sentiment(
     return acc / total
 
 
-def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray) -> SocialNetwork:
-    return SocialNetwork._from_columns(n, src, dst, np.ones(len(dst)))
+def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray, symmetric: bool = False) -> SocialNetwork:
+    """The generated network, with what its generator knows recorded: unit weights have
+    integral totals, and where every tie runs both ways the CSR rows are the audiences."""
+    network = SocialNetwork._from_columns(n, src, dst, np.ones(len(dst)))
+    object.__setattr__(network, "_integral_totals", True)  # each total is a degree, below n
+    if symmetric:
+        object.__setattr__(network, "_audiences", (network.row_ptr, network.dst, network.w))
+    return network
 
 
 def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
@@ -345,7 +419,7 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     if spec.kind is NetworkKind.COMPLETE:
         src = np.repeat(np.arange(n), n - 1)
         col = np.tile(np.arange(n - 1), n)
-        return _unit_weight(n, src, col + (col >= src))  # skip the diagonal
+        return _unit_weight(n, src, col + (col >= src), symmetric=True)  # skip the diagonal
 
     if spec.kind is NetworkKind.ERDOS_RENYI:
         rows = []
@@ -435,4 +509,4 @@ def _small_world(n: int, half: int, rewire_p: float, stream: _RawStream) -> Soci
     i = lattice % n
     j = (i + lattice // n + 1) % n
     keys = np.sort(np.concatenate((i * n + j, j * n + i, np.fromiter(added, np.int64, len(added)))))
-    return _unit_weight(n, keys // n, keys % n)
+    return _unit_weight(n, keys // n, keys % n, symmetric=True)

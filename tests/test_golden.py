@@ -6,7 +6,8 @@ is changed on purpose.  ``small_donbass`` is the committed baseline scaled to
 ``EDGES`` is a six-agent scenario whose threshold rows hit ``inf``, ``-inf``
 and ``-0.000000``, with a step-0 event that floors an offset at zero.  The
 other network kinds and ``sweep`` are pinned on variants of ``small_donbass``:
-a complete graph with unweighted reputation and exits that fire, an
+a complete graph with unweighted reputation and exits that fire, the
+``dense`` benchmark workload's complete graph at 600 agents with its exits, an
 Erdos-Renyi graph, the summary of a two-seed ``iterative_influence`` sweep,
 a 240-step ``iterative_influence`` run with exits whose public state
 stands still between changes (the steps that reuse their reputation terms),
@@ -105,6 +106,20 @@ def _small_complete_with_exits() -> dict:
     return doc
 
 
+def _dense_exits() -> dict:
+    """perfbench's ``dense`` workload at 600 agents: a complete graph, centred unweighted
+    reputation, and the exit rule under which about a fifth of the agents leave."""
+    doc = json.loads(DONBASS_PATH.read_text(encoding="utf-8"))
+    groups = doc["population"]["groups"]
+    total = sum(g["count"] for g in groups)
+    for group in groups:
+        group["count"] = group["count"] * 600 // total
+    doc["network"] = {"kind": "complete"}
+    doc["reputation"] = {"variant": "unweighted_fraction", "alpha": 0.5, "centered": True}
+    doc["exit"] = {"threshold": 0.0, "patience": 10}
+    return doc
+
+
 def _small_erdos_renyi() -> dict:
     doc = _small_donbass()
     doc["network"] = {"kind": "erdos_renyi", "p_edge": 0.05}
@@ -142,6 +157,7 @@ SWEEP_SPEC = {"path": "reputation.alpha", "values": [0.3, 0.6], "seeds": [1, 2]}
 
 GOLDEN_RUN_CSV = {
     "complete_exits": "54c19a724deb71dc0c3631c96a3ee94fb357c33d2b45a75bdcbbefbe129c0413",
+    "dense_exits": "f87c647bb863a23d1f03a661a87faa4bcf835726947db861768e04a54d821a4f",
     "erdos_renyi": "5849b46f8bfd1748be8c74eab3066dbcae4e64f4bdb17387ace1330fe59a8c6a",
     "iterative_exits": "825700b561fa0bab133d10e32338b8878e51664fd296c2b78f32e144353b860e",
     "rewired_small_world": "714949775ded6696766551f130fbcabce699f96a4ec2653de8576703521601d6",
@@ -198,6 +214,7 @@ def _run_csv(doc: dict, workdir) -> bytes:
     "name, doc",
     [
         ("complete_exits", _small_complete_with_exits()),
+        ("dense_exits", _dense_exits()),
         ("erdos_renyi", _small_erdos_renyi()),
         ("iterative_exits", _small_iterative_exits()),
         ("rewired_small_world", _rewired_small_world()),

@@ -250,11 +250,13 @@ def test_a_scenario_with_unsorted_events_runs_them_in_list_order():
 
 # ---------------------------------------------------------------- explicit cases
 
-def still_world(kappa=0.0, nu0=0.6, d_falsify=(0, 0, 0), exit=None, horizon=6):
+def still_world(kappa=0.0, nu0=0.6, d_falsify=(0, 0, 0), exit=None, horizon=6, weight=1.0):
     """Three agents who all keep showing NJ.  Agents 0 and 1 prefer U and do best at 0.65
     (penalty 0.6), agent 2 prefers R and does best at 4.65; all three falsify, so their
-    penalties move while ``kappa > 0`` and the penalty is below its cap of 1."""
-    net = SocialNetwork(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    penalties move while ``kappa > 0`` and the penalty is below its cap of 1.  The ring's
+    edges all weigh ``weight``: the default is integral, so the weighted reputation comes
+    from maintained counts; 0.5 takes the keyed pass over every edge."""
+    net = SocialNetwork(3, [(0, 1, weight), (1, 2, weight), (2, 0, weight)])
     n = 3
     params = ParamArrays(
         **{name: np.zeros(n) for name in FACTOR_NAMES if name not in ("p_base", "V_NJ")},
@@ -346,10 +348,11 @@ def test_in_place_streak_edits_below_and_above_the_steady_streak_are_seen():
         state = step(state, scenario)
 
 
-def test_a_still_step_hands_out_arrays_of_its_own():
+@pytest.mark.parametrize("weight", [1.0, 0.5])  # counts, and the keyed pass
+def test_a_still_step_hands_out_arrays_of_its_own(weight):
     """Editing the arrays of a state made by a still step changes neither the kept memo nor
     the state it was stepped from."""
-    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5))
+    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5), weight=weight)
     state = step(state, scenario)
     new = step(state, scenario)
     assert new._memo is state._memo
@@ -421,9 +424,11 @@ def test_changed_network_and_specs_are_seen():
 
 
 def memo_bits(memo):
-    """Every array a step keeps, level by level, as bytes."""
-    levels = (memo.base, memo.keys, memo.weight, memo.denom, memo.rep, memo.p, memo.y_next,
-              memo.grow, memo.keep)
+    """Every array a step keeps, level by level, as bytes: the keyed pass's per-edge arrays
+    or the stance counts, then the totals, the terms and the decision."""
+    edges = () if memo.edges is None else (memo.edges[0], memo.edges[1], memo.edges[3])
+    counts = () if memo.num is None else (memo.num,)
+    levels = (*edges, *counts, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -445,9 +450,10 @@ def counting_levels():
 def test_in_place_edits_invalidate_only_their_levels():
     """An exit edited in place recomputes the observed weights and everything below them; a
     stance edited in place recomputes the reputation terms alone; either way the kept arrays
-    equal those of a step that keeps nothing."""
-    state, scenario = still_world()
+    equal those of a step that keeps nothing.  Non-integral weights take the keyed pass."""
+    state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
+    assert state._memo.edges is not None and state._memo.num is None
     with counting_levels() as taken:
         step(state, scenario)
         assert taken() == (0, 0, 0)
@@ -464,6 +470,35 @@ def test_in_place_edits_invalidate_only_their_levels():
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         step(new, scenario)
         assert taken() == (0, 1, 1)
+
+
+def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
+    """On integral weights a stance edited in place walks the changed agent's audience from
+    the kept counts and keeps the totals; an exit edited in place also changes the totals.
+    No keyed pass runs, and the kept arrays equal those of a step that keeps nothing."""
+    state, scenario = still_world()
+    state = step(state, scenario)
+    assert state._memo.edges is None
+    with counting("stance_counts") as counts, counting_levels() as taken:
+        step(state, scenario)
+        assert (len(counts), taken()) == (0, (0, 0, 0))
+        state.y[0] = Position.U
+        new = step(state, scenario)
+        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert counts.pop()[4] is not None  # brought up to date from the kept counts
+        assert new._memo.denom is state._memo.denom
+        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        counts.clear()
+        state.exited[1] = True
+        new = step(state, scenario)
+        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert bits(new._memo.denom) != bits(state._memo.denom)
+        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        counts.clear()
+        state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
+        again = step(new, scenario)
+        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert bits(again._memo.denom) == bits(state._memo.denom)
 
 
 def test_replaced_network_or_spec_rebuilds_the_base_weights():
@@ -486,19 +521,20 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
 
 def test_the_edge_buffer_is_kept_with_the_network():
     """The writable per-edge buffer is made once per network and spec; the observer totals
-    and reputation terms made through it equal the public kernels'."""
-    state, scenario = still_world()
+    and reputation terms made through it equal the public kernels'.  Non-integral weights
+    take the keyed pass."""
+    state, scenario = still_world(weight=0.5)
     first = step(state, scenario)
     first.y[0] = Position.U
     first.exited[2] = True
     second = step(first, scenario)
-    memo, net, spec = second._memo, first.network, scenario.reputation
-    assert memo.scratch is first._memo.scratch and memo.scratch.flags.writeable
+    (_, _, scratch, kept), net, spec = second._memo.edges, first.network, scenario.reputation
+    assert scratch is first._memo.edges[2] and scratch.flags.writeable
     weight = engine.observed_weights(spec, net.w, net.dst, first.exited[net.dst])
-    assert bits(memo.weight) == bits(weight)
-    assert bits(memo.denom) == bits(engine.observer_totals(net.src, weight, net.n))
+    assert bits(kept) == bits(weight)
+    assert bits(second._memo.denom) == bits(engine.observer_totals(net.src, weight, net.n))
     expected = engine.reputation_terms(spec, net.src, weight, first.y[net.dst], net.n)
-    assert bits(memo.rep) == bits(expected)
+    assert bits(second._memo.rep) == bits(expected)
 
 
 def test_negative_falsification_streak_still_raises():
