@@ -214,10 +214,10 @@ def _run_csv(doc: dict, workdir) -> bytes:
     "name, doc",
     [
         ("complete_exits", _small_complete_with_exits()),
-        ("dense_exits", _dense_exits()),
         ("erdos_renyi", _small_erdos_renyi()),
         ("iterative_exits", _small_iterative_exits()),
         ("rewired_small_world", _rewired_small_world()),
+        ("dense_exits", _dense_exits()),
     ],
 )
 def test_golden_run_csv_other_networks(name, doc, tmp_path):

@@ -348,26 +348,26 @@ def test_in_place_streak_edits_below_and_above_the_steady_streak_are_seen():
         state = step(state, scenario)
 
 
-@pytest.mark.parametrize("weight", [1.0, 0.5])  # counts, and the keyed pass
-def test_a_still_step_hands_out_arrays_of_its_own(weight):
+def test_a_still_step_hands_out_arrays_of_its_own():
     """Editing the arrays of a state made by a still step changes neither the kept memo nor
     the state it was stepped from."""
-    state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5), weight=weight)
-    state = step(state, scenario)
-    new = step(state, scenario)
-    assert new._memo is state._memo
-    arrays = ("y", "d_falsify", "exited", "low_payoff_streak")
-    kept = [bits(getattr(state, name)) for name in arrays]
-    masks = (new._memo.y, new._memo.exited, new._memo.streaks, new._memo.y_next, new._memo.grow,
-             new._memo.keep, new._memo.low, new._memo.hold)
-    before = memo_bits(new._memo), [bits(a) for a in masks]
-    new.y[:] = Position.R
-    new.d_falsify[:] = 99
-    new.exited[:] = True
-    new.low_payoff_streak[:] = 4
-    assert [bits(getattr(state, name)) for name in arrays] == kept
-    assert (memo_bits(new._memo), [bits(a) for a in masks]) == before
-    assert state_bits(step(state, scenario)) == state_bits(fresh_step(state, scenario))
+    for weight in (1.0, 0.5):  # counts, and the keyed pass
+        state, scenario = still_world(exit=ExitSpec(threshold=1.0, patience=5), weight=weight)
+        state = step(state, scenario)
+        new = step(state, scenario)
+        assert new._memo is state._memo
+        arrays = ("y", "d_falsify", "exited", "low_payoff_streak")
+        kept = [bits(getattr(state, name)) for name in arrays]
+        masks = (new._memo.y, new._memo.exited, new._memo.streaks, new._memo.y_next, new._memo.grow,
+                 new._memo.keep, new._memo.low, new._memo.hold)
+        before = memo_bits(new._memo), [bits(a) for a in masks]
+        new.y[:] = Position.R
+        new.d_falsify[:] = 99
+        new.exited[:] = True
+        new.low_payoff_streak[:] = 4
+        assert [bits(getattr(state, name)) for name in arrays] == kept
+        assert (memo_bits(new._memo), [bits(a) for a in masks]) == before
+        assert state_bits(step(state, scenario)) == state_bits(fresh_step(state, scenario))
 
 
 def test_replaced_environment_is_seen():
