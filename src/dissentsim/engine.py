@@ -18,10 +18,11 @@ Stances under preference falsification stand still for long stretches and then
 flip in cascades, so each state carries a memo of the step that made it
 (:class:`_StepMemo`): the next step recomputes only what its changed inputs
 reach, and :func:`run` reuses the previous record when the decision is reused.
-Under the fraction variants on integral weights the memo keeps each observer's
-observed weight per stance, and a step walks only the audiences of the agents
-whose stance or exit changed.  The per-element rules are mask arithmetic, which
-does not branch per element.
+The memo keeps each observer's observed weight per stance and its total, from
+which one formula makes the reputation terms.  Under the fraction variants on
+integral weights a step brings them up to date over the audiences of the agents
+whose stance or exit changed; otherwise it makes one keyed pass over every edge.
+The per-element rules are mask arithmetic, which does not branch per element.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .network import (
     influence_scores,
     observed_weights,
     observer_totals,
-    reputation_terms,
     stance_counts,
     terms_from_counts,
 )
@@ -177,7 +177,8 @@ class _StepMemo(NamedTuple):
 
     1. the network (by identity: its arrays are read-only) and the reputation spec;
     2. the exit flags: each observer's total observed weight ``denom``;
-    3. the previous stances: the reputation terms;
+    3. the previous stances: each observer's observed weight per stance ``num`` (n x 3),
+       and the reputation terms ``rep``, made from ``num`` and ``denom`` alone;
     4. the parameters (by identity: their columns are read-only), the
        environment after events (field by field, see :func:`_same_env`), the
        integrity and exit specs, and the falsification streaks clipped at
@@ -185,11 +186,11 @@ class _StepMemo(NamedTuple):
        stances and masks of the step's tail (see :func:`_tail_masks`).
 
     Where :func:`~dissentsim.network.counted` holds (the fraction variants on integral
-    weights), levels 2 and 3 keep the counts ``num`` of :func:`stance_counts`, and a change
-    walks only the in-edges of the agents whose stance or exit flag changed: the memo holds
-    no array with an entry per edge.  Otherwise level 3 makes a keyed pass over every edge
-    with what ``edges`` keeps: the per-edge base weights, the bincount keys ``3 * src`` and
-    an int64 buffer ``scratch`` (level 1), and the observed weights ``weight`` (level 2).
+    weights), a change walks only the in-edges of the agents whose stance or exit flag
+    changed (:func:`stance_counts`), and ``edges`` is None: the memo holds no array with an
+    entry per edge.  Otherwise ``num`` comes from a keyed pass over every edge, and ``edges``
+    keeps two per-edge arrays: the base weights (level 1) and the observed weights
+    ``weight`` (level 2).
 
     The effective factors ``eff`` are kept while the parameters and the
     environment are the same, through changes of the levels above.
@@ -198,19 +199,17 @@ class _StepMemo(NamedTuple):
     compares them by content and stays exact after in-place edits of a
     state's arrays.  States share memos, so a step replaces what it changes and
     never updates a kept array in place.  The kept arrays are read-only, but
-    ``weight`` and ``scratch``, which only ``np.bincount`` reads: it copies a
-    read-only array on every call.  ``scratch`` holds the observers' ids for their
-    totals, then the stance keys for the reputation terms; every step from a state
-    that shares the first level writes it.
+    ``weight``, which only ``np.bincount`` reads: it copies a read-only weights array on
+    every call.
     """
 
     network: SocialNetwork
     reputation: ReputationSpec
-    edges: tuple | None  # (base, keys, scratch, weight), see above
+    edges: tuple | None  # (base, weight), see above
     exited: np.ndarray
     denom: np.ndarray
     y: np.ndarray
-    num: np.ndarray | None
+    num: np.ndarray
     rep: np.ndarray
     integrity: IntegritySpec
     exit: ExitSpec | None
@@ -537,16 +536,15 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     same_exits = same_net and np.array_equal(last.exited, exited)
     same_public = same_exits and np.array_equal(last.y, y_prev)
     if same_public:
-        edges, denom, num, rep = last.edges, last.denom, last.num, last.rep
+        edges, num, denom = last.edges, last.num, last.denom
     elif counted(spec, net):  # walk the changed agents' audiences
         since = (last.num, last.y, last.exited) if same_net else None
         edges, num = None, stance_counts(spec, net, y_prev, exited, since)
         denom = last.denom if same_exits else num.sum(axis=1)
-        rep = terms_from_counts(spec, num, denom)
     else:
-        edges, denom, rep = _edge_pass(net, spec, y_prev, exited, last if same_net else None,
+        edges, num, denom = _edge_pass(net, spec, y_prev, exited, last if same_net else None,
                                        same_exits)
-        num = None
+    rep = last.rep if same_public else terms_from_counts(spec, num, denom)
     exited = last.exited if same_exits else exited.copy()
     y_prev = last.y if same_public else y_prev.copy()
     streaks = np.minimum(state.d_falsify, _steady_streak(integrity))
@@ -589,26 +587,25 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
 
 
 def _edge_pass(net, spec, y, exited, last, same_exits):
-    """The kept ``edges``, the observer totals and the reputation terms of a keyed pass over
-    every edge (see :class:`_StepMemo`), reusing ``last``'s first level unless it is None,
-    and its second while ``same_exits``."""
+    """The kept ``edges``, and each observer's observed weight per stance and total, from a
+    keyed pass over every edge (see :class:`_StepMemo`), reusing ``last``'s first level
+    unless it is None, and its second while ``same_exits``."""
     if last is None:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        base, keys = edge_weights(spec, net.w, net.dst, scores), 3 * net.src
+        base = edge_weights(spec, net.w, net.dst, scores)
         base.setflags(write=False)
-        keys.setflags(write=False)
-        scratch = np.empty_like(keys)
     else:
-        base, keys, scratch, weight = last.edges
+        base, weight = last.edges
     if same_exits:
         denom = last.denom
     else:  # an exit changed since the last step
         weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
-        np.copyto(scratch, net.src)
-        denom = observer_totals(scratch, weight, net.n)
-    rep = reputation_terms(spec, net.src, weight, y[net.dst], net.n, denom, keys, scratch)
-    return (base, keys, scratch, weight), denom, rep
+        denom = observer_totals(net.src, weight, net.n)
+    keys = 3 * net.src
+    keys += y[net.dst]  # in place: a second per-edge temporary would be paged in on every pass
+    num = np.bincount(keys, weights=weight, minlength=3 * net.n)
+    return (base, weight), num.reshape(net.n, 3), denom
 
 
 def _record_from(state: SimState) -> StepRecord:

@@ -182,25 +182,17 @@ def observer_totals(row, weight, n: int) -> np.ndarray:
     return denom
 
 
-def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int,
-                     denom=None, keys=None, out=None) -> np.ndarray:
+def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.ndarray:
     """Reputation for showing each stance: one row per observer 0..n-1, column = Position code.
 
     ``row``, ``weight`` and ``stance`` are per edge: the observer, the
     :func:`observed_weights` entry and the target's shown Position code.  A
     term is ``alpha`` times the (centered) weighted fraction of the observer's
     neighbors showing that stance; 0 when the observer's total weight is 0.
-    The :func:`observer_totals` ``denom`` and the keys ``3 * row`` may be
-    passed precomputed: they do not depend on the stances.  ``out``, a
-    writable int64 array of one entry per edge, may be passed to hold the
-    keys of the stances instead of a new array.
     """
-    if denom is None:
-        denom = observer_totals(row, weight, n)
-    if keys is None:
-        keys = 3 * row
+    denom = observer_totals(row, weight, n)
     # One keyed pass sums each observer's weight per stance.
-    num = np.bincount(np.add(keys, stance, out=out), weights=weight, minlength=3 * n).reshape(n, 3)
+    num = np.bincount(3 * row + stance, weights=weight, minlength=3 * n).reshape(n, 3)
     return terms_from_counts(spec, num, denom)
 
 

@@ -317,7 +317,8 @@ class Uniform:
 
 @dataclass(frozen=True)
 class TruncNormal:
-    """Normal(mean, sd) draw rejected until it lands in [lo, hi]; hi may be +inf."""
+    """Normal(mean, sd) draw rejected until it lands in [lo, hi]; hi may be +inf.  With sd 0
+    every draw is ``mean``, so it must lie in [lo, hi]."""
 
     mean: float
     sd: float
@@ -335,9 +336,14 @@ class TruncNormal:
             )
         if not _finite(self.lo):
             raise InvalidParameterError("trunc_normal lo must be finite")
+        if self.sd == 0 and not self.lo <= self.mean <= self.hi:
+            raise InvalidParameterError(
+                f"trunc_normal with sd 0 draws its mean, which must lie in [lo, hi], "
+                f"got mean={self.mean!r} outside [{self.lo!r}, {self.hi!r}]"
+            )
 
     def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
+        return (self.mean, self.mean) if self.sd == 0 else (self.lo, self.hi)
 
 
 Distribution = Constant | Uniform | TruncNormal

@@ -459,6 +459,18 @@ def test_validate_cost_order_violation(tmp_path, capsys):
     assert "C >= c violated" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_zero_sd_trunc_normal_outside_its_bounds(tmp_path, capsys):
+    """Every draw of an sd-0 trunc_normal is its mean: outside [lo, hi], ``run`` could never
+    draw one, so ``validate`` refuses it."""
+    doc = json.loads(ladder_doc(0.05))
+    doc["population"]["groups"][0]["factors"]["F"] = {
+        "dist": "trunc_normal", "mean": 5.0, "sd": 0.0, "lo": 0.0, "hi": 1.0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "population.groups[0].factors.F: trunc_normal with sd 0" in capsys.readouterr().err
+
+
 def test_validate_refuses_erdos_renyi_over_the_draw_budget(tmp_path, capsys, monkeypatch):
     """erdos_renyi draws n² uniforms whatever p_edge is: 10^6 agents (10^12 draws, though only
     10^7 expected edges) are refused from the spec alone, with nothing sampled or generated."""

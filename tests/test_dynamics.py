@@ -14,12 +14,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dissentsim import (
     AgentParams,
     AgentState,
     Environment,
     Event,
+    ExitSpec,
     IntegritySpec,
     InvalidParameterError,
     PopulationSpec,
@@ -44,7 +47,7 @@ from dissentsim import (
     step,
     write_csv,
 )
-from dissentsim.engine import _record_from
+from dissentsim.engine import FACTOR_NAMES, ParamArrays, _record_from
 from dissentsim.model import SoftTerms, decide
 
 R, U, NJ = Position.R, Position.U, Position.NJ
@@ -459,6 +462,64 @@ def test_permutation_invariance_single_step():
     # depends on its own params, so the permuted run must match pointwise.
     for new_idx, old_idx in enumerate(perm):
         assert permuted.y[new_idx] == forward.y[old_idx]
+
+
+@st.composite
+def relabeled_worlds(draw):
+    """A random directed graph and population with exits and an event, whose fraction-variant
+    reputation comes from maintained counts (unit weights, ``unweighted_fraction``) or from
+    the keyed pass (non-integral weights, ``weighted_fraction``); and a permutation."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keyed = draw(st.booleans())
+    weight = st.sampled_from([0.1, 0.3, 0.7, 1.3]) if keyed else st.just(1.0)
+    chosen = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]  # dense ones too
+    edges = [(i, j, draw(weight)) for i, j in chosen]
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    columns = {name: column(st.floats(0.0, 2.0), np.float64)
+               for name in FACTOR_NAMES if name != "p_base"}
+    columns.update(p_base=column(st.floats(0.0, 1.0), np.float64), x_rebel=column(st.booleans(), bool))
+    agents = dict(y=column(st.sampled_from(list(Position)), np.int8),
+                  d_falsify=column(st.integers(0, 3), np.int64),
+                  exited=column(st.sampled_from([False, False, True]), bool),
+                  low_payoff_streak=column(st.integers(0, 1), np.int64))
+    variant = ReputationVariant.WEIGHTED_FRACTION if keyed else ReputationVariant.UNWEIGHTED_FRACTION
+    scenario = plain_scenario(
+        reputation=ReputationSpec(variant, alpha=draw(st.sampled_from([0.5, 1.5])),
+                                  centered=draw(st.booleans())),
+        integrity=IntegritySpec(nu_match=0.5, nu0=0.1, kappa=0.1, cap=0.6),
+        exit=ExitSpec(threshold=draw(st.sampled_from([0.5, 1.0, 2.0])), patience=2),
+        events=[Event(step=2, label="shock", deltas={"dp": 0.25, "dC": -0.5})],
+    )
+    return n, edges, columns, agents, np.array(draw(st.permutations(range(n)))), scenario
+
+
+def world_of(n, edges, columns, agents):
+    return SimState(t=0, env=Environment(beta_share=0.5), network=SocialNetwork(n, edges),
+                    params=ParamArrays(**columns), **agents)
+
+
+@given(relabeled_worlds())
+def test_relabeling_the_agents_relabels_every_step(drawn):
+    """Agent i becomes ``perm[i]`` and every edge is mapped through ``perm``, in the same
+    order, so each observer's edges keep their relative order under the stable sort by
+    source and every sum adds the same terms in the same order: each step's stances,
+    streaks, exits and reputation terms map pointwise, bit for bit, on the counts path and
+    the keyed pass."""
+    n, edges, columns, agents, perm, scenario = drawn
+    old = np.argsort(perm)  # relabeled agent k was agent old[k]
+    forward = world_of(n, edges, columns, agents)
+    moved = world_of(n, [(perm[i], perm[j], w) for i, j, w in edges],
+                     {name: a[old] for name, a in columns.items()},
+                     {name: a[old] for name, a in agents.items()})
+    for _ in range(6):
+        forward, moved = step(forward, scenario), step(moved, scenario)
+        for name in agents:
+            assert getattr(moved, name)[perm].tobytes() == getattr(forward, name).tobytes()
+        assert moved._memo.rep[perm].tobytes() == forward._memo.rep.tobytes()
 
 
 def test_monotone_fear_dC():

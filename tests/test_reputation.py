@@ -324,7 +324,7 @@ def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
     scenario = parse_scenario(json.dumps(doc))
 
     inputs, calls = [], []
-    real_step, real_terms = engine.step, engine.reputation_terms
+    real_step, real_terms = engine.step, engine.terms_from_counts
 
     def recording_step(state, scenario):
         inputs.append((state.y.copy(), state.exited.copy()))
@@ -335,7 +335,7 @@ def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
         return real_terms(*args)
 
     monkeypatch.setattr(engine, "step", recording_step)
-    monkeypatch.setattr(engine, "reputation_terms", counting_terms)
+    monkeypatch.setattr(engine, "terms_from_counts", counting_terms)
     run(scenario)
     changed = 1 + sum(
         not (np.array_equal(y, y0) and np.array_equal(e, e0))

@@ -479,6 +479,12 @@ VIOLATION_CORPUS = [
      [
          'population.groups[0].factors.F: trunc_normal bounds need lo <= hi, got [2.0, 1.0]',
      ]),
+    ('tn-sd-zero-mean-outside',
+     _factor("F", {"dist": "trunc_normal", "mean": 5.0, "sd": 0.0, "lo": 0.0, "hi": 1.0}),
+     [
+         'population.groups[0].factors.F: trunc_normal with sd 0 draws its mean, which must lie '
+         'in [lo, hi], got mean=5.0 outside [0.0, 1.0]',
+     ]),
     ('tn-missing-unknown', _factor("F", {"dist": "trunc_normal", "sd": "x", "lo": 0.0, "width": 1}),
      [
          'population.groups[0].factors.F.width: unknown field',
@@ -488,6 +494,12 @@ VIOLATION_CORPUS = [
     ('cost-order',
      _group(factors={"c": {"dist": "constant", "value": 2.0},
                      "C": {"dist": "uniform", "lo": 0.0, "hi": 1.0}}),
+     [
+         'population.groups[0].factors: C >= c violated: C support lies entirely below c support',
+     ]),
+    ('cost-order-sd-zero',  # every C drawn is the mean 0.5, below c
+     _group(factors={"c": {"dist": "constant", "value": 1.0},
+                     "C": {"dist": "trunc_normal", "mean": 0.5, "sd": 0.0, "lo": 0.0, "hi": 10.0}}),
      [
          'population.groups[0].factors: C >= c violated: C support lies entirely below c support',
      ]),

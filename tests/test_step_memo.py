@@ -30,12 +30,14 @@ from dissentsim import (
     ReputationVariant,
     SimState,
     SocialNetwork,
+    influence_scores,
     parse_scenario,
     run,
     step,
 )
 from dissentsim import engine
 from dissentsim.engine import DELTA_FIELDS, FACTOR_NAMES, Environment, ParamArrays
+from dissentsim.network import observed_weights, observer_totals, reputation_terms
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
 
@@ -425,10 +427,9 @@ def test_changed_network_and_specs_are_seen():
 
 def memo_bits(memo):
     """Every array a step keeps, level by level, as bytes: the keyed pass's per-edge arrays
-    or the stance counts, then the totals, the terms and the decision."""
-    edges = () if memo.edges is None else (memo.edges[0], memo.edges[1], memo.edges[3])
-    counts = () if memo.num is None else (memo.num,)
-    levels = (*edges, *counts, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
+    (none on the counts path), then the stance counts, the totals, the terms and the decision."""
+    edges = () if memo.edges is None else (memo.edges[0], memo.edges[1])
+    levels = (*edges, memo.num, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -436,9 +437,9 @@ def memo_bits(memo):
 def counting_levels():
     """Counts, per step, the calls that recompute each memo level: the network level
     (``edge_weights``), the exit level (``observed_weights``) and the stance level
-    (``reputation_terms``); yields a function that returns and resets the three counts."""
+    (``terms_from_counts``); yields a function that returns and resets the three counts."""
     with counting("edge_weights") as base, counting("observed_weights") as weights, \
-            counting("reputation_terms") as terms:
+            counting("terms_from_counts") as terms:
         def taken():
             counts = (len(base), len(weights), len(terms))
             for calls in (base, weights, terms):
@@ -453,7 +454,7 @@ def test_in_place_edits_invalidate_only_their_levels():
     equal those of a step that keeps nothing.  Non-integral weights take the keyed pass."""
     state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
-    assert state._memo.edges is not None and state._memo.num is None
+    assert state._memo.edges is not None
     with counting_levels() as taken:
         step(state, scenario)
         assert taken() == (0, 0, 0)
@@ -475,7 +476,8 @@ def test_in_place_edits_invalidate_only_their_levels():
 def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     """On integral weights a stance edited in place walks the changed agent's audience from
     the kept counts and keeps the totals; an exit edited in place also changes the totals.
-    No keyed pass runs, and the kept arrays equal those of a step that keeps nothing."""
+    No keyed pass runs, the terms are made once per changed step, and the kept arrays equal
+    those of a step that keeps nothing."""
     state, scenario = still_world()
     state = step(state, scenario)
     assert state._memo.edges is None
@@ -484,20 +486,22 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
         assert (len(counts), taken()) == (0, (0, 0, 0))
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert (len(counts), taken()) == (1, (0, 0, 1))
         assert counts.pop()[4] is not None  # brought up to date from the kept counts
         assert new._memo.denom is state._memo.denom
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
+        taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert (len(counts), taken()) == (1, (0, 0, 1))
         assert bits(new._memo.denom) != bits(state._memo.denom)
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
+        taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 0))
+        assert (len(counts), taken()) == (1, (0, 0, 1))
         assert bits(again._memo.denom) == bits(state._memo.denom)
 
 
@@ -519,22 +523,58 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
             taken()  # not the fresh step's calls
 
 
-def test_the_edge_buffer_is_kept_with_the_network():
-    """The writable per-edge buffer is made once per network and spec; the observer totals
-    and reputation terms made through it equal the public kernels'.  Non-integral weights
-    take the keyed pass."""
+def keyed_step(state, scenario, real_step=step):
+    """One step that takes the keyed pass, with its record checked: two per-edge arrays, the
+    base weights kept from the step before, the observed weights kept while the exits are
+    unchanged, and read-only counts, totals and terms equal to the public kernels' bit for bit.
+    Returns the new state and whether it made new observed weights."""
+    new = real_step(state, scenario)
+    memo, last, net, spec = new._memo, state._memo, state.network, scenario.reputation
+    assert len(memo.edges) == 2 and all(a.shape == (net.src.size,) for a in memo.edges)
+    base, weight = memo.edges
+    assert not base.flags.writeable
+    assert weight.flags.writeable  # np.bincount would copy read-only weights on every call
+    if last is not None:
+        assert base is last.edges[0]
+        assert (weight is last.edges[1]) is np.array_equal(last.exited, state.exited)
+    iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+    scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+    hidden, stance = state.exited[net.dst], state.y[net.dst]
+    assert bits(weight) == bits(observed_weights(spec, net.w, net.dst, hidden, scores))
+    num = np.bincount(3 * net.src + stance, weights=weight, minlength=3 * net.n).reshape(-1, 3)
+    expected = (num, observer_totals(net.src, weight, net.n),
+                reputation_terms(spec, net.src, weight, stance, net.n))
+    kept = (memo.num, memo.denom, memo.rep)
+    assert not any(a.flags.writeable for a in kept)
+    assert [bits(a) for a in kept] == [bits(a) for a in expected]
+    return new, last is None or weight is not last.edges[1]
+
+
+def test_the_keyed_pass_keeps_two_per_edge_arrays():
+    """Non-integral weights take the keyed pass: a still step, a stance and an exit edited in
+    place, and the exit undone."""
     state, scenario = still_world(weight=0.5)
-    first = step(state, scenario)
-    first.y[0] = Position.U
-    first.exited[2] = True
-    second = step(first, scenario)
-    (_, _, scratch, kept), net, spec = second._memo.edges, first.network, scenario.reputation
-    assert scratch is first._memo.edges[2] and scratch.flags.writeable
-    weight = engine.observed_weights(spec, net.w, net.dst, first.exited[net.dst])
-    assert bits(kept) == bits(weight)
-    assert bits(second._memo.denom) == bits(engine.observer_totals(net.src, weight, net.n))
-    expected = engine.reputation_terms(spec, net.src, weight, first.y[net.dst], net.n)
-    assert bits(second._memo.rep) == bits(expected)
+    made = []
+    for edit in (None, None, ("y", 0, Position.U), ("exited", 2, True), ("exited", 2, False)):
+        if edit is not None:
+            getattr(state, edit[0])[edit[1]] = edit[2]
+        state, new_weights = keyed_step(state, scenario)
+        made.append(new_weights)
+    assert made == [True, False, False, True, True]
+
+
+def test_the_keyed_pass_keeps_two_per_edge_arrays_through_an_iterative_run(monkeypatch):
+    """Every step of a run with iterative reputation and exits."""
+    made, real_step = [], engine.step
+
+    def checked(state, scenario):
+        new, new_weights = keyed_step(state, scenario, real_step)
+        made.append(new_weights)
+        return new
+
+    monkeypatch.setattr(engine, "step", checked)
+    run(iterative_exits_scenario())
+    assert len(made) == 240 and 1 < sum(made) < 240
 
 
 def test_negative_falsification_streak_still_raises():
