@@ -21,7 +21,8 @@ reach, and :func:`run` reuses the previous record when the decision is reused.
 The memo keeps each observer's observed weight per stance and its total, from
 which one formula makes the reputation terms.  Under the fraction variants on
 integral weights a step brings them up to date over the audiences of the agents
-whose stance or exit changed; otherwise it makes one keyed pass over every edge.
+whose stance or exit changed; otherwise it makes one keyed pass over every edge with the
+observed weights, the one per-edge array it keeps, made anew when an exit changes.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -49,11 +50,10 @@ from .model import (  # the payoff_* are bound here for perfbench/trace_cli.py's
 from .network import (
     SocialNetwork,
     counted,
-    edge_weights,
     generate_network,
     influence_scores,
+    keyed_counts,
     observed_weights,
-    observer_totals,
     stance_counts,
     terms_from_counts,
 )
@@ -176,7 +176,8 @@ class _StepMemo(NamedTuple):
     Four levels, each valid while its own key and every key above it match:
 
     1. the network (by identity: its arrays are read-only) and the reputation spec;
-    2. the exit flags: each observer's total observed weight ``denom``;
+    2. the exit flags: each observer's total observed weight ``denom`` and, off the counts
+       path, each edge's observed weight ``weight``;
     3. the previous stances: each observer's observed weight per stance ``num`` (n x 3),
        and the reputation terms ``rep``, made from ``num`` and ``denom`` alone;
     4. the parameters (by identity: their columns are read-only), the
@@ -187,10 +188,9 @@ class _StepMemo(NamedTuple):
 
     Where :func:`~dissentsim.network.counted` holds (the fraction variants on integral
     weights), a change walks only the in-edges of the agents whose stance or exit flag
-    changed (:func:`stance_counts`), and ``edges`` is None: the memo holds no array with an
-    entry per edge.  Otherwise ``num`` comes from a keyed pass over every edge, and ``edges``
-    keeps two per-edge arrays: the base weights (level 1) and the observed weights
-    ``weight`` (level 2).
+    changed (:func:`stance_counts`), and ``weight`` is None: the memo holds no array with an
+    entry per edge.  Otherwise ``num`` comes from a keyed pass over every edge
+    (:func:`keyed_counts`), and ``weight`` is the one per-edge array kept.
 
     The effective factors ``eff`` are kept while the parameters and the
     environment are the same, through changes of the levels above.
@@ -205,7 +205,7 @@ class _StepMemo(NamedTuple):
 
     network: SocialNetwork
     reputation: ReputationSpec
-    edges: tuple | None  # (base, weight), see above
+    weight: np.ndarray | None
     exited: np.ndarray
     denom: np.ndarray
     y: np.ndarray
@@ -536,14 +536,13 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     same_exits = same_net and np.array_equal(last.exited, exited)
     same_public = same_exits and np.array_equal(last.y, y_prev)
     if same_public:
-        edges, num, denom = last.edges, last.num, last.denom
+        weight, num, denom = last.weight, last.num, last.denom
     elif counted(spec, net):  # walk the changed agents' audiences
         since = (last.num, last.y, last.exited) if same_net else None
-        edges, num = None, stance_counts(spec, net, y_prev, exited, since)
+        weight, num = None, stance_counts(spec, net, y_prev, exited, since)
         denom = last.denom if same_exits else num.sum(axis=1)
     else:
-        edges, num, denom = _edge_pass(net, spec, y_prev, exited, last if same_net else None,
-                                       same_exits)
+        weight, num, denom = _edge_pass(net, spec, y_prev, exited, last if same_exits else None)
     rep = last.rep if same_public else terms_from_counts(spec, num, denom)
     exited = last.exited if same_exits else exited.copy()
     y_prev = last.y if same_public else y_prev.copy()
@@ -566,7 +565,7 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
 
     # The kernels' inputs are checked where they are made: the factors and p_base by
-    # effective_params, the reputation denominators by observer_totals or, for counts, by
+    # effective_params, the reputation denominators by keyed_counts or, for counts, by
     # network.counted; integ and p are finite by construction.
     NJ, U, R = Position.NJ, Position.U, Position.R
     e_nj = nojoin_kernel(eff.S, eff.c, p, rep[:, NJ], integ[NJ], pa.V_NJ)
@@ -580,32 +579,22 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
         if kept is not None:
             kept.setflags(write=False)
     return _StepMemo(
-        network=net, reputation=spec, edges=edges, exited=exited, denom=denom, y=y_prev,
+        network=net, reputation=spec, weight=weight, exited=exited, denom=denom, y=y_prev,
         num=num, rep=rep, integrity=integrity, exit=scenario.exit, params=pa, env=env, eff=eff,
         streaks=streaks, p=p, y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
     )
 
 
-def _edge_pass(net, spec, y, exited, last, same_exits):
-    """The kept ``edges``, and each observer's observed weight per stance and total, from a
-    keyed pass over every edge (see :class:`_StepMemo`), reusing ``last``'s first level
-    unless it is None, and its second while ``same_exits``."""
-    if last is None:
+def _edge_pass(net, spec, y, exited, last):
+    """The observed weights, and each observer's observed weight per stance and total, from a
+    keyed pass over every edge, reusing ``last``'s weights and totals unless it is None."""
+    if last is not None:
+        weight, denom = last.weight, last.denom
+    else:  # the network, the spec or an exit changed since the last step
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        base = edge_weights(spec, net.w, net.dst, scores)
-        base.setflags(write=False)
-    else:
-        base, weight = last.edges
-    if same_exits:
-        denom = last.denom
-    else:  # an exit changed since the last step
-        weight = observed_weights(spec, net.w, net.dst, exited[net.dst], base=base)
-        denom = observer_totals(net.src, weight, net.n)
-    keys = 3 * net.src
-    keys += y[net.dst]  # in place: a second per-edge temporary would be paged in on every pass
-    num = np.bincount(keys, weights=weight, minlength=3 * net.n)
-    return (base, weight), num.reshape(net.n, 3), denom
+        weight, denom = observed_weights(spec, net.w, net.dst, exited[net.dst], scores), None
+    return weight, *keyed_counts(net.src, weight, y[net.dst], net.n, denom)
 
 
 def _record_from(state: SimState) -> StepRecord:

@@ -150,26 +150,24 @@ class SocialNetwork:
         return list(zip(self.dst[row].tolist(), self.w[row].tolist()))
 
 
-def edge_weights(spec: ReputationSpec, w, dst, scores=None) -> np.ndarray:
+def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None) -> np.ndarray:
     """Per-edge weight of the target in its observer's eyes: 1 (unweighted), the edge
-    weight (weighted) or the edge weight times the target's influence score (iterative)."""
-    if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
-        return np.ones_like(w)
-    if spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
-        return w * scores[dst]
-    return w
+    weight (weighted) or the edge weight times the target's influence score (iterative),
+    and 0 where the target is ``hidden`` (exited).
 
-
-def observed_weights(spec: ReputationSpec, w, dst, hidden, scores=None, base=None) -> np.ndarray:
-    """The :func:`edge_weights` entry of each edge, 0 where the target is ``hidden``
-    (exited).  ``base``, the :func:`edge_weights`, may be passed precomputed.
-
-    ``base * ~hidden`` is bit-equal to selecting 0.0 for the hidden targets because
-    the weights are finite and >= 0 (a network stores no -0.0), and does not branch.
+    Multiplying by ``~hidden`` is bit-equal to selecting 0.0 for the hidden targets because
+    the weights are finite and >= 0 (a network stores no -0.0), and does not branch.  Each
+    variant allocates one float array per edge, the result.
     """
-    if base is None:
-        base = edge_weights(spec, w, dst, scores)
-    return base * np.logical_not(hidden)
+    visible = np.logical_not(hidden)
+    if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION:
+        return visible.astype(np.float64)
+    if spec.variant is ReputationVariant.WEIGHTED_FRACTION:
+        return w * visible
+    weight = scores[dst]
+    weight *= w
+    weight *= visible
+    return weight
 
 
 def observer_totals(row, weight, n: int) -> np.ndarray:
@@ -182,6 +180,18 @@ def observer_totals(row, weight, n: int) -> np.ndarray:
     return denom
 
 
+def keyed_counts(row, weight, stance, n: int, denom=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each observer's observed weight per stance (n x 3) and its total ``denom``, unless
+    given, from one keyed pass over the edges ``row``, ``weight``, ``stance`` in their order.
+    The totals are bins 0, 3, 6, ... of the keys ``3 * row``, which ``np.bincount`` reads
+    without a copy because they are writable, and the stances are then added in place."""
+    keys = 3 * row
+    if denom is None:
+        denom = observer_totals(keys, weight, 3 * n)[::3]
+    keys += stance
+    return np.bincount(keys, weights=weight, minlength=3 * n).reshape(n, 3), denom
+
+
 def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.ndarray:
     """Reputation for showing each stance: one row per observer 0..n-1, column = Position code.
 
@@ -190,10 +200,7 @@ def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.nd
     term is ``alpha`` times the (centered) weighted fraction of the observer's
     neighbors showing that stance; 0 when the observer's total weight is 0.
     """
-    denom = observer_totals(row, weight, n)
-    # One keyed pass sums each observer's weight per stance.
-    num = np.bincount(3 * row + stance, weights=weight, minlength=3 * n).reshape(n, 3)
-    return terms_from_counts(spec, num, denom)
+    return terms_from_counts(spec, *keyed_counts(row, weight, stance, n))
 
 
 def terms_from_counts(spec: ReputationSpec, num, denom) -> np.ndarray:
@@ -251,13 +258,22 @@ def stance_counts(spec: ReputationSpec, network: SocialNetwork, y, exited, since
             + _tally(spec, network, changed & visible, y))
 
 
+def _position(agent, code) -> Position:
+    """The stance ``code`` that ``agent`` shows, or an error naming the agent."""
+    try:
+        return Position(code)
+    except ValueError:
+        message = f"agent {agent} shows {code!r}, which is not a Position code"
+        raise InvalidParameterError(message) from None
+
+
 def _reputation(agent, position, network, publics, spec, scores=None) -> float:
     """One agent's :func:`reputation_terms`, over its own CSR row alone."""
     row = network._row(agent)
     targets = network.dst[row]
     ids = targets.tolist()
     hidden = np.array([j not in publics for j in ids], dtype=bool)  # exited: absent from publics
-    stance = np.array([publics.get(j, 0) for j in ids], dtype=np.int64)
+    stance = np.array([_position(j, publics.get(j, 0)) for j in ids], dtype=np.int64)
     weight = observed_weights(spec, network.w[row], targets, hidden, scores)
     return float(reputation_terms(spec, np.zeros_like(targets), weight, stance, 1)[0, position])
 
@@ -374,7 +390,7 @@ def public_sentiment(
         if not np.isfinite(w) or w < 0.0:
             raise InvalidParameterError(f"weight for agent {i} must be finite and >= 0")
         total += w
-        acc += w * SENTIMENT_VALUE[Position(y)]
+        acc += w * SENTIMENT_VALUE[_position(i, y)]
     if total == 0.0:
         raise InvalidParameterError("public_sentiment needs positive total weight")
     return acc / total

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -92,6 +93,20 @@ def _finite(value) -> bool:
         return False
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _store_int(spec, name: str, label: str) -> None:
+    """Store the field ``name`` of the spec being built as a Python int, or refuse a value
+    that :func:`_is_int` does not accept (4.0 included) with an error naming ``label``."""
+    value = getattr(spec, name)
+    if not _is_int(value):
+        raise InvalidParameterError(f"{label} must be an integer, got {value!r}")
+    object.__setattr__(spec, name, int(value))
+
+
 class Position(enum.IntEnum):
     """Public stance.  Integer codes double as the tie-break order NJ < U < R."""
 
@@ -146,6 +161,7 @@ class ReputationSpec:
             raise InvalidParameterError(f"damping must lie in (0, 1), got {self.damping!r}")
         if not _finite(self.tol) or self.tol <= 0.0:
             raise InvalidParameterError(f"tol must be > 0, got {self.tol!r}")
+        _store_int(self, "max_iters", "max_iters")
         if self.max_iters < 1:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -173,7 +189,8 @@ class NetworkSpec:
         else:  # SMALL_WORLD
             if self.p_edge is not None:
                 raise InvalidParameterError("small_world takes k and rewire_p, not p_edge")
-            if self.k is None or self.k < 0 or self.k % 2 != 0:
+            _store_int(self, "k", "k")
+            if self.k < 0 or self.k % 2 != 0:
                 raise InvalidParameterError(f"k must be a non-negative even integer, got {self.k!r}")
             if self.rewire_p is None or not 0.0 <= self.rewire_p <= 1.0:
                 raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
@@ -259,6 +276,7 @@ class Event:
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", dict(self.deltas))
+        _store_int(self, "step", "event step")
         if self.step < 0:
             raise InvalidParameterError(f"event step must be >= 0, got {self.step!r}")
         if not self.label or not set(self.label) <= _LABEL_SAFE:
@@ -284,6 +302,7 @@ class ExitSpec:
     def __post_init__(self):
         if not (_finite(self.threshold) or self.threshold == -math.inf):
             raise InvalidParameterError("exit threshold must be a real value or -inf")
+        _store_int(self, "patience", "exit patience")
         if self.patience < 1:
             raise InvalidParameterError(f"exit patience must be >= 1, got {self.patience!r}")
 
@@ -362,6 +381,7 @@ class Group:
         object.__setattr__(self, "factors", dict(self.factors))
         if not self.label:
             raise InvalidParameterError("group label must be non-empty")
+        _store_int(self, "count", "group count")
         if self.count < 0:
             raise InvalidParameterError(f"group count must be >= 0, got {self.count!r}")
         if not isinstance(self.x, PrivateType):
@@ -444,7 +464,7 @@ def _float(value) -> float:
 
 
 _BOOL = _Type("a boolean", lambda value: isinstance(value, bool))
-_INT = _Type("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
+_INT = _Type("an integer", _is_int)
 _NUMBER = _Type("a number", _is_number, _float)
 _FINITE = _NUMBER._replace(finite=True)
 _NUMBER_OR_NULL = _Type(

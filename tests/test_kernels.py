@@ -7,7 +7,8 @@ per element.  The ``np.where`` forms they replace are kept here as
 references, and every result must match its reference bit for bit, with the
 same dtype and the same number of dimensions: on 0-d scalars, on previous
 codes outside 0..2, on stances that are not int8, on exits with a ``-inf``
-threshold and on integrity penalties that saturate.
+threshold and on integrity penalties that saturate.  The totals the keyed pass takes
+from its keys are checked against ``observer_totals`` in the same way.
 """
 
 import math
@@ -52,7 +53,7 @@ from dissentsim.model import (
     rebel_kernel,
     statusquo_kernel,
 )
-from dissentsim.network import edge_weights, observed_weights
+from dissentsim.network import keyed_counts, observed_weights, observer_totals
 
 # ---------------------------------------------------------------- references
 
@@ -199,8 +200,45 @@ def test_observed_weights_match_the_selects(inputs):
     spec, w, dst, hidden, scores = inputs
     old = reference_observed_weights(spec, w, dst, hidden, scores)
     assert_same(observed_weights(spec, w, dst, hidden, scores), old)
-    base = edge_weights(spec, w, dst, scores)
-    assert_same(observed_weights(spec, w, dst, hidden, base=base), old)
+
+
+@st.composite
+def keyed_inputs(draw):
+    """Edges of up to 6 observers in any order, some observers with none, with zero weights
+    among them, weights whose sums depend on their order and weights large enough that a
+    total overflows."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 16))
+    row = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    weights = st.one_of(st.sampled_from([0.0, 2.0**-53, 0.5, 1.0]), st.floats(0.0, 1e308))
+    weight = np.array(draw(st.lists(weights, min_size=m, max_size=m)), dtype=np.float64)
+    stance = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), dtype=np.int8)
+    return row, weight, stance, n
+
+
+@given(keyed_inputs())
+@example((np.array([0, 2, 2]), np.array([0.0, 0.5, 0.0]), np.array([1, 0, 2], np.int8), 4))
+@example((np.array([1, 1]), np.array([1e308, 1e308]), np.array([0, 0], np.int8), 2))
+@example((np.zeros(3, np.int64), np.array([1.0, 2.0**-53, 2.0**-53]), np.array([0, 1, 1], np.int8),
+          1))  # the total is 1.0; the stance sums add up to 1 + 2**-52
+def test_keyed_counts_totals_are_the_observer_totals(inputs):
+    """The totals a keyed pass takes from its keys are ``observer_totals`` over the observers'
+    ids, bit for bit, and refused as they are when one is not finite; the per-stance sums
+    are the keyed bincount's.  The ids are read-only, as a network's are."""
+    row, weight, stance, n = inputs
+    row.setflags(write=False)
+    try:
+        expected = observer_totals(row, weight, n)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError,
+                           match="an observer's total observed weight must be finite"):
+            keyed_counts(row, weight, stance, n)
+        return
+    num, denom = keyed_counts(row, weight, stance, n)
+    assert_same(denom, expected)
+    assert_same(num, np.bincount(3 * row + stance, weights=weight, minlength=3 * n).reshape(n, 3))
+    kept = np.full(n, 2.0)
+    assert keyed_counts(row, weight, stance, n, kept)[1] is kept
 
 
 def test_a_network_stores_no_negative_zero_weight():

@@ -5,6 +5,8 @@ The influence-score expected values were computed by an independent oracle
 before the implementation ran, and are frozen here as literals.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -358,6 +360,21 @@ def test_iterative_composed_oracle():
 def test_iterative_rejects_fraction_spec():
     with pytest.raises(InvalidParameterError):
         reputation_iterative(0, R, chain(), {0: NJ, 1: NJ, 2: NJ}, UNW)
+
+
+@pytest.mark.parametrize("code", [7, -1, 1.5, "R"])
+def test_a_stance_code_outside_position_names_its_agent(code):
+    """The single-agent reputation and sentiment functions refuse a shown stance that is no
+    Position code, naming the agent that shows it."""
+    it = ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0)
+    publics = {0: NJ, 1: code, 2: R}
+    message = re.escape(f"agent 1 shows {code!r}, which is not a Position code")
+    with pytest.raises(InvalidParameterError, match=message):
+        reputation_fraction(0, R, triangle(), publics, UNW)
+    with pytest.raises(InvalidParameterError, match=message):
+        reputation_iterative(0, R, triangle(), publics, it)
+    with pytest.raises(InvalidParameterError, match=message):
+        public_sentiment(publics, {0: 1.0, 1: 1.0, 2: 1.0})
 
 
 # ---------------------------------------------------------------- sentiment

@@ -19,6 +19,7 @@ from dissentsim import (
     IntegritySpec,
     InvalidParameterError,
     NetworkKind,
+    NetworkSpec,
     PopulationSpec,
     PrivateType,
     ReputationSpec,
@@ -732,6 +733,26 @@ def test_spec_checks_refuse_integers_past_float_range(make, needle):
     too large for a float, or a value that is no number, with its own error."""
     with pytest.raises(InvalidParameterError, match=needle):
         make()
+
+
+@pytest.mark.parametrize("label, field, build", [
+    ("event step", "step", lambda v: Event(v, "shock", {})),
+    ("exit patience", "patience", lambda v: ExitSpec(0.0, v)),
+    ("k", "k", lambda v: NetworkSpec(NetworkKind.SMALL_WORLD, k=v, rewire_p=0.1)),
+    ("group count", "count", lambda v: Group("g", v, PrivateType.PRO_REBELLION, {})),
+    ("max_iters", "max_iters",
+     lambda v: ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.5, max_iters=v)),
+])
+def test_integer_fields_take_python_and_numpy_integers_only(label, field, build):
+    """Built directly, a spec's integer field follows the parser's rule: a Python or numpy
+    integer, stored as a Python int; a bool, a float (4.0 included) or anything else is
+    refused with an error naming the field."""
+    for value in (4, np.int64(4), np.uint8(4)):
+        spec = build(value)
+        assert spec == build(4) and type(getattr(spec, field)) is int
+    for value in (2.5, 4.0, np.float64(4.0), True, np.bool_(True), "4", None):
+        with pytest.raises(InvalidParameterError, match=f"^{label} must be an integer, got "):
+            build(value)
 
 
 def test_equal_costs_warning_names_the_caller():

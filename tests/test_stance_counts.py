@@ -126,7 +126,7 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
         num, denom, rep = keyed_pass(spec, state.network, state.y, state.exited)
         new = step(state, scenario)
         memo = new._memo
-        assert memo.edges is None
+        assert memo.weight is None
         assert (bits(memo.num), bits(memo.denom), bits(memo.rep)) == (bits(num), bits(denom), bits(rep))
         fresh = step(replace(state, _memo=None), scenario)
         assert bits(new.y) == bits(fresh.y) and bits(new.exited) == bits(fresh.exited)
@@ -164,9 +164,9 @@ def routed(net, variant):
 
 def test_non_integral_weights_take_the_keyed_pass():
     net = SocialNetwork(3, [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 2.0)])
-    assert routed(net, ReputationVariant.WEIGHTED_FRACTION).edges is not None
-    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION).edges is None  # every weight is 1
-    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE).edges is not None
+    assert routed(net, ReputationVariant.WEIGHTED_FRACTION).weight is not None
+    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION).weight is None  # every weight is 1
+    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE).weight is not None
 
 
 def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
@@ -174,12 +174,12 @@ def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
     every integer: its sums could depend on their order."""
     below = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52 - 1), (1, 2, 1.0)])
     at = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52), (1, 2, 1.0)])
-    assert routed(below, ReputationVariant.WEIGHTED_FRACTION).edges is None
-    assert routed(at, ReputationVariant.WEIGHTED_FRACTION).edges is not None
+    assert routed(below, ReputationVariant.WEIGHTED_FRACTION).weight is None
+    assert routed(at, ReputationVariant.WEIGHTED_FRACTION).weight is not None
     overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # integral, total inf
     with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
         routed(overflowing, ReputationVariant.WEIGHTED_FRACTION)
-    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION).edges is None
+    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION).weight is None
 
 
 # ---------------------------------------------------------------- what the memo keeps
@@ -201,7 +201,7 @@ def test_a_generated_small_world_keeps_no_per_edge_array(variant):
         kept = [getattr(state._memo, name) for name in state._memo._fields]
         kept += [getattr(state._memo.eff, name) for name in FACTOR_NAMES]
         assert all(np.size(a) != m for a in kept if isinstance(a, np.ndarray))
-        assert state._memo.edges is None
+        assert state._memo.weight is None
     assert net._audiences[1] is net.dst and net._audiences[0] is net.row_ptr
 
 

@@ -426,23 +426,22 @@ def test_changed_network_and_specs_are_seen():
 
 
 def memo_bits(memo):
-    """Every array a step keeps, level by level, as bytes: the keyed pass's per-edge arrays
+    """Every array a step keeps, level by level, as bytes: the keyed pass's observed weights
     (none on the counts path), then the stance counts, the totals, the terms and the decision."""
-    edges = () if memo.edges is None else (memo.edges[0], memo.edges[1])
-    levels = (*edges, memo.num, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
+    weight = () if memo.weight is None else (memo.weight,)
+    levels = (*weight, memo.num, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
 @contextmanager
 def counting_levels():
-    """Counts, per step, the calls that recompute each memo level: the network level
-    (``edge_weights``), the exit level (``observed_weights``) and the stance level
-    (``terms_from_counts``); yields a function that returns and resets the three counts."""
-    with counting("edge_weights") as base, counting("observed_weights") as weights, \
-            counting("terms_from_counts") as terms:
+    """Counts, per step, the calls that recompute each memo level below the network: the exit
+    level (``observed_weights``) and the stance level (``terms_from_counts``); yields a
+    function that returns and resets the two counts."""
+    with counting("observed_weights") as weights, counting("terms_from_counts") as terms:
         def taken():
-            counts = (len(base), len(weights), len(terms))
-            for calls in (base, weights, terms):
+            counts = (len(weights), len(terms))
+            for calls in (weights, terms):
                 calls.clear()
             return counts
         yield taken
@@ -454,23 +453,23 @@ def test_in_place_edits_invalidate_only_their_levels():
     equal those of a step that keeps nothing.  Non-integral weights take the keyed pass."""
     state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
-    assert state._memo.edges is not None
+    assert state._memo.weight is not None
     with counting_levels() as taken:
         step(state, scenario)
-        assert taken() == (0, 0, 0)
+        assert taken() == (0, 0)
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert taken() == (0, 0, 1)
+        assert taken() == (0, 1)
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert taken() == (0, 1, 1)
+        assert taken() == (1, 1)
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
         taken()
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         step(new, scenario)
-        assert taken() == (0, 1, 1)
+        assert taken() == (1, 1)
 
 
 def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
@@ -480,13 +479,13 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     those of a step that keeps nothing."""
     state, scenario = still_world()
     state = step(state, scenario)
-    assert state._memo.edges is None
+    assert state._memo.weight is None
     with counting("stance_counts") as counts, counting_levels() as taken:
         step(state, scenario)
-        assert (len(counts), taken()) == (0, (0, 0, 0))
+        assert (len(counts), taken()) == (0, (0, 0))
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 1))
+        assert (len(counts), taken()) == (1, (0, 1))
         assert counts.pop()[4] is not None  # brought up to date from the kept counts
         assert new._memo.denom is state._memo.denom
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
@@ -494,49 +493,55 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 1))
+        assert (len(counts), taken()) == (1, (0, 1))
         assert bits(new._memo.denom) != bits(state._memo.denom)
         assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert (len(counts), taken()) == (1, (0, 0, 1))
+        assert (len(counts), taken()) == (1, (0, 1))
         assert bits(again._memo.denom) == bits(state._memo.denom)
 
 
 def test_replaced_network_or_spec_rebuilds_the_base_weights():
+    """A new network or reputation spec makes the observed weights anew from the influence
+    scores, which each network solves once: a later ``influence_scores`` call for the same
+    solver controls is a hit of the network's memo."""
     state, scenario = still_world()
     spec = replace(scenario.reputation, variant=ReputationVariant.ITERATIVE_INFLUENCE)
     scenario = SimpleNamespace(**{**vars(scenario), "reputation": spec})
     state = step(state, scenario)
     reversed_ring = replace(state, network=SocialNetwork(3, [(0, 2, 1.0), (1, 0, 1.0), (2, 1, 2.0)]))
     rescaled = SimpleNamespace(**{**vars(scenario), "reputation": replace(spec, alpha=1.5)})
+    assert (len(state.network._influence_memo), len(reversed_ring.network._influence_memo)) == (1, 0)
     with counting("influence_scores") as scores, counting_levels() as taken:
         step(state, scenario)
-        assert (len(scores), taken()) == (0, (0, 0, 0))
+        assert (len(scores), taken()) == (0, (0, 0))
         for new_state, new_scenario in ((reversed_ring, scenario), (state, rescaled)):
             new = step(new_state, new_scenario)
-            assert (len(scores), taken()) == (1, (1, 1, 1))
+            assert (len(scores), taken()) == (1, (1, 1))
+            assert len(new_state.network._influence_memo) == 1  # solved once per network
             assert memo_bits(new._memo) == memo_bits(fresh_step(new_state, new_scenario)._memo)
             scores.clear()
             taken()  # not the fresh step's calls
 
 
 def keyed_step(state, scenario, real_step=step):
-    """One step that takes the keyed pass, with its record checked: two per-edge arrays, the
-    base weights kept from the step before, the observed weights kept while the exits are
-    unchanged, and read-only counts, totals and terms equal to the public kernels' bit for bit.
+    """One step that takes the keyed pass, with its record checked: one per-edge array, the
+    observed weights, kept while the exits are unchanged and equal to ``observed_weights``,
+    and read-only counts, totals and terms equal to the public kernels' bit for bit.
     Returns the new state and whether it made new observed weights."""
     new = real_step(state, scenario)
     memo, last, net, spec = new._memo, state._memo, state.network, scenario.reputation
-    assert len(memo.edges) == 2 and all(a.shape == (net.src.size,) for a in memo.edges)
-    base, weight = memo.edges
-    assert not base.flags.writeable
+    m, weight = net.src.size, memo.weight
+    kept = [getattr(memo, name) for name in memo._fields]
+    kept += [getattr(memo.eff, name) for name in FACTOR_NAMES]
+    per_edge = [a for a in kept if isinstance(a, np.ndarray) and a.size == m]
+    assert m not in (net.n, 3 * net.n) and len(per_edge) == 1 and per_edge[0] is weight
     assert weight.flags.writeable  # np.bincount would copy read-only weights on every call
     if last is not None:
-        assert base is last.edges[0]
-        assert (weight is last.edges[1]) is np.array_equal(last.exited, state.exited)
+        assert (weight is last.weight) is np.array_equal(last.exited, state.exited)
     iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
     scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
     hidden, stance = state.exited[net.dst], state.y[net.dst]
@@ -547,13 +552,14 @@ def keyed_step(state, scenario, real_step=step):
     kept = (memo.num, memo.denom, memo.rep)
     assert not any(a.flags.writeable for a in kept)
     assert [bits(a) for a in kept] == [bits(a) for a in expected]
-    return new, last is None or weight is not last.edges[1]
+    return new, last is None or weight is not last.weight
 
 
-def test_the_keyed_pass_keeps_two_per_edge_arrays():
+def test_the_keyed_pass_keeps_one_per_edge_array():
     """Non-integral weights take the keyed pass: a still step, a stance and an exit edited in
-    place, and the exit undone."""
+    place, and the exit undone.  A fourth edge makes the edges more than the agents."""
     state, scenario = still_world(weight=0.5)
+    state = replace(state, network=SocialNetwork(3, [*state.network.edges, (0, 2, 0.5)]))
     made = []
     for edit in (None, None, ("y", 0, Position.U), ("exited", 2, True), ("exited", 2, False)):
         if edit is not None:
@@ -563,7 +569,7 @@ def test_the_keyed_pass_keeps_two_per_edge_arrays():
     assert made == [True, False, False, True, True]
 
 
-def test_the_keyed_pass_keeps_two_per_edge_arrays_through_an_iterative_run(monkeypatch):
+def test_the_keyed_pass_keeps_one_per_edge_array_through_an_iterative_run(monkeypatch):
     """Every step of a run with iterative reputation and exits."""
     made, real_step = [], engine.step
 
@@ -693,12 +699,14 @@ def test_marker_events_recompute_nothing():
 
 def test_observed_weights_run_once_per_step_whose_exits_changed():
     """One ``observed_weights`` call per step whose exit flags differ from the previous step's,
-    and one influence solve for the whole run; the first step counts as changed."""
+    each reading the influence scores, and one influence solve for the whole run; the first
+    step counts as changed."""
     scenario = iterative_exits_scenario()
-    exits, real_step = [], engine.step
+    exits, networks, real_step = [], set(), engine.step
 
     def recording_step(state, scenario):
         exits.append(state.exited.copy())
+        networks.add(state.network)
         return real_step(state, scenario)
 
     engine.step = recording_step
@@ -709,5 +717,6 @@ def test_observed_weights_run_once_per_step_whose_exits_changed():
         engine.step = real_step
     changed = 1 + sum(not np.array_equal(e, e0) for e0, e in zip(exits, exits[1:]))
     assert len(exits) == 240
-    assert len(calls) == changed and 1 < changed < 240
-    assert len(scores) == 1
+    assert len(calls) == len(scores) == changed and 1 < changed < 240
+    (network,) = networks
+    assert len(network._influence_memo) == 1
