@@ -18,11 +18,11 @@ Stances under preference falsification stand still for long stretches and then
 flip in cascades, so each state carries a memo of the step that made it
 (:class:`_StepMemo`): the next step recomputes only what its changed inputs
 reach, and :func:`run` reuses the previous record when the decision is reused.
-The memo keeps each observer's observed weight per stance and its total, from
-which one formula makes the reputation terms.  Under the fraction variants on
-integral weights a step brings them up to date over the audiences of the agents
-whose stance or exit changed; otherwise it makes one keyed pass over every edge with the
-observed weights, the one per-edge array it keeps, made anew when an exit changes.
+What a step sees of the public state is one record, made by :func:`_see`: each
+observer's observed weight per stance and its total, from which one formula makes
+the reputation terms.  Under the fraction variants on integral weights they are
+brought up to date over the audiences of the agents whose stance or exit changed;
+otherwise one keyed pass over every edge makes them.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -170,47 +170,36 @@ class ParamArrays:
         ]
 
 
-class _StepMemo(NamedTuple):
-    """One step's inputs and decision, kept on its successor state for the next step.
-
-    Four levels, each valid while its own key and every key above it match:
-
-    1. the network (by identity: its arrays are read-only) and the reputation spec;
-    2. the exit flags: each observer's total observed weight ``denom`` and, off the counts
-       path, each edge's observed weight ``weight``;
-    3. the previous stances: each observer's observed weight per stance ``num`` (n x 3),
-       and the reputation terms ``rep``, made from ``num`` and ``denom`` alone;
-    4. the parameters (by identity: their columns are read-only), the
-       environment after events (field by field, see :func:`_same_env`), the
-       integrity and exit specs, and the falsification streaks clipped at
-       :func:`_steady_streak`: the perceived probability ``p`` and the new
-       stances and masks of the step's tail (see :func:`_tail_masks`).
-
-    Where :func:`~dissentsim.network.counted` holds (the fraction variants on integral
-    weights), a change walks only the in-edges of the agents whose stance or exit flag
-    changed (:func:`stance_counts`), and ``weight`` is None: the memo holds no array with an
-    entry per edge.  Otherwise ``num`` comes from a keyed pass over every edge
-    (:func:`keyed_counts`), and ``weight`` is the one per-edge array kept.
-
-    The effective factors ``eff`` are kept while the parameters and the
-    environment are the same, through changes of the levels above.
-
-    ``exited``, ``y`` and ``streaks`` are private copies, so a later step
-    compares them by content and stays exact after in-place edits of a
-    state's arrays.  States share memos, so a step replaces what it changes and
-    never updates a kept array in place.  The kept arrays are read-only, but
-    ``weight``, which only ``np.bincount`` reads: it copies a read-only weights array on
-    every call.
-    """
+class _Seen(NamedTuple):
+    """A step's reputation terms ``rep``, from each observer's observed weight per stance
+    ``num`` (n x 3) and its total ``denom``.  Valid while ``network`` is the same object,
+    ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies) are
+    equal by content.  ``weight``, the keyed pass's observed weight per edge (None on the
+    counts path), stays writable: ``np.bincount`` copies read-only weights on every call."""
 
     network: SocialNetwork
     reputation: ReputationSpec
-    weight: np.ndarray | None
     exited: np.ndarray
-    denom: np.ndarray
     y: np.ndarray
+    weight: np.ndarray | None
     num: np.ndarray
+    denom: np.ndarray
     rep: np.ndarray
+
+
+class _StepMemo(NamedTuple):
+    """One step's inputs and decision, kept on its successor state for the next step.
+
+    The decision (the perceived probability ``p`` and the new stances and masks of
+    :func:`_tail_masks`) is valid while ``seen`` is the same object and the parameters (by
+    identity: their columns are read-only), the environment after events (see
+    :func:`_same_env`), the integrity and exit specs and the falsification streaks clipped
+    at :func:`_steady_streak` (a private copy) match; the effective factors ``eff`` while
+    the parameters and the environment do.  States share memos, so a step never updates a
+    kept array in place; the kept arrays are read-only.
+    """
+
+    seen: _Seen
     integrity: IntegritySpec
     exit: ExitSpec | None
     params: ParamArrays
@@ -525,38 +514,25 @@ def _tail_masks(chosen, best, y, exited, x_rebel, exit_rule):
 def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     """The step's decision, reusing what ``state._memo`` kept where its inputs are unchanged.
 
-    The levels of :class:`_StepMemo` are checked in order, and each computes
-    afresh only when its own key or one above it changed.  When every input
-    matches, the kept decision is returned as it is.
+    When :func:`_see` returns the kept record and every other input matches, the kept
+    decision is returned as it is.
     """
     last = state._memo
-    net, spec, integrity, pa = state.network, scenario.reputation, scenario.integrity, state.params
-    y_prev, exited = state.y, state.exited
-    same_net = last is not None and last.network is net and last.reputation == spec
-    same_exits = same_net and np.array_equal(last.exited, exited)
-    same_public = same_exits and np.array_equal(last.y, y_prev)
-    if same_public:
-        weight, num, denom = last.weight, last.num, last.denom
-    elif counted(spec, net):  # walk the changed agents' audiences
-        since = (last.num, last.y, last.exited) if same_net else None
-        weight, num = None, stance_counts(spec, net, y_prev, exited, since)
-        denom = last.denom if same_exits else num.sum(axis=1)
-    else:
-        weight, num, denom = _edge_pass(net, spec, y_prev, exited, last if same_exits else None)
-    rep = last.rep if same_public else terms_from_counts(spec, num, denom)
-    exited = last.exited if same_exits else exited.copy()
-    y_prev = last.y if same_public else y_prev.copy()
+    integrity, pa = scenario.integrity, state.params
+    seen = _see(state.network, scenario.reputation, state.y, state.exited,
+                None if last is None else last.seen)
     streaks = np.minimum(state.d_falsify, _steady_streak(integrity))
     same_inputs = last is not None and last.params is pa and _same_env(last.env, env)
     if (
-        same_public
-        and same_inputs
+        same_inputs
+        and last.seen is seen
         and last.integrity == integrity
         and last.exit == scenario.exit
         and np.array_equal(last.streaks, streaks)  # never equal while a streak is negative
     ):
         return last
 
+    y_prev, exited, rep = seen.y, seen.exited, seen.rep
     active = ~exited
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / max(int(active.sum()), 1)
     eff = last.eff if same_inputs else effective_params(pa, env)
@@ -575,26 +551,44 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
     y_next, grow, keep, low, hold = _tail_masks(chosen, best, y_prev, exited, pa.x_rebel,
                                                 scenario.exit)
-    for kept in (denom, num, rep, streaks, p, y_next, grow, keep, low, hold):
+    for kept in (streaks, p, y_next, grow, keep, low, hold):
         if kept is not None:
             kept.setflags(write=False)
     return _StepMemo(
-        network=net, reputation=spec, weight=weight, exited=exited, denom=denom, y=y_prev,
-        num=num, rep=rep, integrity=integrity, exit=scenario.exit, params=pa, env=env, eff=eff,
+        seen=seen, integrity=integrity, exit=scenario.exit, params=pa, env=env, eff=eff,
         streaks=streaks, p=p, y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
     )
 
 
-def _edge_pass(net, spec, y, exited, last):
-    """The observed weights, and each observer's observed weight per stance and total, from a
-    keyed pass over every edge, reusing ``last``'s weights and totals unless it is None."""
-    if last is not None:
-        weight, denom = last.weight, last.denom
-    else:  # the network, the spec or an exit changed since the last step
-        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
-        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        weight, denom = observed_weights(spec, net.w, net.dst, exited[net.dst], scores), None
-    return weight, *keyed_counts(net.src, weight, y[net.dst], net.n, denom)
+def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
+    """The :class:`_Seen` of the previous stances ``y`` and exits over ``net`` under ``spec``:
+    ``last`` itself when none of its keys changed.  Where :func:`counted` holds, the counts
+    come from :func:`stance_counts`, which walks only the audiences of the agents whose
+    stance or exit changed since ``last`` (over the same network and spec); otherwise from a
+    keyed pass over every edge.  Either way the totals, and the keyed pass's observed
+    weights, are kept while the exits are unchanged."""
+    same_net = last is not None and last.network is net and last.reputation == spec
+    same_exits = same_net and np.array_equal(last.exited, exited)
+    if same_exits and np.array_equal(last.y, y):
+        return last
+    exited = last.exited if same_exits else exited.copy()
+    y = y.copy()
+    if counted(spec, net):
+        since = (last.num, last.y, last.exited) if same_net else None
+        weight, num = None, stance_counts(spec, net, y, exited, since)
+        denom = last.denom if same_exits else num.sum(axis=1)
+    else:
+        if same_exits:
+            weight, denom = last.weight, last.denom
+        else:  # the network, the spec or an exit changed
+            iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+            scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+            weight, denom = observed_weights(spec, net.w, net.dst, exited[net.dst], scores), None
+        num, denom = keyed_counts(net.src, weight, y[net.dst], net.n, denom)
+    rep = terms_from_counts(spec, num, denom)
+    for kept in (exited, y, num, denom, rep):
+        kept.setflags(write=False)
+    return _Seen(net, spec, exited, y, weight, num, denom, rep)
 
 
 def _record_from(state: SimState) -> StepRecord:

@@ -29,9 +29,6 @@ from .scenario import FACTOR_NAMES, NONNEGATIVE_FACTORS, Position, PrivateType  
 #: Absolute tolerance under which two stance payoffs count as tied.
 TIE_EPS = 1e-9
 
-#: Stable tie-break order: earliest wins when the previous stance is not tied.
-TIE_ORDER = (Position.NJ, Position.U, Position.R)
-
 
 @dataclass(frozen=True)
 class SoftTerms:

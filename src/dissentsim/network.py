@@ -30,6 +30,7 @@ from .scenario import (  # re-exported: the spec types, defaults and budgets are
     Position,
     ReputationSpec,
     ReputationVariant,
+    _finite,
     draw_count,
     edge_count,
 )
@@ -39,7 +40,8 @@ SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
 
 def _network_size(n) -> int:
-    if not np.isfinite(n) or n != np.floor(n):
+    """``n`` as a network's agent count: an integer >= 1, or a float that is one; not a bool."""
+    if isinstance(n, (bool, np.bool_)) or not _finite(n) or n != np.floor(n):
         raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
     if n < 1:
         raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
@@ -420,8 +422,7 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     order docs/scenario-schema.md states and needs a bit generator with 64-bit
     outputs (not MT19937); a passed Generator ends where those scalar draws leave it.
     """
-    if n < 1:
-        raise InvalidParameterError(f"network generation needs n >= 1, got {n!r}")
+    n = _network_size(n)
     rng = np.random.default_rng(seed)
 
     if spec.kind is NetworkKind.COMPLETE:

@@ -423,6 +423,11 @@ class Scenario:
         object.__setattr__(self, "events", tuple(self.events))
         if not _SEED.accepts(self.seed):
             raise InvalidParameterError(f"seed must be {_SEED.name}, got {self.seed!r}")
+        _store_int(self, "horizon", "horizon")
+        check = _Check()
+        _check_sizes(check, self.horizon, self.population, self.network)
+        if check.violations:
+            raise ScenarioValidationError(check.violations)
 
     @property
     def n_total(self) -> int:
@@ -787,6 +792,35 @@ def _load_json(text: str, what: str = ""):
         ) from None
 
 
+def _check_sizes(check: _Check, horizon=None, population=None, network=None) -> None:
+    """The rules that keep a run within its budgets, for what is given: the horizon
+    (0..HORIZON_BUDGET steps), the population (1..AGENT_BUDGET agents), then over both
+    population and network small_world's ``k < n`` and the edge and draw budgets.
+    :func:`parse_scenario` and :class:`Scenario` both apply them."""
+    if horizon is not None and horizon < 0:
+        check.fail("horizon", f"must be >= 0, got {horizon!r}")
+    elif horizon is not None and horizon > HORIZON_BUDGET:
+        check.fail("horizon", f"has {horizon} steps, more than the budget of {HORIZON_BUDGET:.3g}")
+    if population is None:
+        return
+    n = population.n_total
+    if n < 1:
+        check.fail("population", "total agent count must be >= 1")
+    elif n > AGENT_BUDGET:
+        check.fail("population", f"has {n} agents, more than the budget of {AGENT_BUDGET:.3g}")
+    if network is None:
+        return
+    if network.kind is NetworkKind.SMALL_WORLD and network.k >= max(n, 1):
+        check.fail("network.k", f"must be < total population, got k={network.k}, n={n}")
+    edges, draws = edge_count(network, n), draw_count(network, n)
+    if edges > EDGE_BUDGET:
+        check.fail("network", f"{network.kind.value} over {n} agents has {edges:.3g} edges, "
+                              f"more than the budget of {EDGE_BUDGET:.3g}")
+    if draws > DRAW_BUDGET:
+        check.fail("network", f"{network.kind.value} over {n} agents draws {draws:.3g} uniforms, "
+                              f"more than the budget of {DRAW_BUDGET:.3g}")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario JSON document.
 
@@ -804,10 +838,7 @@ def parse_scenario(text: str) -> Scenario:
     seed, horizon, beta_share, update = top["seed"], top.get("horizon"), top["beta_share"], top["update"]
     if not _SEED.accepts(seed):
         check.fail("seed", f"must be {_SEED.name}, got {seed!r}")
-    if horizon is not None and horizon < 0:
-        check.fail("horizon", f"must be >= 0, got {horizon!r}")
-    elif horizon is not None and horizon > HORIZON_BUDGET:
-        check.fail("horizon", f"has {horizon} steps, more than the budget of {HORIZON_BUDGET:.3g}")
+    _check_sizes(check, horizon=horizon)
     if not math.isfinite(_float(beta_share)) or beta_share < 0:
         check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
     if update != "synchronous":
@@ -820,28 +851,7 @@ def parse_scenario(text: str) -> Scenario:
     population, network, events = sections["population"], sections["network"], sections["events"]
 
     # Cross-field invariants.
-    if population is not None and population.n_total < 1:
-        check.fail("population", "total agent count must be >= 1")
-    elif population is not None and population.n_total > AGENT_BUDGET:
-        check.fail("population", f"has {population.n_total} agents, more than the budget of "
-                                 f"{AGENT_BUDGET:.3g}")
-    if (
-        population is not None
-        and network is not None
-        and network.kind is NetworkKind.SMALL_WORLD
-        and network.k is not None
-        and network.k >= max(population.n_total, 1)
-    ):
-        check.fail("network.k", f"must be < total population, got k={network.k}, n={population.n_total}")
-    if population is not None and network is not None:
-        edges = edge_count(network, population.n_total)
-        if edges > EDGE_BUDGET:
-            check.fail("network", f"{network.kind.value} over {population.n_total} agents has "
-                                  f"{edges:.3g} edges, more than the budget of {EDGE_BUDGET:.3g}")
-        draws = draw_count(network, population.n_total)
-        if draws > DRAW_BUDGET:
-            check.fail("network", f"{network.kind.value} over {population.n_total} agents draws "
-                                  f"{draws:.3g} uniforms, more than the budget of {DRAW_BUDGET:.3g}")
+    _check_sizes(check, population=population, network=network)
     if horizon is not None:
         for idx, event in enumerate(events):
             if event.step >= horizon:  # steps run 0..horizon-1; a later event would never fire

@@ -519,7 +519,7 @@ def test_relabeling_the_agents_relabels_every_step(drawn):
         forward, moved = step(forward, scenario), step(moved, scenario)
         for name in agents:
             assert getattr(moved, name)[perm].tobytes() == getattr(forward, name).tobytes()
-        assert moved._memo.rep[perm].tobytes() == forward._memo.rep.tobytes()
+        assert moved._memo.seen.rep[perm].tobytes() == forward._memo.seen.rep.tobytes()
 
 
 def test_monotone_fear_dC():

@@ -81,6 +81,24 @@ def test_network_rejects_non_integral_size():
     assert SocialNetwork(2.0, [(0, 1, 1.0)]).n == 2
 
 
+_KINDS = [NetworkSpec(NetworkKind.COMPLETE), NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=0.5),
+          NetworkSpec(NetworkKind.SMALL_WORLD, k=2, rewire_p=0.3)]
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind.value)
+def test_generated_size_is_read_as_a_built_network_reads_it(spec):
+    """``generate_network`` takes an integral float as the integer it holds, and refuses
+    what ``SocialNetwork`` refuses, with the same error naming ``n``."""
+    assert generate_network(spec, 4.0, 0).edges == generate_network(spec, 4, 0).edges
+    for n in (True, np.True_, "3", None, 2.5, float("nan")):
+        for build in (lambda: SocialNetwork(n, []), lambda: generate_network(spec, n, 0)):
+            with pytest.raises(InvalidParameterError, match=r"must be an integer, got n="):
+                build()
+    for n in (0, -2, 0.0):
+        with pytest.raises(InvalidParameterError, match=r"at least one agent, got n="):
+            generate_network(spec, n, 0)
+
+
 def test_network_stores_source_sorted_arrays():
     net = SocialNetwork(3, np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.5], [0.0, 1.0, 2.0]]))
     assert net.src.tolist() == [0, 0, 2]

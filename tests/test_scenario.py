@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,36 @@ def test_horizon_over_budget_rejected():
     assert excinfo.value.violations == ["horizon: has 1000001 steps, more than the budget of 1e+06"]
     with pytest.raises(ScenarioValidationError, match="^horizon: has 10{300} steps"):
         parse_scenario(_doc(horizon=10**300))
+
+
+def _scaled(scenario, factor, network):
+    """``scenario`` with every group's count times ``factor``, over ``network``."""
+    groups = [replace(g, count=g.count * factor) for g in scenario.population.groups]
+    return replace(scenario, population=PopulationSpec(groups), network=network)
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda sc: replace(sc, horizon=-3), ["horizon: must be >= 0, got -3"]),
+    (lambda sc: replace(sc, horizon=10**9),
+     ["horizon: has 1000000000 steps, more than the budget of 1e+06"]),
+    (lambda sc: _scaled(sc, 0, NetworkSpec(NetworkKind.COMPLETE)),
+     ["population: total agent count must be >= 1"]),
+    (lambda sc: _scaled(sc, 1001, NetworkSpec(NetworkKind.SMALL_WORLD, k=0, rewire_p=0.0)),
+     ["population: has 10010000 agents, more than the budget of 1e+07"]),
+    (lambda sc: replace(sc, population=PopulationSpec([replace(sc.population.groups[0], count=6)])),
+     ["network.k: must be < total population, got k=10, n=6"]),
+    (lambda sc: _scaled(sc, 100, NetworkSpec(NetworkKind.COMPLETE)),
+     ["network: complete over 1000000 agents has 1e+12 edges, more than the budget of 5e+07"]),
+    (lambda sc: _scaled(sc, 100, NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=1e-6)),
+     ["network: erdos_renyi over 1000000 agents draws 1e+12 uniforms, more than the budget of 1e+11"]),
+], ids=["negative-horizon", "horizon-budget", "no-agents", "agent-budget", "small-world-k",
+        "edge-budget", "draw-budget"])
+def test_a_scenario_built_in_python_is_held_to_the_size_rules(build, expected):
+    """The horizon, agent, edge and draw rules :func:`parse_scenario` applies also hold for a
+    Scenario made in Python, with the same violations, before anything is sampled."""
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        build(donbass_baseline())
+    assert excinfo.value.violations == expected
 
 
 def test_network_kind_violations():
@@ -742,6 +773,7 @@ def test_spec_checks_refuse_integers_past_float_range(make, needle):
     ("group count", "count", lambda v: Group("g", v, PrivateType.PRO_REBELLION, {})),
     ("max_iters", "max_iters",
      lambda v: ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.5, max_iters=v)),
+    ("horizon", "horizon", lambda v: replace(donbass_baseline(), horizon=v)),
 ])
 def test_integer_fields_take_python_and_numpy_integers_only(label, field, build):
     """Built directly, a spec's integer field follows the parser's rule: a Python or numpy

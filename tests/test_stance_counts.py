@@ -125,12 +125,12 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
                 state.exited[state.network.dst[state.network._row(i)]] = True
         num, denom, rep = keyed_pass(spec, state.network, state.y, state.exited)
         new = step(state, scenario)
-        memo = new._memo
-        assert memo.weight is None
-        assert (bits(memo.num), bits(memo.denom), bits(memo.rep)) == (bits(num), bits(denom), bits(rep))
+        seen = new._memo.seen
+        assert seen.weight is None
+        assert (bits(seen.num), bits(seen.denom), bits(seen.rep)) == (bits(num), bits(denom), bits(rep))
         fresh = step(replace(state, _memo=None), scenario)
         assert bits(new.y) == bits(fresh.y) and bits(new.exited) == bits(fresh.exited)
-        assert bits(memo.p) == bits(fresh._memo.p)
+        assert bits(new._memo.p) == bits(fresh._memo.p)
         history.append(new)
         state = new
 
@@ -148,18 +148,18 @@ def test_counts_start_afresh_on_a_new_network_or_spec():
     for net, spec in ((heavy, weighted), (heavy, unweighted), (ring, unweighted)):
         state = replace(state, network=net)
         expected = keyed_pass(spec, net, state.y, state.exited)
-        memo = step(state, scenario_of(spec))._memo
-        assert [bits(a) for a in (memo.num, memo.denom, memo.rep)] == [bits(a) for a in expected]
+        seen = step(state, scenario_of(spec))._memo.seen
+        assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
 
 
 # ---------------------------------------------------------------- which path a step takes
 
 def routed(net, variant):
-    """The memo of one step over ``net`` under ``variant``."""
+    """The reputation record of one step over ``net`` under ``variant``."""
     n = net.n
     params = ParamArrays(**{name: np.ones(n) for name in FACTOR_NAMES}, x_rebel=np.zeros(n, bool))
     state = state_of(net, params, [Position.R] * n, [False] * n)
-    return step(state, scenario_of(ReputationSpec(variant, alpha=1.0)))._memo
+    return step(state, scenario_of(ReputationSpec(variant, alpha=1.0)))._memo.seen
 
 
 def test_non_integral_weights_take_the_keyed_pass():
@@ -198,10 +198,10 @@ def test_a_generated_small_world_keeps_no_per_edge_array(variant):
     scenario = scenario_of(ReputationSpec(variant, alpha=1.0), ExitSpec(threshold=0.6, patience=2))
     for _ in range(4):
         state = step(state, scenario)
-        kept = [getattr(state._memo, name) for name in state._memo._fields]
+        kept = [*state._memo, *state._memo.seen]
         kept += [getattr(state._memo.eff, name) for name in FACTOR_NAMES]
         assert all(np.size(a) != m for a in kept if isinstance(a, np.ndarray))
-        assert state._memo.weight is None
+        assert state._memo.seen.weight is None
     assert net._audiences[1] is net.dst and net._audiences[0] is net.row_ptr
 
 

@@ -360,9 +360,9 @@ def test_a_still_step_hands_out_arrays_of_its_own():
         assert new._memo is state._memo
         arrays = ("y", "d_falsify", "exited", "low_payoff_streak")
         kept = [bits(getattr(state, name)) for name in arrays]
-        masks = (new._memo.y, new._memo.exited, new._memo.streaks, new._memo.y_next, new._memo.grow,
-                 new._memo.keep, new._memo.low, new._memo.hold)
-        before = memo_bits(new._memo), [bits(a) for a in masks]
+        masks = (new._memo.seen.y, new._memo.seen.exited, new._memo.streaks, new._memo.y_next,
+                 new._memo.grow, new._memo.keep, new._memo.low, new._memo.hold)
+        before = memo_bits(new._memo, state, scenario), [bits(a) for a in masks]
         new.y[:] = Position.R
         new.d_falsify[:] = 99
         new.exited[:] = True
@@ -425,11 +425,26 @@ def test_changed_network_and_specs_are_seen():
         assert state_bits(step(new_state, changed)) == state_bits(fresh_step(new_state, changed))
 
 
-def memo_bits(memo):
-    """Every array a step keeps, level by level, as bytes: the keyed pass's observed weights
-    (none on the counts path), then the stance counts, the totals, the terms and the decision."""
-    weight = () if memo.weight is None else (memo.weight,)
-    levels = (*weight, memo.num, memo.denom, memo.rep, memo.p, memo.y_next, memo.grow, memo.keep)
+def seen_kept(memo, state, scenario):
+    """Checks that the step that made ``memo`` from ``state`` kept the reputation record of
+    the step that made ``state`` exactly while the network, the reputation spec, the stances
+    and the exits are unchanged."""
+    last = None if state._memo is None else state._memo.seen
+    same = (last is not None and last.network is state.network
+            and last.reputation == scenario.reputation
+            and np.array_equal(last.y, state.y) and np.array_equal(last.exited, state.exited))
+    assert (last is not None and memo.seen is last) is same
+
+
+def memo_bits(memo, state=None, scenario=None):
+    """Every array a step keeps, as bytes: the keyed pass's observed weights (none on the
+    counts path), then the stance counts, the totals, the terms and the decision.  Given the
+    ``state`` and ``scenario`` the step read, also checks :func:`seen_kept`."""
+    if state is not None:
+        seen_kept(memo, state, scenario)
+    seen = memo.seen
+    weight = () if seen.weight is None else (seen.weight,)
+    levels = (*weight, seen.num, seen.denom, seen.rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -453,19 +468,19 @@ def test_in_place_edits_invalidate_only_their_levels():
     equal those of a step that keeps nothing.  Non-integral weights take the keyed pass."""
     state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
-    assert state._memo.weight is not None
+    assert state._memo.seen.weight is not None
     with counting_levels() as taken:
         step(state, scenario)
         assert taken() == (0, 0)
         state.y[0] = Position.U
         new = step(state, scenario)
         assert taken() == (0, 1)
-        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
         assert taken() == (1, 1)
-        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         step(new, scenario)
@@ -479,7 +494,7 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     those of a step that keeps nothing."""
     state, scenario = still_world()
     state = step(state, scenario)
-    assert state._memo.weight is None
+    assert state._memo.seen.weight is None
     with counting("stance_counts") as counts, counting_levels() as taken:
         step(state, scenario)
         assert (len(counts), taken()) == (0, (0, 0))
@@ -487,21 +502,21 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
         new = step(state, scenario)
         assert (len(counts), taken()) == (1, (0, 1))
         assert counts.pop()[4] is not None  # brought up to date from the kept counts
-        assert new._memo.denom is state._memo.denom
-        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        assert new._memo.seen.denom is state._memo.seen.denom
+        assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
         assert (len(counts), taken()) == (1, (0, 1))
-        assert bits(new._memo.denom) != bits(state._memo.denom)
-        assert memo_bits(new._memo) == memo_bits(fresh_step(state, scenario)._memo)
+        assert bits(new._memo.seen.denom) != bits(state._memo.seen.denom)
+        assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
         assert (len(counts), taken()) == (1, (0, 1))
-        assert bits(again._memo.denom) == bits(state._memo.denom)
+        assert bits(again._memo.seen.denom) == bits(state._memo.seen.denom)
 
 
 def test_replaced_network_or_spec_rebuilds_the_base_weights():
@@ -522,21 +537,24 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
             new = step(new_state, new_scenario)
             assert (len(scores), taken()) == (1, (1, 1))
             assert len(new_state.network._influence_memo) == 1  # solved once per network
-            assert memo_bits(new._memo) == memo_bits(fresh_step(new_state, new_scenario)._memo)
+            new_bits = memo_bits(new._memo, new_state, new_scenario)
+            assert new_bits == memo_bits(fresh_step(new_state, new_scenario)._memo)
             scores.clear()
             taken()  # not the fresh step's calls
 
 
 def keyed_step(state, scenario, real_step=step):
-    """One step that takes the keyed pass, with its record checked: one per-edge array, the
-    observed weights, kept while the exits are unchanged and equal to ``observed_weights``,
-    and read-only counts, totals and terms equal to the public kernels' bit for bit.
-    Returns the new state and whether it made new observed weights."""
+    """One step that takes the keyed pass, with its record checked: the reputation record
+    kept exactly as :func:`seen_kept` says, one per-edge array, the observed weights, kept
+    while the exits are unchanged and equal to ``observed_weights``, and read-only counts,
+    totals and terms equal to the public kernels' bit for bit.  Returns the new state and
+    whether it made new observed weights."""
     new = real_step(state, scenario)
-    memo, last, net, spec = new._memo, state._memo, state.network, scenario.reputation
-    m, weight = net.src.size, memo.weight
-    kept = [getattr(memo, name) for name in memo._fields]
-    kept += [getattr(memo.eff, name) for name in FACTOR_NAMES]
+    seen_kept(new._memo, state, scenario)
+    memo, net, spec = new._memo, state.network, scenario.reputation
+    last = None if state._memo is None else state._memo.seen
+    m, weight = net.src.size, memo.seen.weight
+    kept = [*memo, *memo.seen] + [getattr(memo.eff, name) for name in FACTOR_NAMES]
     per_edge = [a for a in kept if isinstance(a, np.ndarray) and a.size == m]
     assert m not in (net.n, 3 * net.n) and len(per_edge) == 1 and per_edge[0] is weight
     assert weight.flags.writeable  # np.bincount would copy read-only weights on every call
@@ -549,7 +567,7 @@ def keyed_step(state, scenario, real_step=step):
     num = np.bincount(3 * net.src + stance, weights=weight, minlength=3 * net.n).reshape(-1, 3)
     expected = (num, observer_totals(net.src, weight, net.n),
                 reputation_terms(spec, net.src, weight, stance, net.n))
-    kept = (memo.num, memo.denom, memo.rep)
+    kept = (memo.seen.num, memo.seen.denom, memo.seen.rep)
     assert not any(a.flags.writeable for a in kept)
     assert [bits(a) for a in kept] == [bits(a) for a in expected]
     return new, last is None or weight is not last.weight
