@@ -50,11 +50,6 @@ class CascadeReport:
     tipping_seed: int | None
 
 
-def _movers(sorted_thr: np.ndarray, p: float) -> int:
-    """How many thresholds lie strictly below p."""
-    return int(np.searchsorted(sorted_thr, p, side="left"))
-
-
 def cascade_trajectory(
     thresholds: Sequence[float],
     p_of_share: Callable[[float], float],
@@ -77,7 +72,7 @@ def _trajectory(sorted_thr: np.ndarray, p_of_share: Callable[[float], float],
         raise InvalidParameterError(f"s0 must lie in [0, 1], got {s0!r}")
     trajectory = [float(s0)]
     for _ in range(n + 1 + _TRAJECTORY_SLACK):
-        s_next = _movers(sorted_thr, p_of_share(trajectory[-1])) / n
+        s_next = int(np.searchsorted(sorted_thr, p_of_share(trajectory[-1]), side="left")) / n
         if s_next == trajectory[-1]:
             return trajectory
         trajectory.append(s_next)
@@ -231,6 +226,7 @@ _SERIES = (
     ("share_NJ", "abstain", "#7f8c8d"),
 )
 _EXIT_COLOR = "#8e44ad"
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def render_svg(records: Sequence[StepRecord], options: RenderOptions | None = None) -> str:
@@ -271,7 +267,7 @@ def render_svg(records: Sequence[StepRecord], options: RenderOptions | None = No
     if opts.title:
         parts.append(
             f'<text x="{opts.width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(opts.title)}</text>'
+            f'font-family="sans-serif" font-size="14">{opts.title.translate(_ESCAPES)}</text>'
         )
 
     # Frame and horizontal grid lines with share labels.
@@ -314,7 +310,8 @@ def render_svg(records: Sequence[StepRecord], options: RenderOptions | None = No
         parts.append(
             f'<text x="{x + 3:.2f}" y="{top + 10:.2f}" font-family="sans-serif" '
             f'font-size="8" fill="#b8860b" '
-            f'transform="rotate(90 {x + 3:.2f} {top + 10:.2f})">{_escape(";".join(r.events))}</text>'
+            f'transform="rotate(90 {x + 3:.2f} {top + 10:.2f})">'
+            f'{";".join(r.events).translate(_ESCAPES)}</text>'
         )
 
     # Share series (and exited counts on the right axis).
@@ -350,11 +347,4 @@ def _series_element(points: list[tuple[float, float]], color: str, dashed: bool)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="1.5"{dash}/>'
-    )
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
     )

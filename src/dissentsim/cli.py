@@ -147,10 +147,6 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
-def _sanitize_for_filename(path: str) -> str:
-    return path.replace("[", "_").replace("]", "_").replace(".", "_")
-
-
 def cmd_sweep(args) -> int:
     param_path, values, seeds = parse_sweep_spec(_read_text(args.spec))
     text = _read_text(args.scenario)
@@ -158,7 +154,7 @@ def cmd_sweep(args) -> int:
     base = parse_scenario(text)
 
     seeds = seeds if seeds is not None else [base.seed]
-    stem = _sanitize_for_filename(param_path)
+    stem = param_path.replace("[", "_").replace("]", "_").replace(".", "_")
     cells = [(v, seed, f"{stem}={v:g}_seed={seed}.csv") for v in values for seed in seeds]
     # Values that print alike under %g, or repeated seeds, would overwrite each other's CSV.
     repeats = Counter(name for _, _, name in cells)

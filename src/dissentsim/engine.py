@@ -694,8 +694,6 @@ def sample_population(scenario) -> ParamArrays:
 
 def init_state(scenario) -> SimState:
     """Fresh t=0 state: population and network drawn from the scenario seed, everyone abstaining."""
-    if scenario.update != "synchronous":
-        raise InvalidParameterError(f"unsupported update discipline {scenario.update!r}")
     params = sample_population(scenario)
     n = len(params.F)
     _, net_seq = _seed_streams(scenario.seed)

@@ -104,7 +104,7 @@ def check_params(params) -> None:
         _require(getattr(params, name) >= 0, f"{name} must be >= 0",
                  **{name: getattr(params, name)})
     _check_probability(p_base=params.p_base)
-    _require(params.C >= params.c, "C >= c violated", C=params.C, c=params.c)
+    _require(params.C >= params.c, "C must be >= c", C=params.C, c=params.c)
     if np.any(params.C == params.c):
         warnings.warn(
             "C == c: supporting the status quo is no costlier than abstaining; "

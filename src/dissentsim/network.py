@@ -31,6 +31,7 @@ from .scenario import (  # re-exported: the spec types, defaults and budgets are
     ReputationSpec,
     ReputationVariant,
     _finite,
+    _is_int,
     draw_count,
     edge_count,
 )
@@ -40,11 +41,13 @@ SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
 
 def _network_size(n) -> int:
-    """``n`` as a network's agent count: an integer >= 1, or a float that is one; not a bool."""
-    if isinstance(n, (bool, np.bool_)) or not _finite(n) or n != np.floor(n):
+    """``n`` as an agent count in [1, 2**63), the int64 ids: an integer or integral float."""
+    if isinstance(n, (bool, np.bool_)) or not (_is_int(n) or _finite(n) and n == np.floor(n)):
         raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
     if n < 1:
         raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
+    if n >= 2**63:
+        raise InvalidParameterError(f"a network's ids are int64, so n must be < 2**63, got n={n!r}")
     return int(n)
 
 

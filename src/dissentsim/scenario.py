@@ -313,6 +313,10 @@ class Constant:
 
     value: float
 
+    def __post_init__(self):
+        if not _finite(self.value):
+            raise InvalidParameterError(f"constant value must be finite, got {self.value!r}")
+
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
 
@@ -424,8 +428,14 @@ class Scenario:
         if not _SEED.accepts(self.seed):
             raise InvalidParameterError(f"seed must be {_SEED.name}, got {self.seed!r}")
         _store_int(self, "horizon", "horizon")
-        check = _Check()
-        _check_sizes(check, self.horizon, self.population, self.network)
+        check = _Check()  # the parser's rules in its order; the warnings are the parser's
+        _check_rules(check, self.horizon, self.beta_share, self.update)
+        for idx, group in enumerate(self.population.groups):
+            path = f"population.groups[{idx}]"
+            for name, dist in group.factors.items():
+                _validate_factor_support(name, dist, f"{path}.factors.{name}", check)
+            _check_costs(group.factors, path, check)
+        _check_rules(check, population=self.population, network=self.network)
         if check.violations:
             raise ScenarioValidationError(check.violations)
 
@@ -686,6 +696,18 @@ def _validate_factor_support(name: str, dist: Distribution, path: str, check: _C
         check.fail(path, f"p_base support must lie within [0, 1], found [{lo}, {hi}]")
 
 
+def _check_costs(factors: Mapping[str, Distribution], path: str, check: _Check) -> None:
+    """Cross-factor feasibility: some draw must satisfy C >= c; warns when C == c for all."""
+    c_dist = factors.get("c", Constant(0.0))
+    C_dist = factors.get("C", Constant(0.0))
+    if C_dist.support()[1] < c_dist.support()[0]:
+        check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
+    if isinstance(c_dist, Constant) and isinstance(C_dist, Constant) and C_dist.value == c_dist.value:
+        check.warnings.append(
+            f"{path}: C == c for every agent in this group; the model expects strict C > c"
+        )
+
+
 def _parse_group(doc, path: str, check: _Check) -> Group | None:
     if not check.is_object(doc, path):
         return None
@@ -702,16 +724,7 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
         if dist is not None:
             factors[key] = dist
             _validate_factor_support(key, dist, fpath, check)
-
-    # Cross-factor feasibility: some draw must satisfy C >= c.
-    c_dist = factors.get("c", Constant(0.0))
-    C_dist = factors.get("C", Constant(0.0))
-    if C_dist.support()[1] < c_dist.support()[0]:
-        check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
-    if isinstance(c_dist, Constant) and isinstance(C_dist, Constant) and C_dist.value == c_dist.value:
-        check.warnings.append(
-            f"{path}: C == c for every agent in this group; the model expects strict C > c"
-        )
+    _check_costs(factors, path, check)
 
     if x is None or len(values) < len(_GROUP_FIELDS):
         return None
@@ -792,15 +805,20 @@ def _load_json(text: str, what: str = ""):
         ) from None
 
 
-def _check_sizes(check: _Check, horizon=None, population=None, network=None) -> None:
-    """The rules that keep a run within its budgets, for what is given: the horizon
-    (0..HORIZON_BUDGET steps), the population (1..AGENT_BUDGET agents), then over both
-    population and network small_world's ``k < n`` and the edge and draw budgets.
+def _check_rules(check: _Check, horizon=None, beta_share=0.0, update="synchronous",
+                 population=None, network=None) -> None:
+    """The scenario's own rules, on what is given (the defaults pass): the horizon
+    (0..HORIZON_BUDGET steps), beta_share (a finite number >= 0) and update; then the agent
+    count (1..AGENT_BUDGET), small_world's ``k < n`` and the edge and draw budgets.
     :func:`parse_scenario` and :class:`Scenario` both apply them."""
     if horizon is not None and horizon < 0:
         check.fail("horizon", f"must be >= 0, got {horizon!r}")
     elif horizon is not None and horizon > HORIZON_BUDGET:
         check.fail("horizon", f"has {horizon} steps, more than the budget of {HORIZON_BUDGET:.3g}")
+    if not _finite(beta_share) or beta_share < 0:
+        check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
+    if update != "synchronous":
+        check.fail("update", f"only 'synchronous' is supported, got {update!r}")
     if population is None:
         return
     n = population.n_total
@@ -838,11 +856,7 @@ def parse_scenario(text: str) -> Scenario:
     seed, horizon, beta_share, update = top["seed"], top.get("horizon"), top["beta_share"], top["update"]
     if not _SEED.accepts(seed):
         check.fail("seed", f"must be {_SEED.name}, got {seed!r}")
-    _check_sizes(check, horizon=horizon)
-    if not math.isfinite(_float(beta_share)) or beta_share < 0:
-        check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
-    if update != "synchronous":
-        check.fail("update", f"only 'synchronous' is supported, got {update!r}")
+    _check_rules(check, horizon, beta_share, update)
 
     sections = {}
     for key, (kind, default, (parse, _)) in _SECTIONS.items():
@@ -851,12 +865,10 @@ def parse_scenario(text: str) -> Scenario:
     population, network, events = sections["population"], sections["network"], sections["events"]
 
     # Cross-field invariants.
-    _check_sizes(check, population=population, network=network)
-    if horizon is not None:
-        for idx, event in enumerate(events):
-            if event.step >= horizon:  # steps run 0..horizon-1; a later event would never fire
-                check.fail(f"events[{idx}].step",
-                           f"must be < horizon ({horizon}), got {event.step}")
+    _check_rules(check, population=population, network=network)
+    for idx, event in enumerate(events):
+        if horizon is not None and event.step >= horizon:  # steps run 0..horizon-1: it never fires
+            check.fail(f"events[{idx}].step", f"must be < horizon ({horizon}), got {event.step}")
     steps = [e.step for e in events]
     if steps != sorted(steps):
         check.fail("events", "must be sorted by step (ascending)")

@@ -99,6 +99,18 @@ def test_generated_size_is_read_as_a_built_network_reads_it(spec):
             generate_network(spec, n, 0)
 
 
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind.value)
+def test_a_size_past_the_int64_ids_is_refused(spec):
+    """A size is read exactly when it is an integer, so one too large for a float is not
+    called a non-integer, and a size the int64 agent ids cannot number is refused before
+    anything is built."""
+    for n in (2**63, np.uint64(2**63), 2.0**63, 10**400):
+        for build in (lambda: SocialNetwork(n, []), lambda: generate_network(spec, n, 0)):
+            with pytest.raises(InvalidParameterError, match=r"ids are int64, so n must be < 2\*\*63"):
+                build()
+    assert SocialNetwork(np.int64(3), []).n == 3 and type(SocialNetwork(np.int64(3), []).n) is int
+
+
 def test_network_stores_source_sorted_arrays():
     net = SocialNetwork(3, np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.5], [0.0, 1.0, 2.0]]))
     assert net.src.tolist() == [0, 0, 2]

@@ -254,34 +254,122 @@ def test_horizon_over_budget_rejected():
         parse_scenario(_doc(horizon=10**300))
 
 
-def _scaled(scenario, factor, network):
-    """``scenario`` with every group's count times ``factor``, over ``network``."""
-    groups = [replace(g, count=g.count * factor) for g in scenario.population.groups]
-    return replace(scenario, population=PopulationSpec(groups), network=network)
+_DISTS = {"constant": Constant, "uniform": Uniform, "trunc_normal": TruncNormal}
 
 
-@pytest.mark.parametrize("build, expected", [
-    (lambda sc: replace(sc, horizon=-3), ["horizon: must be >= 0, got -3"]),
-    (lambda sc: replace(sc, horizon=10**9),
-     ["horizon: has 1000000000 steps, more than the budget of 1e+06"]),
-    (lambda sc: _scaled(sc, 0, NetworkSpec(NetworkKind.COMPLETE)),
-     ["population: total agent count must be >= 1"]),
-    (lambda sc: _scaled(sc, 1001, NetworkSpec(NetworkKind.SMALL_WORLD, k=0, rewire_p=0.0)),
+def _in_both(factors=(), **fields):
+    """``(build, edit)``: the top-level ``fields`` and group 0's ``factors`` (JSON
+    distribution objects) set, by ``build`` on a Scenario in Python and by ``edit`` on its
+    JSON document."""
+    factors = dict(factors)
+
+    def build(scenario):
+        first, *rest = scenario.population.groups
+        made = {name: _DISTS[d["dist"]](**{k: v for k, v in d.items() if k != "dist"})
+                for name, d in factors.items()}
+        first = replace(first, factors={**first.factors, **made})
+        return replace(scenario, population=PopulationSpec([first, *rest]), **fields)
+
+    def edit(doc):
+        doc["population"]["groups"][0]["factors"].update(factors)
+        doc.update(fields)
+
+    return build, edit
+
+
+def _scaled(factor, network):
+    """``(build, edit)``: every group's count times ``factor``, over ``network`` (a JSON
+    network object)."""
+    def build(scenario):
+        groups = [replace(g, count=g.count * factor) for g in scenario.population.groups]
+        spec = NetworkSpec(NetworkKind(network["kind"]),
+                           **{k: v for k, v in network.items() if k != "kind"})
+        return replace(scenario, population=PopulationSpec(groups), network=spec)
+
+    def edit(doc):
+        for group in doc["population"]["groups"]:
+            group["count"] *= factor
+        doc["network"] = network
+
+    return build, edit
+
+
+def _first_group_of(count):
+    """``(build, edit)``: group 0 alone, with ``count`` agents."""
+    def build(scenario):
+        first = replace(scenario.population.groups[0], count=count)
+        return replace(scenario, population=PopulationSpec([first]))
+
+    def edit(doc):
+        doc["population"]["groups"] = [{**doc["population"]["groups"][0], "count": count}]
+
+    return build, edit
+
+
+_F_BELOW_0 = {"F": {"dist": "uniform", "lo": -1.0, "hi": 1.0}}
+
+
+@pytest.mark.parametrize("build, edit, expected", [
+    (*_in_both(horizon=-3), ["horizon: must be >= 0, got -3"]),
+    (*_in_both(horizon=10**9), ["horizon: has 1000000000 steps, more than the budget of 1e+06"]),
+    (*_scaled(0, {"kind": "complete"}), ["population: total agent count must be >= 1"]),
+    (*_scaled(1001, {"kind": "small_world", "k": 0, "rewire_p": 0.0}),
      ["population: has 10010000 agents, more than the budget of 1e+07"]),
-    (lambda sc: replace(sc, population=PopulationSpec([replace(sc.population.groups[0], count=6)])),
-     ["network.k: must be < total population, got k=10, n=6"]),
-    (lambda sc: _scaled(sc, 100, NetworkSpec(NetworkKind.COMPLETE)),
+    (*_first_group_of(6), ["network.k: must be < total population, got k=10, n=6"]),
+    (*_scaled(100, {"kind": "complete"}),
      ["network: complete over 1000000 agents has 1e+12 edges, more than the budget of 5e+07"]),
-    (lambda sc: _scaled(sc, 100, NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=1e-6)),
+    (*_scaled(100, {"kind": "erdos_renyi", "p_edge": 1e-6}),
      ["network: erdos_renyi over 1000000 agents draws 1e+12 uniforms, more than the budget of 1e+11"]),
+    (*_in_both(beta_share=-1.0), ["beta_share: must be finite and >= 0, got -1.0"]),
+    (*_in_both(beta_share=math.nan), ["beta_share: must be finite and >= 0, got nan"]),
+    (*_in_both(update="async"), ["update: only 'synchronous' is supported, got 'async'"]),
+    (*_in_both(_F_BELOW_0),
+     ["population.groups[0].factors.F: F must be >= 0 over the whole support, found lo=-1.0"]),
+    (*_in_both({"p_base": {"dist": "uniform", "lo": 0.5, "hi": 1.5}}),
+     ["population.groups[0].factors.p_base: p_base support must lie within [0, 1], "
+      "found [0.5, 1.5]"]),
+    (*_in_both({"c": {"dist": "uniform", "lo": 2.0, "hi": 3.0},
+                "C": {"dist": "uniform", "lo": 0.0, "hi": 1.0}}),
+     ["population.groups[0].factors: C >= c violated: C support lies entirely below c support"]),
+    (*_in_both(_F_BELOW_0, update="async"),
+     ["update: only 'synchronous' is supported, got 'async'",
+      "population.groups[0].factors.F: F must be >= 0 over the whole support, found lo=-1.0"]),
 ], ids=["negative-horizon", "horizon-budget", "no-agents", "agent-budget", "small-world-k",
-        "edge-budget", "draw-budget"])
-def test_a_scenario_built_in_python_is_held_to_the_size_rules(build, expected):
-    """The horizon, agent, edge and draw rules :func:`parse_scenario` applies also hold for a
-    Scenario made in Python, with the same violations, before anything is sampled."""
+        "edge-budget", "draw-budget", "negative-beta-share", "nan-beta-share", "async-update",
+        "F-support", "p-base-support", "cost-order", "update-then-group"])
+def test_a_scenario_built_in_python_is_held_to_the_size_rules(build, edit, expected):
+    """Every rule :func:`parse_scenario` applies but the two event rules also holds for a
+    Scenario made in Python: the same violations, in the same order, before anything is
+    sampled.  ``edit`` makes the same change to the scenario's JSON document, which the
+    parser refuses with the same list.  The baseline's events are dropped, so the event
+    rules, which are the parser's alone, add nothing to it."""
+    baseline = replace(donbass_baseline(), events=())
     with pytest.raises(ScenarioValidationError) as excinfo:
-        build(donbass_baseline())
+        build(baseline)
     assert excinfo.value.violations == expected
+    doc = json.loads(serialize_scenario(baseline))
+    edit(doc)
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_scenario(json.dumps(doc, allow_nan=True))
+    assert excinfo.value.violations == expected
+
+
+def test_a_non_number_beta_share_or_update_is_a_violation():
+    """Built in Python, a ``beta_share`` or ``update`` of another type is refused as a
+    violation of its rule, not with a TypeError."""
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        replace(donbass_baseline(), beta_share="0.5", update=None)
+    assert excinfo.value.violations == ["beta_share: must be finite and >= 0, got '0.5'",
+                                        "update: only 'synchronous' is supported, got None"]
+
+
+def test_a_constant_checks_its_own_value():
+    """``Constant``, like ``Uniform`` and ``TruncNormal``, refuses a value that is not a
+    finite number when built in Python."""
+    for value in (math.nan, math.inf, 10**400, "1"):
+        with pytest.raises(InvalidParameterError, match="^constant value must be finite, got "):
+            Constant(value)
+    assert Constant(2**64).support() == (2**64, 2**64)
 
 
 def test_network_kind_violations():
