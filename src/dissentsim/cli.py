@@ -21,14 +21,7 @@ from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
-from .errors import (
-    ConvergenceError,
-    GenerationError,
-    InvalidParameterError,
-    NotFoundError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
+from .errors import ConvergenceError, DissentSimError, InvalidParameterError, ScenarioValidationError
 from .scenario import (
     Environment,
     Position,
@@ -231,12 +224,12 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return 1
-    except (ScenarioParseError, GenerationError, InvalidParameterError, NotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (DissentSimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ from .network import (
 from .scenario import (  # re-exported: the spec types are load-time names
     DELTA_FIELDS,
     FACTOR_NAMES,
+    NONNEGATIVE_FACTORS,
     Constant,
     Environment,
     Event,
@@ -75,7 +76,8 @@ from .scenario import (  # re-exported: the spec types are load-time names
     Uniform,
 )
 
-#: Rejection-sampling retry cap, per agent, both for truncation and for C >= c.
+#: Rejection-sampling cap: the most redraw rounds one column (a truncated normal) or one
+#: group's (c, C) pair takes; each round redraws every entry still rejected.
 REJECTION_CAP = 1000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -294,15 +296,8 @@ def effective_params(params: AgentParams | ParamArrays, env: Environment):
     overflows, or a state built by hand with a non-finite factor.
     """
     with np.errstate(over="ignore"):  # an offset sum that overflows is refused below
-        eff = replace(
-            params,
-            F=np.maximum(0.0, params.F + env.dF),
-            S=np.maximum(0.0, params.S + env.dS),
-            C=np.maximum(0.0, params.C + env.dC),
-            c=np.maximum(0.0, params.c + env.dc),
-            A_U=np.maximum(0.0, params.A_U + env.dA_U),
-            A_R=np.maximum(0.0, params.A_R + env.dA_R),
-        )
+        eff = replace(params, **{name: np.maximum(0.0, getattr(params, name) + getattr(env, f"d{name}"))
+                                 for name in NONNEGATIVE_FACTORS})
     _check_finite(**{name: getattr(eff, name) for name in FACTOR_NAMES})
     return eff
 
@@ -613,9 +608,26 @@ def _seed_streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(2)
 
 
+def _redraw(columns, draw, rejected, failure: str) -> None:
+    """Redraw the entries of ``columns`` that ``rejected(*columns)`` flags, one round at a time,
+    from ``draw(k)`` (``k`` new entries per column, in column order), until none is flagged;
+    raises GenerationError ``failure`` (which names the group and the factor) if any still is
+    after REJECTION_CAP rounds."""
+    bad = rejected(*columns)
+    for _ in range(REJECTION_CAP):
+        if not bad.any():
+            return
+        for column, new in zip(columns, draw(int(bad.sum()))):
+            column[bad] = new
+        bad = rejected(*columns)
+    if bad.any():
+        raise GenerationError(failure)
+
+
 def _sample(dist: Constant | Uniform | TruncNormal, rng: np.random.Generator,
-            size: int) -> np.ndarray:
-    """``size`` draws of one factor; a truncated normal redraws until each lands in [lo, hi]."""
+            size: int, where: str) -> np.ndarray:
+    """``size`` draws of the factor ``where`` names; a truncated normal redraws until each
+    lands in [lo, hi]."""
     if isinstance(dist, Constant):
         return np.full(size, float(dist.value))
     if isinstance(dist, Uniform):
@@ -623,42 +635,23 @@ def _sample(dist: Constant | Uniform | TruncNormal, rng: np.random.Generator,
             return np.full(size, float(dist.lo))
         return rng.uniform(dist.lo, dist.hi, size)
     out = rng.normal(dist.mean, dist.sd, size)
-    bad = (out < dist.lo) | (out > dist.hi)
-    rounds = 0
-    while bad.any():
-        rounds += 1
-        if rounds > REJECTION_CAP:
-            raise GenerationError(
-                f"trunc_normal(mean={dist.mean}, sd={dist.sd}, lo={dist.lo}, hi={dist.hi}) "
-                f"exceeded {REJECTION_CAP} redraw rounds"
-            )
-        out[bad] = rng.normal(dist.mean, dist.sd, int(bad.sum()))
-        bad = (out < dist.lo) | (out > dist.hi)
+    _redraw((out,), lambda k: (rng.normal(dist.mean, dist.sd, k),),
+            lambda x: (x < dist.lo) | (x > dist.hi),
+            f"{where}: trunc_normal(mean={dist.mean}, sd={dist.sd}, lo={dist.lo}, hi={dist.hi}) "
+            f"exceeded {REJECTION_CAP} redraw rounds")
     return out
 
 
 def _draw_group(group: Group, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """One group's factor columns, drawn in FACTOR_NAMES order, then (c, C) redrawn until C >= c."""
+    prefix = f"group {group.label!r}"
     dists = {name: group.factors.get(name, Constant(0.0)) for name in FACTOR_NAMES}
-    drawn: dict[str, np.ndarray] = {}
-    for name, dist in dists.items():
-        try:
-            drawn[name] = _sample(dist, rng, group.count)
-        except GenerationError as exc:
-            raise GenerationError(f"group {group.label!r}, factor {name}: {exc}") from None
-    bad = drawn["C"] < drawn["c"]
-    rounds = 0
-    while bad.any():
-        rounds += 1
-        if rounds > REJECTION_CAP:
-            raise GenerationError(
-                f"group {group.label!r}: could not satisfy C >= c within "
-                f"{REJECTION_CAP} redraw rounds"
-            )
-        k = int(bad.sum())
-        drawn["c"][bad] = _sample(dists["c"], rng, k)
-        drawn["C"][bad] = _sample(dists["C"], rng, k)
-        bad = drawn["C"] < drawn["c"]
+    drawn = {name: _sample(dists[name], rng, group.count, f"{prefix}, factor {name}")
+             for name in FACTOR_NAMES}
+    _redraw((drawn["c"], drawn["C"]),
+            lambda k: [_sample(dists[name], rng, k, f"{prefix}, factor {name}") for name in ("c", "C")],
+            lambda c, C: C < c,
+            f"{prefix}, factors c, C: could not satisfy C >= c within {REJECTION_CAP} redraw rounds")
     return drawn
 
 

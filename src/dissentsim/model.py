@@ -82,6 +82,9 @@ class AgentParams:
         check_params(self)
         if not isinstance(self.x, PrivateType):
             raise InvalidParameterError(f"x must be a PrivateType, got {self.x!r}")
+        if self.C == self.c:
+            warnings.warn("C == c: supporting the status quo is no costlier than abstaining; "
+                          "the model expects strict C > c", stacklevel=2)
 
 
 def _require(ok, message: str, **values) -> None:
@@ -96,8 +99,9 @@ def check_params(params) -> None:
     """Load-time checks on one agent's AgentParams or a whole ParamArrays, elementwise.
 
     Every factor finite, the hard factors >= 0, p_base in [0, 1] and C >= c;
-    raises InvalidParameterError naming the first offending value, and warns
-    when C == c for any agent.
+    raises InvalidParameterError naming the first offending value.  It never
+    warns: the parser warns when a group's C == c (``AgentParams.validate`` for
+    one agent), so sampling a population does not warn again.
     """
     _check_finite(**{name: getattr(params, name) for name in FACTOR_NAMES})
     for name in NONNEGATIVE_FACTORS:
@@ -105,12 +109,6 @@ def check_params(params) -> None:
                  **{name: getattr(params, name)})
     _check_probability(p_base=params.p_base)
     _require(params.C >= params.c, "C must be >= c", C=params.C, c=params.c)
-    if np.any(params.C == params.c):
-        warnings.warn(
-            "C == c: supporting the status quo is no costlier than abstaining; "
-            "the model expects strict C > c",
-            stacklevel=3,
-        )
 
 
 def _check_finite(**named) -> None:

@@ -41,13 +41,16 @@ SENTIMENT_VALUE = {Position.R: 1.0, Position.U: -1.0, Position.NJ: 0.0}
 
 
 def _network_size(n) -> int:
-    """``n`` as an agent count in [1, 2**63), the int64 ids: an integer or integral float."""
+    """``n`` as an agent count in [1, AGENT_BUDGET]: an integer or integral float.  The int64
+    ids' bound is checked before the budget, so a size they cannot number is named as such."""
     if isinstance(n, (bool, np.bool_)) or not (_is_int(n) or _finite(n) and n == np.floor(n)):
         raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
     if n < 1:
         raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
     if n >= 2**63:
         raise InvalidParameterError(f"a network's ids are int64, so n must be < 2**63, got n={n!r}")
+    if n > AGENT_BUDGET:
+        raise InvalidParameterError(f"a network has at most {AGENT_BUDGET:.0e} agents, got n={n!r}")
     return int(n)
 
 

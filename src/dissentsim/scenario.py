@@ -697,12 +697,12 @@ def _validate_factor_support(name: str, dist: Distribution, path: str, check: _C
 
 
 def _check_costs(factors: Mapping[str, Distribution], path: str, check: _Check) -> None:
-    """Cross-factor feasibility: some draw must satisfy C >= c; warns when C == c for all."""
-    c_dist = factors.get("c", Constant(0.0))
-    C_dist = factors.get("C", Constant(0.0))
-    if C_dist.support()[1] < c_dist.support()[0]:
+    """Some draw must satisfy C >= c; warns when the c and C supports are one same point."""
+    c_lo, c_hi = factors.get("c", Constant(0.0)).support()
+    C_lo, C_hi = factors.get("C", Constant(0.0)).support()
+    if C_hi < c_lo:
         check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
-    if isinstance(c_dist, Constant) and isinstance(C_dist, Constant) and C_dist.value == c_dist.value:
+    if c_lo == c_hi == C_lo == C_hi:
         check.warnings.append(
             f"{path}: C == c for every agent in this group; the model expects strict C > c"
         )

@@ -201,6 +201,11 @@ def test_cascade_input_validation():
         cascade_trajectory([0.25, 0.75], lambda s: 1.0 - s, 0.0)  # 2-cycle, no fixed point
 
 
+def test_a_map_with_no_fixed_point_has_no_equilibrium_and_no_tipping_seed():
+    report = cascade_equilibria([0.5], lambda s: 1.0 - s)  # 0 -> 1 -> 0
+    assert report.equilibria == () and report.tipping_seed is None
+
+
 # ---------------------------------------------------------------- first movers
 
 FIRST_MOVER_INTEGRITY = IntegritySpec(nu_match=1.0, nu0=0.0, kappa=0.0, cap=1.0)

@@ -3,12 +3,22 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from dissentsim import parse_scenario, payoff_nojoin, payoff_rebel
+from dissentsim import cli, parse_scenario, payoff_nojoin, payoff_rebel
 from dissentsim.cli import main
+from dissentsim.errors import (
+    ConvergenceError,
+    DissentSimError,
+    GenerationError,
+    InvalidParameterError,
+    NotFoundError,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
 from dissentsim.model import SoftTerms
 from dissentsim.scenario import SWEEP_CELL_BUDGET, parse_sweep_spec
 
@@ -373,6 +383,8 @@ def test_sweep_spec_validation(ladder, tmp_path, capsys):
         ('{"path": "beta_share", "grid": {"lo": 2, "hi": 1, "count": 2}}', "grid"),
         ('{"path": "beta_share", "values": [1.0], "seeds": [-1]}', "seeds"),
         ('{"values": [1.0]}', "path"),
+        ('{"path": "beta_share", "values": [1.0, Infinity]}', "invalid: spec.values[1]: must be finite"),
+        ('[{"path": "beta_share", "values": [1.0]}]', "invalid: spec: expected an object"),
     ]
     for body, needle in cases:
         spec = tmp_path / "spec.json"
@@ -524,6 +536,53 @@ def test_validate_event_beyond_horizon(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
     assert "events[0].step" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- errors and warnings
+
+EXIT_CASES = [
+    (ScenarioValidationError(["population: boom"]), 1, "invalid: population: boom\n"),
+    (ConvergenceError("boom"), 2, "error: boom\n"),
+    (ScenarioParseError("boom"), 1, "error: boom\n"),
+    (GenerationError("boom"), 1, "error: boom\n"),
+    (InvalidParameterError("boom"), 1, "error: boom\n"),
+    (NotFoundError("boom"), 1, "error: boom\n"),
+    (DissentSimError("boom"), 1, "error: boom\n"),
+    (OSError("boom"), 1, "error: boom\n"),
+]
+
+
+def test_the_exit_cases_cover_every_error_class():
+    assert set(DissentSimError.__subclasses__()) <= {type(exc) for exc, _, _ in EXIT_CASES}
+
+
+@pytest.mark.parametrize("exc, code, err", EXIT_CASES,
+                         ids=[type(exc).__name__ for exc, _, _ in EXIT_CASES])
+def test_each_error_has_its_exit_code_and_one_line(exc, code, err, monkeypatch, capsys):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "scenario.json"]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("cost", [{"dist": "constant", "value": 0.5},
+                                  {"dist": "uniform", "lo": 0.5, "hi": 0.5}],
+                         ids=["constant", "degenerate-uniform"])
+@pytest.mark.parametrize("command", ["run", "thresholds", "equilibrium", "validate"])
+def test_equal_costs_warn_once_per_command(cost, command, tmp_path):
+    """The parser warns when c and C are the same single point; sampling does not warn again."""
+    doc = json.loads(flat_doc(n=3))
+    doc["population"]["groups"][0]["factors"].update(c=cost, C=cost)
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps(doc))
+    out = {"run": ["--out", str(tmp_path / "r.csv")],
+           "thresholds": ["--out", str(tmp_path / "t.csv")]}.get(command, [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(path), *out]) == 0
+    assert ["C == c" in str(w.message) for w in caught] == [True]
 
 
 # ---------------------------------------------------------------- entry point

@@ -113,6 +113,12 @@ def test_from_agents_requires_ids_zero_to_n(ids):
         SimState.from_agents(agents, net)
 
 
+def test_from_agents_requires_one_agent_per_node():
+    agents = [AgentState(id=0, params=params(), y=NJ)]
+    with pytest.raises(InvalidParameterError, match="^1 agents but network of size 2$"):
+        SimState.from_agents(agents, SocialNetwork(2, [(0, 1, 1.0)]))
+
+
 def test_effective_params_identity():
     a = params(F=1.0, S=2.0, C=3.0, c=0.5, A_U=1.0, A_R=1.0)
     assert effective_params(a, Environment()) == a

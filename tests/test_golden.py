@@ -12,6 +12,9 @@ Erdos-Renyi graph, the summary of a two-seed ``iterative_influence`` sweep,
 a 240-step ``iterative_influence`` run with exits whose public state
 stands still between changes (the steps that reuse their reputation terms),
 and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
+``REDRAWN`` pins the sampled population itself: truncated normals that take
+many redraw rounds, overlapping ``c``/``C`` supports whose joint redraws draw a
+truncated normal, and a degenerate ``uniform``.
 """
 
 import hashlib
@@ -22,8 +25,16 @@ import numpy as np
 import pytest
 
 from dissentsim.cli import main
-from dissentsim.engine import init_state, step
-from dissentsim.scenario import parse_scenario
+from dissentsim.engine import FACTOR_NAMES, init_state, sample_params, step
+from dissentsim.scenario import (
+    Constant,
+    Group,
+    PopulationSpec,
+    PrivateType,
+    TruncNormal,
+    Uniform,
+    parse_scenario,
+)
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
 
@@ -163,6 +174,27 @@ GOLDEN_RUN_CSV = {
     "rewired_small_world": "714949775ded6696766551f130fbcabce699f96a4ec2653de8576703521601d6",
 }
 
+REDRAWN = PopulationSpec([
+    # F accepts about one normal draw in six; c's and C's supports overlap, so (c, C)
+    # is redrawn jointly, and each joint round redraws c's truncated normal again.
+    Group("drawn", 300, PrivateType.PRO_REBELLION, {
+        "F": TruncNormal(0.0, 1.0, 1.0),
+        "c": TruncNormal(0.4, 0.3, 0.1, 0.9),
+        "C": Uniform(0.2, 0.8),
+        "V_R": Uniform(0.25, 0.25),
+        "p_base": Uniform(0.0, 1.0),
+    }),
+    # A constant c under a truncated-normal C: the joint redraws draw C's truncation.
+    Group("costly", 100, PrivateType.PRO_STATUS_QUO, {
+        "S": TruncNormal(1.0, 0.5, 0.0),
+        "c": Constant(0.1),
+        "C": TruncNormal(0.3, 0.2, 0.05, 0.5),
+        "p_base": TruncNormal(0.3, 0.1, 0.0, 1.0),
+    }),
+])
+
+GOLDEN_REDRAWN = "6df9f0ac4413f1ce9aff16061bed0e1643fa0b2c35509eeab44f260a83c5d4cd"
+
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
 
 
@@ -255,3 +287,11 @@ def test_golden_sweep_summary(tmp_path):
     assert main(["sweep", str(tmp_path / "scenario.json"), str(tmp_path / "spec.json"),
                  "--out", str(out)]) == 0
     assert _sha((out / "summary.csv").read_bytes()) == GOLDEN_SWEEP_SUMMARY
+
+
+def test_golden_redrawn_population():
+    params = sample_params(REDRAWN, 2024)
+    digest = hashlib.sha256()
+    for name in FACTOR_NAMES + ("x_rebel",):
+        digest.update(getattr(params, name).tobytes())
+    assert digest.hexdigest() == GOLDEN_REDRAWN

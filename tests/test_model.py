@@ -353,6 +353,8 @@ def test_agent_params_validation():
         params(c=2.0, C=1.0).validate()
     with pytest.raises(InvalidParameterError):
         params(S=float("nan")).validate()
+    with pytest.raises(InvalidParameterError, match="x must be a PrivateType, got 'pro_rebellion'"):
+        params(x="pro_rebellion", C=1.0).validate()
     params(c=1.0, C=2.0).validate()  # fine
 
 

@@ -111,6 +111,20 @@ def test_a_size_past_the_int64_ids_is_refused(spec):
     assert SocialNetwork(np.int64(3), []).n == 3 and type(SocialNetwork(np.int64(3), []).n) is int
 
 
+@pytest.mark.parametrize("build", [
+    SocialNetwork,
+    lambda n, edges: generate_network(NetworkSpec(NetworkKind.COMPLETE), n, 0),
+    lambda n, edges: generate_network(NetworkSpec(NetworkKind.SMALL_WORLD, k=2, rewire_p=0.1), n, 0),
+], ids=["SocialNetwork", "complete", "small_world"])
+def test_a_size_over_the_agent_budget_is_refused(build):
+    """The scenario's agent budget holds at the network door too, before anything is built."""
+    for n in (network.AGENT_BUDGET + 1, 10**12, 1e12, 2**62):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^a network has at most 1e\+07 agents, got n={n!r}$"):
+            build(n, [])
+    assert network._network_size(network.AGENT_BUDGET) == network.AGENT_BUDGET
+
+
 def test_network_stores_source_sorted_arrays():
     net = SocialNetwork(3, np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 0.5], [0.0, 1.0, 2.0]]))
     assert net.src.tolist() == [0, 0, 2]

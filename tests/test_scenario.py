@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -875,6 +876,25 @@ def test_integer_fields_take_python_and_numpy_integers_only(label, field, build)
             build(value)
 
 
+@pytest.mark.parametrize("c, C, warns", [
+    ({"dist": "constant", "value": 0.5}, {"dist": "constant", "value": 0.5}, True),
+    ({"dist": "uniform", "lo": 0.5, "hi": 0.5}, {"dist": "constant", "value": 0.5}, True),
+    ({"dist": "constant", "value": 0.5}, {"dist": "trunc_normal", "mean": 0.5, "sd": 0, "lo": 0}, True),
+    ({"dist": "constant", "value": 0.5}, {"dist": "uniform", "lo": 0.5, "hi": 0.6}, False),
+    ({"dist": "uniform", "lo": 0.4, "hi": 0.5}, {"dist": "constant", "value": 0.5}, False),
+], ids=["constants", "degenerate-uniform", "zero-sd-trunc-normal", "wider-C", "wider-c"])
+def test_equal_costs_warn_when_both_supports_are_one_point(c, C, warns):
+    """The warning reads the supports, whatever distributions have them."""
+    doc = _group(factors={"c": c, "C": C})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_scenario(json.dumps(doc))
+    assert [str(w.message) for w in caught] == (
+        ["population.groups[0]: C == c for every agent in this group; the model expects strict C > c"]
+        if warns else []
+    )
+
+
 def test_equal_costs_warning_names_the_caller():
     doc = _group(factors={"c": {"dist": "constant", "value": 0.5},
                           "C": {"dist": "constant", "value": 0.5}})
@@ -1057,8 +1077,48 @@ def test_generate_population_rejection_cap_names_group():
         Group("doomed", 8, PrivateType.PRO_REBELLION,
               {"c": Uniform(0.0, 1.0), "C": Constant(0.0)}),
     ])
-    with pytest.raises(GenerationError, match="doomed"):
+    with pytest.raises(GenerationError, match=r"^group 'doomed', factors c, C: could not satisfy "
+                       r"C >= c within 1000 redraw rounds$"):
         generate_population(spec, 0)
+
+
+def test_every_redraw_cap_names_its_group_and_factor():
+    """c's truncation accepts about one draw in 740 and C = 3.2 sits just above c's lower
+    bound, so the cap trips either in c's first draw or inside a joint (c, C) redraw round;
+    both name the group and the factor.  Seed 11 trips inside a joint round."""
+    spec = PopulationSpec([
+        Group("tail", 1, PrivateType.PRO_REBELLION,
+              {"c": TruncNormal(0.0, 1.0, 3.0), "C": Constant(3.2)}),
+    ])
+    failures = 0
+    for seed in range(40):
+        try:
+            generate_population(spec, seed)
+        except GenerationError as exc:
+            failures += 1
+            assert str(exc) == ("group 'tail', factor c: trunc_normal(mean=0.0, sd=1.0, lo=3.0, "
+                                "hi=inf) exceeded 1000 redraw rounds")
+    assert failures > 0
+    with pytest.raises(GenerationError, match="^group 'tail', factor c: "):
+        generate_population(spec, 11)
+
+
+def test_spec_constructors_refuse_what_they_do_not_name():
+    with pytest.raises(InvalidParameterError, match="unknown reputation variant 'pagerank'"):
+        ReputationSpec("pagerank", alpha=1.0)
+    with pytest.raises(InvalidParameterError, match="unknown network kind 'ring'"):
+        NetworkSpec("ring")
+    with pytest.raises(InvalidParameterError, match="erdos_renyi takes only p_edge"):
+        NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=0.5, k=2)
+    with pytest.raises(InvalidParameterError, match="small_world takes k and rewire_p, not p_edge"):
+        NetworkSpec(NetworkKind.SMALL_WORLD, p_edge=0.5, k=2, rewire_p=0.1)
+    with pytest.raises(InvalidParameterError, match=r"beta_share must be >= 0, got -1"):
+        Environment(beta_share=-1)
+    with pytest.raises(InvalidParameterError,
+                       match="group private type must be a PrivateType, got 'pro_rebellion'"):
+        Group("g", 1, "pro_rebellion", {})
+    with pytest.raises(InvalidParameterError, match=r"unknown factors \['Z', 'cost'\]"):
+        Group("g", 1, PrivateType.PRO_REBELLION, {"cost": Constant(1.0), "Z": Constant(1.0)})
 
 
 # ---------------------------------------------------------------- baseline
