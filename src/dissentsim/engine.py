@@ -22,7 +22,8 @@ What a step sees of the public state is one record, made by :func:`_see`: each
 observer's observed weight per stance and its total, from which one formula makes
 the reputation terms.  Under the fraction variants on integral weights they are
 brought up to date over the audiences of the agents whose stance or exit changed;
-otherwise one keyed pass over every edge makes them.
+otherwise a keyed pass remakes only the rows of those agents' observers, from their
+out-edges in stored order, which replays a full pass's float additions bit for bit.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -54,6 +55,7 @@ from .network import (
     influence_scores,
     keyed_counts,
     observed_weights,
+    observer_rows,
     stance_counts,
     terms_from_counts,
 )
@@ -176,14 +178,15 @@ class _Seen(NamedTuple):
     """A step's reputation terms ``rep``, from each observer's observed weight per stance
     ``num`` (n x 3) and its total ``denom``.  Valid while ``network`` is the same object,
     ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies) are
-    equal by content.  ``weight``, the keyed pass's observed weight per edge (None on the
-    counts path), stays writable: ``np.bincount`` copies read-only weights on every call."""
+    equal by content.  No per-edge array is kept: a step over the same network and spec
+    remakes only the rows of the changed agents' observers (see :func:`_see`), bit for bit
+    as a pass over every edge would, as ``np.bincount`` adds each bin's weights in order
+    from 0.0, a row's bins take only its own edges, and a row not remade saw no change."""
 
     network: SocialNetwork
     reputation: ReputationSpec
     exited: np.ndarray
     y: np.ndarray
-    weight: np.ndarray | None
     num: np.ndarray
     denom: np.ndarray
     rep: np.ndarray
@@ -559,9 +562,9 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     """The :class:`_Seen` of the previous stances ``y`` and exits over ``net`` under ``spec``:
     ``last`` itself when none of its keys changed.  Where :func:`counted` holds, the counts
     come from :func:`stance_counts`, which walks only the audiences of the agents whose
-    stance or exit changed since ``last`` (over the same network and spec); otherwise from a
-    keyed pass over every edge.  Either way the totals, and the keyed pass's observed
-    weights, are kept while the exits are unchanged."""
+    stance or exit changed since ``last`` (over the same network and spec).  Otherwise a
+    keyed pass remakes the rows of those agents' observers from their out-edges in stored
+    order (without such a ``last``, every row)."""
     same_net = last is not None and last.network is net and last.reputation == spec
     same_exits = same_net and np.array_equal(last.exited, exited)
     if same_exits and np.array_equal(last.y, y):
@@ -570,20 +573,23 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     y = y.copy()
     if counted(spec, net):
         since = (last.num, last.y, last.exited) if same_net else None
-        weight, num = None, stance_counts(spec, net, y, exited, since)
+        num = stance_counts(spec, net, y, exited, since)
         denom = last.denom if same_exits else num.sum(axis=1)
     else:
-        if same_exits:
-            weight, denom = last.weight, last.denom
-        else:  # the network, the spec or an exit changed
-            iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
-            scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-            weight, denom = observed_weights(spec, net.w, net.dst, exited[net.dst], scores), None
-        num, denom = keyed_counts(net.src, weight, y[net.dst], net.n, denom)
+        iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
+        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
+        rows, edges, row = (observer_rows(net, (y != last.y) | (exited != last.exited)) if same_net
+                            else (np.arange(net.n), slice(None), net.src))
+        dst = net.dst[edges]
+        weight = observed_weights(spec, net.w[edges], dst, exited[dst], scores)
+        num, denom = keyed_counts(row, weight, y[dst], rows.size)
+        if same_net:  # the kept rows, with the remade ones written over
+            part, num, denom = (num, denom), last.num.copy(), last.denom.copy()
+            num[rows], denom[rows] = part
     rep = terms_from_counts(spec, num, denom)
     for kept in (exited, y, num, denom, rep):
         kept.setflags(write=False)
-    return _Seen(net, spec, exited, y, weight, num, denom, rep)
+    return _Seen(net, spec, exited, y, num, denom, rep)
 
 
 def _record_from(state: SimState) -> StepRecord:

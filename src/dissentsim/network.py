@@ -188,14 +188,13 @@ def observer_totals(row, weight, n: int) -> np.ndarray:
     return denom
 
 
-def keyed_counts(row, weight, stance, n: int, denom=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each observer's observed weight per stance (n x 3) and its total ``denom``, unless
-    given, from one keyed pass over the edges ``row``, ``weight``, ``stance`` in their order.
-    The totals are bins 0, 3, 6, ... of the keys ``3 * row``, which ``np.bincount`` reads
-    without a copy because they are writable, and the stances are then added in place."""
+def keyed_counts(row, weight, stance, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each observer's observed weight per stance (n x 3) and its total, from one keyed pass
+    over the edges ``row``, ``weight``, ``stance`` in their order.  The totals are bins 0,
+    3, 6, ... of the keys ``3 * row``, which ``np.bincount`` reads without a copy because
+    they are writable, and the stances are then added in place."""
     keys = 3 * row
-    if denom is None:
-        denom = observer_totals(keys, weight, 3 * n)[::3]
+    denom = observer_totals(keys, weight, 3 * n)[::3]
     keys += stance
     return np.bincount(keys, weights=weight, minlength=3 * n).reshape(n, 3), denom
 
@@ -234,14 +233,32 @@ def counted(spec: ReputationSpec, network: SocialNetwork) -> bool:
     return spec.variant is ReputationVariant.UNWEIGHTED_FRACTION
 
 
+def _spans(ptr, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``ptr[i]:ptr[i + 1]`` of each ``i`` in ``ids``, span after span, and the
+    size of each span: the CSR entries of those rows, in stored order."""
+    first, sizes = ptr[ids], ptr[ids + 1] - ptr[ids]
+    positions = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+    positions += np.arange(positions.size)
+    return positions, sizes
+
+
+def observer_rows(network: SocialNetwork, agents):
+    """The observers of any agent in the mask ``agents``, ascending, the positions of their
+    out-edges in stored order, and the index of each edge's observer among them."""
+    ptr, observers, _ = network._audiences
+    watching = np.zeros(network.n, dtype=bool)
+    watching[observers[_spans(ptr, np.flatnonzero(agents))[0]]] = True
+    rows = np.flatnonzero(watching)
+    edges, sizes = _spans(network.row_ptr, rows)
+    return rows, edges, np.repeat(np.arange(rows.size), sizes)
+
+
 def _tally(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarray:
     """The weights of the in-edges of ``agents`` (a mask), summed per observer and by the
     stance ``y`` gives each agent: an (n, 3) float64 array, from a walk over those edges."""
     ptr, observers, weights = network._audiences
     agents = np.flatnonzero(agents)
-    first, sizes = ptr[agents], ptr[agents + 1] - ptr[agents]
-    edges = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-    edges += np.arange(edges.size)  # the positions of the agents' in-edges, in order
+    edges, sizes = _spans(ptr, agents)
     keys = observers[edges]
     keys *= 3
     keys += np.repeat(y[agents], sizes)

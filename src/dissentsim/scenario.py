@@ -341,7 +341,7 @@ class Uniform:
 @dataclass(frozen=True)
 class TruncNormal:
     """Normal(mean, sd) draw rejected until it lands in [lo, hi]; hi may be +inf.  With sd 0
-    every draw is ``mean``, so it must lie in [lo, hi]."""
+    every draw is ``mean``, so it must lie in [lo, hi]; with sd > 0, lo < hi."""
 
     mean: float
     sd: float
@@ -364,6 +364,8 @@ class TruncNormal:
                 f"trunc_normal with sd 0 draws its mean, which must lie in [lo, hi], "
                 f"got mean={self.mean!r} outside [{self.lo!r}, {self.hi!r}]"
             )
+        if self.sd > 0 and self.lo == self.hi:
+            raise InvalidParameterError(f"trunc_normal with sd > 0 never draws the one point lo = hi = {self.lo!r}")
 
     def support(self) -> tuple[float, float]:
         return (self.mean, self.mean) if self.sd == 0 else (self.lo, self.hi)
@@ -697,11 +699,15 @@ def _validate_factor_support(name: str, dist: Distribution, path: str, check: _C
 
 
 def _check_costs(factors: Mapping[str, Distribution], path: str, check: _Check) -> None:
-    """Some draw must satisfy C >= c; warns when the c and C supports are one same point."""
+    """Some draw must satisfy C >= c (supports that touch only at C's top and c's bottom
+    meet with probability 0, unless both are that point); warns when both are one point."""
     c_lo, c_hi = factors.get("c", Constant(0.0)).support()
     C_lo, C_hi = factors.get("C", Constant(0.0)).support()
     if C_hi < c_lo:
         check.fail(f"{path}.factors", "C >= c violated: C support lies entirely below c support")
+    elif C_hi == c_lo and not c_lo == c_hi == C_lo:
+        check.fail(f"{path}.factors", f"C >= c violated: the C and c supports share only the "
+                                      f"point {C_hi!r}, which draws reach with probability 0")
     if c_lo == c_hi == C_lo == C_hi:
         check.warnings.append(
             f"{path}: C == c for every agent in this group; the model expects strict C > c"

@@ -237,8 +237,6 @@ def test_keyed_counts_totals_are_the_observer_totals(inputs):
     num, denom = keyed_counts(row, weight, stance, n)
     assert_same(denom, expected)
     assert_same(num, np.bincount(3 * row + stance, weights=weight, minlength=3 * n).reshape(n, 3))
-    kept = np.full(n, 2.0)
-    assert keyed_counts(row, weight, stance, n, kept)[1] is kept
 
 
 def test_a_network_stores_no_negative_zero_weight():

@@ -606,6 +606,10 @@ VIOLATION_CORPUS = [
          'population.groups[0].factors.F: trunc_normal with sd 0 draws its mean, which must lie '
          'in [lo, hi], got mean=5.0 outside [0.0, 1.0]',
      ]),
+    ('tn-lo-equals-hi',
+     _factor("F", {"dist": "trunc_normal", "mean": 0.5, "sd": 1.0, "lo": 0.5, "hi": 0.5}),
+     ['population.groups[0].factors.F: trunc_normal with sd > 0 never draws the one point '
+      'lo = hi = 0.5']),
     ('tn-missing-unknown', _factor("F", {"dist": "trunc_normal", "sd": "x", "lo": 0.0, "width": 1}),
      [
          'population.groups[0].factors.F.width: unknown field',
@@ -623,6 +627,20 @@ VIOLATION_CORPUS = [
                      "C": {"dist": "trunc_normal", "mean": 0.5, "sd": 0.0, "lo": 0.0, "hi": 10.0}}),
      [
          'population.groups[0].factors: C >= c violated: C support lies entirely below c support',
+     ]),
+    ('cost-supports-touch',  # C < 0.5 <= c on every draw
+     _group(factors={"c": {"dist": "uniform", "lo": 0.5, "hi": 1.0},
+                     "C": {"dist": "uniform", "lo": 0.0, "hi": 0.5}}),
+     [
+         'population.groups[0].factors: C >= c violated: the C and c supports share only the '
+         'point 0.5, which draws reach with probability 0',
+     ]),
+    ('cost-supports-touch-constant-C',  # c > 0.5 = C but where c draws exactly 0.5
+     _group(factors={"c": {"dist": "uniform", "lo": 0.5, "hi": 1.0},
+                     "C": {"dist": "constant", "value": 0.5}}),
+     [
+         'population.groups[0].factors: C >= c violated: the C and c supports share only the '
+         'point 0.5, which draws reach with probability 0',
      ]),
     ('net-kind-unknown', _top(network={"kind": "lattice"}),
      [

@@ -7,6 +7,7 @@ stance or exit flag changed.  The reference is the keyed pass over every edge:
 ``observed_weights``, ``observer_totals`` and ``reputation_terms``.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,7 +31,14 @@ from dissentsim import (
     step,
 )
 from dissentsim.engine import FACTOR_NAMES, Environment, ParamArrays
-from dissentsim.network import observed_weights, observer_totals, reputation_terms
+from dissentsim import engine
+from dissentsim.network import (
+    counted,
+    influence_scores,
+    observed_weights,
+    observer_totals,
+    reputation_terms,
+)
 
 FRACTIONS = (ReputationVariant.UNWEIGHTED_FRACTION, ReputationVariant.WEIGHTED_FRACTION)
 
@@ -41,7 +49,10 @@ def bits(a) -> bytes:
 
 def keyed_pass(spec, net, y, exited):
     """The numerators, totals and terms of one keyed pass over every edge."""
-    weight = observed_weights(spec, net.w, net.dst, exited[net.dst])
+    scores = None
+    if spec.variant is ReputationVariant.ITERATIVE_INFLUENCE:
+        scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters)
+    weight = observed_weights(spec, net.w, net.dst, exited[net.dst], scores)
     num = np.bincount(3 * net.src + y[net.dst], weights=weight, minlength=3 * net.n)
     return (num.reshape(-1, 3), observer_totals(net.src, weight, net.n),
             reputation_terms(spec, net.src, weight, y[net.dst], net.n))
@@ -126,7 +137,7 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
         num, denom, rep = keyed_pass(spec, state.network, state.y, state.exited)
         new = step(state, scenario)
         seen = new._memo.seen
-        assert seen.weight is None
+        assert counted(spec, state.network)
         assert (bits(seen.num), bits(seen.denom), bits(seen.rep)) == (bits(num), bits(denom), bits(rep))
         fresh = step(replace(state, _memo=None), scenario)
         assert bits(new.y) == bits(fresh.y) and bits(new.exited) == bits(fresh.exited)
@@ -154,19 +165,37 @@ def test_counts_start_afresh_on_a_new_network_or_spec():
 
 # ---------------------------------------------------------------- which path a step takes
 
+@contextmanager
+def counting_calls(name):
+    """Records the arguments of each call of the engine's module-level function ``name``."""
+    calls, real = [], getattr(engine, name)
+    setattr(engine, name, lambda *args: calls.append(args) or real(*args))
+    try:
+        yield calls
+    finally:
+        setattr(engine, name, real)
+
+
 def routed(net, variant):
-    """The reputation record of one step over ``net`` under ``variant``."""
+    """The path one step over ``net`` under ``variant`` takes, ``"counts"`` or ``"keyed"``; its
+    reputation record is checked against a fresh keyed pass over every edge, bit for bit."""
     n = net.n
     params = ParamArrays(**{name: np.ones(n) for name in FACTOR_NAMES}, x_rebel=np.zeros(n, bool))
     state = state_of(net, params, [Position.R] * n, [False] * n)
-    return step(state, scenario_of(ReputationSpec(variant, alpha=1.0)))._memo.seen
+    spec = ReputationSpec(variant, alpha=1.0)
+    with counting_calls("stance_counts") as counts, counting_calls("keyed_counts") as keyed:
+        seen = step(state, scenario_of(spec))._memo.seen
+    expected = keyed_pass(spec, net, state.y, state.exited)
+    assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
+    assert len(counts) + len(keyed) == 1
+    return "keyed" if keyed else "counts"
 
 
 def test_non_integral_weights_take_the_keyed_pass():
     net = SocialNetwork(3, [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 2.0)])
-    assert routed(net, ReputationVariant.WEIGHTED_FRACTION).weight is not None
-    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION).weight is None  # every weight is 1
-    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE).weight is not None
+    assert routed(net, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
+    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"  # every weight is 1
+    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE) == "keyed"
 
 
 def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
@@ -174,12 +203,12 @@ def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
     every integer: its sums could depend on their order."""
     below = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52 - 1), (1, 2, 1.0)])
     at = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52), (1, 2, 1.0)])
-    assert routed(below, ReputationVariant.WEIGHTED_FRACTION).weight is None
-    assert routed(at, ReputationVariant.WEIGHTED_FRACTION).weight is not None
+    assert routed(below, ReputationVariant.WEIGHTED_FRACTION) == "counts"
+    assert routed(at, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
     overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # integral, total inf
     with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
         routed(overflowing, ReputationVariant.WEIGHTED_FRACTION)
-    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION).weight is None
+    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
 
 
 # ---------------------------------------------------------------- what the memo keeps
@@ -201,7 +230,7 @@ def test_a_generated_small_world_keeps_no_per_edge_array(variant):
         kept = [*state._memo, *state._memo.seen]
         kept += [getattr(state._memo.eff, name) for name in FACTOR_NAMES]
         assert all(np.size(a) != m for a in kept if isinstance(a, np.ndarray))
-        assert state._memo.seen.weight is None
+        assert counted(scenario.reputation, net)
     assert net._audiences[1] is net.dst and net._audiences[0] is net.row_ptr
 
 
@@ -220,3 +249,76 @@ def test_generated_networks_record_their_audiences_and_totals(spec):
     transpose = type(net)._audiences.func(net)
     assert all(np.array_equal(a, b) for a, b in zip(net._audiences, transpose))
     assert net._integral_totals and type(net)._integral_totals.func(net)
+
+
+# ---------------------------------------------------------------- the row-local keyed pass
+
+KEYED = (ReputationVariant.WEIGHTED_FRACTION, ReputationVariant.ITERATIVE_INFLUENCE)
+
+
+@st.composite
+def keyed_chains(draw):
+    """A random directed graph with fractional weights (so both variants take the keyed pass),
+    zero weights and repeated edges, a keyed variant, a start, and a chain of edits."""
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    weight = st.sampled_from([0.0, 0.1, 0.5, 1.0, 1 / 3, 2.5, 1e-300])
+    edges = [(i, j, draw(weight)) for i, j in draw(st.lists(st.sampled_from(pairs), max_size=24))]
+    edges.append((*draw(st.sampled_from(pairs)), draw(st.sampled_from([0.1, 0.5, 1 / 3]))))
+    net = SocialNetwork(n, draw(st.permutations(edges)))
+    spec = ReputationSpec(draw(st.sampled_from(KEYED)), alpha=draw(st.sampled_from([0.3, 1.0])),
+                          centered=draw(st.booleans()))
+    y = np.array(draw(st.lists(st.sampled_from(list(Position)), min_size=n, max_size=n)), np.int8)
+    exited = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    agent = st.integers(0, n - 1)
+    edit = st.one_of(
+        st.tuples(st.just("y"), agent, st.integers(1, 2)),  # one agent's stance
+        st.tuples(st.just("exit"), agent),  # one agent's exit flag, flipped
+        st.tuples(st.just("undone"), agent),  # an exit and its undoing, one step apart
+        st.tuples(st.just("all"), st.integers(1, 2)),  # every stance: every observer's view
+        st.tuples(st.just("silence"), agent),  # every target of one observer exits
+        st.just(("still",)),
+    )
+    return net, spec, y, exited, draw(st.lists(edit, min_size=1, max_size=12))
+
+
+@given(keyed_chains())
+@example((  # 0 observes 1 twice and 2 at weight 0; 3 observes nobody; 1 exits and returns
+    SocialNetwork(4, [(0, 1, 0.5), (0, 2, 0.0), (0, 1, 0.25), (1, 0, 1 / 3), (2, 0, 0.1)]),
+    ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0),
+    np.array([2, 1, 0, 2], np.int8), np.zeros(4, bool),
+    [("undone", 1), ("silence", 0), ("all", 1), ("still",), ("y", 2, 2)],
+))
+def test_the_row_local_keyed_pass_equals_a_pass_over_every_edge(chain):
+    """After each edit, the record :func:`engine._see` makes from the one before equals the
+    record it makes from nothing, bit for bit, and walks only the out-edges of the observers
+    of the agents whose stance or exit changed."""
+    net, spec, y, exited, edits = chain
+    assert not counted(spec, net)
+    y, exited = y.copy(), exited.copy()
+    last = engine._see(net, spec, y, exited, None)
+    for edit in edits:
+        states = []
+        if edit[0] == "y":
+            y[edit[1]] = (y[edit[1]] + edit[2]) % 3
+        elif edit[0] == "all":
+            y = ((y + edit[1]) % 3).astype(np.int8)
+        elif edit[0] == "silence":
+            exited[net.dst[net._row(edit[1])]] = True
+        elif edit[0] in ("exit", "undone"):
+            exited[edit[1]] = not exited[edit[1]]
+        if edit[0] == "undone":
+            states.append((y.copy(), exited.copy()))
+            exited[edit[1]] = not exited[edit[1]]
+        states.append((y, exited))
+        for y_now, exited_now in states:
+            with counting_calls("observed_weights") as calls:
+                seen = engine._see(net, spec, y_now, exited_now, last)
+            fresh = engine._see(net, spec, y_now, exited_now, None)
+            record = [bits(a) for a in (seen.num, seen.denom, seen.rep)]
+            assert record == [bits(a) for a in (fresh.num, fresh.denom, fresh.rep)]
+            changed = set(np.flatnonzero((y_now != last.y) | (exited_now != last.exited)).tolist())
+            watching = {i for i, j, _ in net.edges if j in changed}
+            walked = [j for i, j, _ in net.edges if i in watching]
+            assert [call[2].tolist() for call in calls] == ([walked] if changed else [])
+            last = seen

@@ -437,14 +437,13 @@ def seen_kept(memo, state, scenario):
 
 
 def memo_bits(memo, state=None, scenario=None):
-    """Every array a step keeps, as bytes: the keyed pass's observed weights (none on the
-    counts path), then the stance counts, the totals, the terms and the decision.  Given the
-    ``state`` and ``scenario`` the step read, also checks :func:`seen_kept`."""
+    """Every array a step keeps, as bytes: the stance counts, the totals, the terms and the
+    decision.  Given the ``state`` and ``scenario`` the step read, also checks
+    :func:`seen_kept`."""
     if state is not None:
         seen_kept(memo, state, scenario)
     seen = memo.seen
-    weight = () if seen.weight is None else (seen.weight,)
-    levels = (*weight, seen.num, seen.denom, seen.rep, memo.p, memo.y_next, memo.grow, memo.keep)
+    levels = (seen.num, seen.denom, seen.rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -463,28 +462,36 @@ def counting_levels():
 
 
 def test_in_place_edits_invalidate_only_their_levels():
-    """An exit edited in place recomputes the observed weights and everything below them; a
-    stance edited in place recomputes the reputation terms alone; either way the kept arrays
-    equal those of a step that keeps nothing.  Non-integral weights take the keyed pass."""
+    """Non-integral weights take the keyed pass.  A stance or an exit edited in place remakes
+    the observed weights of the edited agent's observers alone, over their out-edges, and
+    the terms once; either way the kept arrays equal those of a step that keeps nothing.
+    On the ring 0 -> 1 -> 2 -> 0 agent 0's one observer is 2, whose one edge goes to 0, and
+    agent 1's is 0, whose one edge goes to 1."""
     state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
-    assert state._memo.seen.weight is not None
-    with counting_levels() as taken:
+    with counting("observed_weights") as weights, counting("terms_from_counts") as terms:
+        def taken():
+            counts = ([call[2].tolist() for call in weights], len(terms))
+            weights.clear()
+            terms.clear()
+            return counts
+
         step(state, scenario)
-        assert taken() == (0, 0)
+        assert taken() == ([], 0)
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert taken() == (0, 1)
+        assert taken() == ([[0]], 1)  # row 2 alone: its one edge, to 0
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert taken() == (1, 1)
+        assert taken() == ([[1, 0]], 1)  # rows 0 and 2: agent 0's stance is still edited
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
-        step(new, scenario)
-        assert taken() == (1, 1)
+        again = step(new, scenario)
+        assert taken() == ([[1, 0]], 1)  # agent 0 is back at NJ, agent 1 visible again
+        assert memo_bits(again._memo, new, scenario) == memo_bits(fresh_step(new, scenario)._memo)
 
 
 def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
@@ -494,7 +501,7 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     those of a step that keeps nothing."""
     state, scenario = still_world()
     state = step(state, scenario)
-    assert state._memo.seen.weight is None
+    assert engine.counted(scenario.reputation, state.network)
     with counting("stance_counts") as counts, counting_levels() as taken:
         step(state, scenario)
         assert (len(counts), taken()) == (0, (0, 0))
@@ -543,62 +550,82 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
             taken()  # not the fresh step's calls
 
 
+def walked_edges(net, changed):
+    """The targets, in stored order, of the out-edges of every observer of an agent in the set
+    ``changed``: the edges a keyed step over the kept record's network and spec walks."""
+    watching = {i for i, j, _ in net.edges if j in changed}
+    return [j for i, j, _ in net.edges if i in watching]
+
+
 def keyed_step(state, scenario, real_step=step):
-    """One step that takes the keyed pass, with its record checked: the reputation record
-    kept exactly as :func:`seen_kept` says, one per-edge array, the observed weights, kept
-    while the exits are unchanged and equal to ``observed_weights``, and read-only counts,
-    totals and terms equal to the public kernels' bit for bit.  Returns the new state and
-    whether it made new observed weights."""
-    new = real_step(state, scenario)
+    """One step that takes the keyed pass, with its record checked: kept exactly as
+    :func:`seen_kept` says; no kept array with an entry per edge; ``observed_weights`` called
+    over every edge when the record before is over another network or spec, and otherwise
+    over the out-edges of the observers of the agents whose stance or exit changed, in
+    stored order, or not at all when none did; and read-only counts, totals and terms equal
+    to a fresh keyed pass over every edge, bit for bit.  Returns the new state and how many
+    edges the step walked."""
+    with counting("observed_weights") as calls:
+        new = real_step(state, scenario)
     seen_kept(new._memo, state, scenario)
     memo, net, spec = new._memo, state.network, scenario.reputation
     last = None if state._memo is None else state._memo.seen
-    m, weight = net.src.size, memo.seen.weight
+    m = net.src.size
     kept = [*memo, *memo.seen] + [getattr(memo.eff, name) for name in FACTOR_NAMES]
-    per_edge = [a for a in kept if isinstance(a, np.ndarray) and a.size == m]
-    assert m not in (net.n, 3 * net.n) and len(per_edge) == 1 and per_edge[0] is weight
-    assert weight.flags.writeable  # np.bincount would copy read-only weights on every call
-    if last is not None:
-        assert (weight is last.weight) is np.array_equal(last.exited, state.exited)
+    assert m not in (net.n, 3 * net.n)
+    assert all(a.size != m for a in kept if isinstance(a, np.ndarray))
+    if last is None or last.network is not net or last.reputation != spec:
+        walked = [net.dst.tolist()]
+    else:
+        changed = set(np.flatnonzero((state.y != last.y) | (state.exited != last.exited)).tolist())
+        walked = [walked_edges(net, changed)] if changed else []
+    assert [call[2].tolist() for call in calls] == walked
     iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
     scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
     hidden, stance = state.exited[net.dst], state.y[net.dst]
-    assert bits(weight) == bits(observed_weights(spec, net.w, net.dst, hidden, scores))
+    weight = observed_weights(spec, net.w, net.dst, hidden, scores)
     num = np.bincount(3 * net.src + stance, weights=weight, minlength=3 * net.n).reshape(-1, 3)
     expected = (num, observer_totals(net.src, weight, net.n),
                 reputation_terms(spec, net.src, weight, stance, net.n))
     kept = (memo.seen.num, memo.seen.denom, memo.seen.rep)
     assert not any(a.flags.writeable for a in kept)
     assert [bits(a) for a in kept] == [bits(a) for a in expected]
-    return new, last is None or weight is not last.weight
+    return new, sum(map(len, walked))
 
 
-def test_the_keyed_pass_keeps_one_per_edge_array():
+def test_the_keyed_pass_keeps_no_per_edge_array():
     """Non-integral weights take the keyed pass: a still step, a stance and an exit edited in
-    place, and the exit undone.  A fourth edge makes the edges more than the agents."""
+    place, and the exit undone.  A fourth edge makes the edges more than the agents.  The
+    first step walks all four edges; agent 0's stance, seen by 2, walks row 2; its return to
+    NJ with 2's exit walks every row, as 2 is seen by 0 and 1; the exit undone, rows 0 and 1."""
     state, scenario = still_world(weight=0.5)
     state = replace(state, network=SocialNetwork(3, [*state.network.edges, (0, 2, 0.5)]))
-    made = []
+    walked = []
     for edit in (None, None, ("y", 0, Position.U), ("exited", 2, True), ("exited", 2, False)):
         if edit is not None:
             getattr(state, edit[0])[edit[1]] = edit[2]
-        state, new_weights = keyed_step(state, scenario)
-        made.append(new_weights)
-    assert made == [True, False, False, True, True]
+        state, edges = keyed_step(state, scenario)
+        walked.append(edges)
+    assert walked == [4, 0, 1, 4, 3]
 
 
-def test_the_keyed_pass_keeps_one_per_edge_array_through_an_iterative_run(monkeypatch):
-    """Every step of a run with iterative reputation and exits."""
-    made, real_step = [], engine.step
+def test_the_keyed_pass_keeps_no_per_edge_array_through_an_iterative_run(monkeypatch):
+    """Every step of a run with iterative reputation and exits.  After the first step, which
+    walks every edge, a step walks only the changed agents' observers' rows: some steps
+    walk none, and others fewer than every edge."""
+    walked, sizes, real_step = [], set(), engine.step
 
     def checked(state, scenario):
-        new, new_weights = keyed_step(state, scenario, real_step)
-        made.append(new_weights)
+        new, edges = keyed_step(state, scenario, real_step)
+        walked.append(edges)
+        sizes.add(state.network.src.size)
         return new
 
     monkeypatch.setattr(engine, "step", checked)
     run(iterative_exits_scenario())
-    assert len(made) == 240 and 1 < sum(made) < 240
+    (m,) = sizes
+    assert len(walked) == 240 and walked[0] == m
+    assert 0 in walked and any(0 < edges < m for edges in walked[1:])
 
 
 def test_negative_falsification_streak_still_raises():
@@ -715,15 +742,17 @@ def test_marker_events_recompute_nothing():
     assert [record_bits(replace(r, events=())) for r in records] == unlabelled
 
 
-def test_observed_weights_run_once_per_step_whose_exits_changed():
-    """One ``observed_weights`` call per step whose exit flags differ from the previous step's,
-    each reading the influence scores, and one influence solve for the whole run; the first
-    step counts as changed."""
+def test_observed_weights_run_once_per_changed_step_over_the_changed_rows():
+    """One ``observed_weights`` call per step whose stances or exit flags differ from the
+    previous step's, each reading the influence scores, and one influence solve for the
+    whole run; the first step counts as changed and walks every edge.  The later calls walk
+    only the changed agents' observers' rows: fewer edges, all told, than a pass over every
+    edge at each of those steps."""
     scenario = iterative_exits_scenario()
-    exits, networks, real_step = [], set(), engine.step
+    inputs, networks, real_step = [], set(), engine.step
 
     def recording_step(state, scenario):
-        exits.append(state.exited.copy())
+        inputs.append((state.y.copy(), state.exited.copy()))
         networks.add(state.network)
         return real_step(state, scenario)
 
@@ -733,8 +762,13 @@ def test_observed_weights_run_once_per_step_whose_exits_changed():
             run(scenario)
     finally:
         engine.step = real_step
-    changed = 1 + sum(not np.array_equal(e, e0) for e0, e in zip(exits, exits[1:]))
-    assert len(exits) == 240
-    assert len(calls) == len(scores) == changed and 1 < changed < 240
+    moved = [not all(map(np.array_equal, now, before)) for before, now in zip(inputs, inputs[1:])]
+    exits = sum(not np.array_equal(now[1], before[1]) for before, now in zip(inputs, inputs[1:]))
+    changed = 1 + sum(moved)
+    assert len(inputs) == 240
+    assert len(calls) == len(scores) == changed and 1 + exits < changed < 240
     (network,) = networks
+    m = network.src.size
+    walked = [call[1].size for call in calls]
+    assert walked[0] == m and sum(walked[1:]) < m * (changed - 1)
     assert len(network._influence_memo) == 1
