@@ -27,6 +27,7 @@ from .engine import (
 )
 from .errors import InvalidParameterError
 from .model import AgentParams, Position, SoftTerms, decide, threshold_r_over_nj
+from .scenario import _finite
 
 #: Iteration safety margin; a monotone map on the (n+1)-point lattice must fix
 #: within n+1 productive updates.
@@ -216,8 +217,8 @@ class RenderOptions:
     title: str | None = None
 
     def __post_init__(self):
-        if self.width < 100 or self.height < 100:
-            raise InvalidParameterError("SVG canvas must be at least 100x100")
+        if not (_finite(self.width) and _finite(self.height)) or min(self.width, self.height) < 100:
+            raise InvalidParameterError("SVG canvas must be finite and at least 100x100")
 
 
 _SERIES = (

@@ -20,10 +20,10 @@ flip in cascades, so each state carries a memo of the step that made it
 reach, and :func:`run` reuses the previous record when the decision is reused.
 What a step sees of the public state is one record, made by :func:`_see`: each
 observer's observed weight per stance and its total, from which one formula makes
-the reputation terms.  Under the fraction variants on integral weights they are
-brought up to date over the audiences of the agents whose stance or exit changed;
-otherwise a keyed pass remakes only the rows of those agents' observers, from their
-out-edges in stored order, which replays a full pass's float additions bit for bit.
+the reputation terms.  :func:`_see` finds the agents whose stance or exit changed
+as one mask.  Under the fraction variants on integral weights the counts are
+brought up to date over those agents' audiences; otherwise a keyed pass remakes
+only their observers' rows, replaying a full pass's float additions bit for bit.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -50,13 +50,13 @@ from .model import (  # the payoff_* are bound here for perfbench/trace_cli.py's
 )
 from .network import (
     SocialNetwork,
+    audience_counts,
     counted,
     generate_network,
     influence_scores,
     keyed_counts,
     observed_weights,
     observer_rows,
-    stance_counts,
     terms_from_counts,
 )
 from .scenario import (  # re-exported: the spec types are load-time names
@@ -178,10 +178,11 @@ class _Seen(NamedTuple):
     """A step's reputation terms ``rep``, from each observer's observed weight per stance
     ``num`` (n x 3) and its total ``denom``.  Valid while ``network`` is the same object,
     ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies) are
-    equal by content.  No per-edge array is kept: a step over the same network and spec
-    remakes only the rows of the changed agents' observers (see :func:`_see`), bit for bit
-    as a pass over every edge would, as ``np.bincount`` adds each bin's weights in order
-    from 0.0, a row's bins take only its own edges, and a row not remade saw no change."""
+    equal by content.  No per-edge array is kept, nor a view of a larger one.  The next step
+    over the same network and spec works from the one mask of the agents whose stance or exit
+    differs from these (see :func:`_see`): the keyed path remakes only their observers' rows,
+    bit for bit as a pass over every edge would, as ``np.bincount`` adds each bin's weights in
+    order from 0.0, a row's bins take only its own edges, and a row not remade saw no change."""
 
     network: SocialNetwork
     reputation: ReputationSpec
@@ -560,25 +561,29 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
 
 def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     """The :class:`_Seen` of the previous stances ``y`` and exits over ``net`` under ``spec``:
-    ``last`` itself when none of its keys changed.  Where :func:`counted` holds, the counts
-    come from :func:`stance_counts`, which walks only the audiences of the agents whose
-    stance or exit changed since ``last`` (over the same network and spec).  Otherwise a
-    keyed pass remakes the rows of those agents' observers from their out-edges in stored
-    order (without such a ``last``, every row)."""
+    ``last`` itself when none of its keys changed.  Over ``last``'s network and spec, both
+    paths work from ``last`` and the one mask ``changed`` of the agents whose stance or exit
+    differs: the :func:`counted` path takes off those agents' audiences as ``last`` saw them
+    and adds them as seen now, and the keyed pass remakes their observers' rows from their
+    out-edges in stored order.  Otherwise each path walks every edge."""
     same_net = last is not None and last.network is net and last.reputation == spec
     same_exits = same_net and np.array_equal(last.exited, exited)
     if same_exits and np.array_equal(last.y, y):
         return last
     exited = last.exited if same_exits else exited.copy()
     y = y.copy()
+    changed = (y != last.y) | (exited != last.exited) if same_net else None
     if counted(spec, net):
-        since = (last.num, last.y, last.exited) if same_net else None
-        num = stance_counts(spec, net, y, exited, since)
+        if same_net:
+            num = (last.num - audience_counts(spec, net, changed & ~last.exited, last.y)
+                   + audience_counts(spec, net, changed & ~exited, y))
+        else:
+            num = audience_counts(spec, net, ~exited, y)
         denom = last.denom if same_exits else num.sum(axis=1)
     else:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        rows, edges, row = (observer_rows(net, (y != last.y) | (exited != last.exited)) if same_net
+        rows, edges, row = (observer_rows(net, changed) if same_net
                             else (np.arange(net.n), slice(None), net.src))
         dst = net.dst[edges]
         weight = observed_weights(spec, net.w[edges], dst, exited[dst], scores)

@@ -191,10 +191,10 @@ def observer_totals(row, weight, n: int) -> np.ndarray:
 def keyed_counts(row, weight, stance, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each observer's observed weight per stance (n x 3) and its total, from one keyed pass
     over the edges ``row``, ``weight``, ``stance`` in their order.  The totals are bins 0,
-    3, 6, ... of the keys ``3 * row``, which ``np.bincount`` reads without a copy because
-    they are writable, and the stances are then added in place."""
+    3, 6, ... of the writable keys ``3 * row``, which ``np.bincount`` reads without a copy,
+    copied out of the 3n bins; the stances are then added in place."""
     keys = 3 * row
-    denom = observer_totals(keys, weight, 3 * n)[::3]
+    denom = observer_totals(keys, weight, 3 * n)[::3].copy()
     keys += stance
     return np.bincount(keys, weights=weight, minlength=3 * n).reshape(n, 3), denom
 
@@ -224,10 +224,10 @@ def terms_from_counts(spec: ReputationSpec, num, denom) -> np.ndarray:
 
 
 def counted(spec: ReputationSpec, network: SocialNetwork) -> bool:
-    """Whether ``spec``'s reputation terms over ``network`` can come from :func:`stance_counts`:
+    """Whether ``spec``'s reputation terms over ``network`` can come from :func:`audience_counts`:
     under ``unweighted_fraction``, and under ``weighted_fraction`` on integral weights whose
     every observer's total is below 2**53.  Each count is then an integer that float64 holds
-    exactly, so counts kept up to date edge by edge equal the keyed pass's bit for bit."""
+    exactly, so counts kept up to date by audience walks equal the keyed pass's bit for bit."""
     if spec.variant is ReputationVariant.WEIGHTED_FRACTION:
         return network._integral_totals
     return spec.variant is ReputationVariant.UNWEIGHTED_FRACTION
@@ -253,7 +253,7 @@ def observer_rows(network: SocialNetwork, agents):
     return rows, edges, np.repeat(np.arange(rows.size), sizes)
 
 
-def _tally(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarray:
+def audience_counts(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarray:
     """The weights of the in-edges of ``agents`` (a mask), summed per observer and by the
     stance ``y`` gives each agent: an (n, 3) float64 array, from a walk over those edges."""
     ptr, observers, weights = network._audiences
@@ -265,22 +265,6 @@ def _tally(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarra
     weight = None if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION else weights[edges]
     tally = np.bincount(keys, weights=weight, minlength=3 * network.n)
     return tally.reshape(-1, 3).astype(np.float64, copy=False)
-
-
-def stance_counts(spec: ReputationSpec, network: SocialNetwork, y, exited, since=None) -> np.ndarray:
-    """Each observer's observed weight per stance, the (n, 3) numerators of
-    :func:`reputation_terms`, where :func:`counted` holds.  ``since``, an earlier call's
-    ``(counts, y, exited)`` over the same network and spec, is brought up to date over the
-    in-edges of the agents whose stance or exit flag differs: each edge's weight leaves the
-    count of the old stance if its target was visible, and joins that of the new one if it
-    is now."""
-    visible = ~exited
-    if since is None:
-        return _tally(spec, network, visible, y)
-    counts, y_then, exited_then = since
-    changed = (y != y_then) | (exited != exited_then)
-    return (counts - _tally(spec, network, changed & ~exited_then, y_then)
-            + _tally(spec, network, changed & visible, y))
 
 
 def _position(agent, code) -> Position:

@@ -157,7 +157,7 @@ class ReputationSpec:
             raise InvalidParameterError(f"unknown reputation variant {self.variant!r}")
         if not _finite(self.alpha) or self.alpha < 0.0:
             raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not 0.0 < self.damping < 1.0:
+        if not (_finite(self.damping) and 0.0 < self.damping < 1.0):
             raise InvalidParameterError(f"damping must lie in (0, 1), got {self.damping!r}")
         if not _finite(self.tol) or self.tol <= 0.0:
             raise InvalidParameterError(f"tol must be > 0, got {self.tol!r}")
@@ -184,7 +184,7 @@ class NetworkSpec:
         elif self.kind is NetworkKind.ERDOS_RENYI:
             if self.k is not None or self.rewire_p is not None:
                 raise InvalidParameterError("erdos_renyi takes only p_edge")
-            if self.p_edge is None or not 0.0 <= self.p_edge <= 1.0:
+            if not (_finite(self.p_edge) and 0.0 <= self.p_edge <= 1.0):
                 raise InvalidParameterError(f"p_edge must lie in [0, 1], got {self.p_edge!r}")
         else:  # SMALL_WORLD
             if self.p_edge is not None:
@@ -192,7 +192,7 @@ class NetworkSpec:
             _store_int(self, "k", "k")
             if self.k < 0 or self.k % 2 != 0:
                 raise InvalidParameterError(f"k must be a non-negative even integer, got {self.k!r}")
-            if self.rewire_p is None or not 0.0 <= self.rewire_p <= 1.0:
+            if not (_finite(self.rewire_p) and 0.0 <= self.rewire_p <= 1.0):
                 raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
 
 
@@ -353,12 +353,12 @@ class TruncNormal:
             raise InvalidParameterError(
                 f"trunc_normal needs finite mean and sd >= 0, got mean={self.mean!r}, sd={self.sd!r}"
             )
-        if not self.lo <= self.hi:  # also when either is NaN
+        if not _finite(self.lo):
+            raise InvalidParameterError("trunc_normal lo must be finite")
+        if not ((_finite(self.hi) or self.hi == math.inf) and self.lo <= self.hi):  # also NaN
             raise InvalidParameterError(
                 f"trunc_normal bounds need lo <= hi, got [{self.lo!r}, {self.hi!r}]"
             )
-        if not _finite(self.lo):
-            raise InvalidParameterError("trunc_normal lo must be finite")
         if self.sd == 0 and not self.lo <= self.mean <= self.hi:
             raise InvalidParameterError(
                 f"trunc_normal with sd 0 draws its mean, which must lie in [lo, hi], "

@@ -416,6 +416,9 @@ def test_render_options_validation():
         RenderOptions(width=50, height=480)
     with pytest.raises(InvalidParameterError):
         RenderOptions(width=800, height=99)
+    for width, height in ((float("nan"), 480), (800, float("inf")), ("800", 480), (800, None)):
+        with pytest.raises(InvalidParameterError, match="SVG canvas must be finite"):
+            RenderOptions(width=width, height=height)
 
 
 def test_svg_title_is_escaped():

@@ -8,7 +8,7 @@ and ``-0.000000``, with a step-0 event that floors an offset at zero.  The
 other network kinds and ``sweep`` are pinned on variants of ``small_donbass``:
 a complete graph with unweighted reputation and exits that fire, the
 ``dense`` benchmark workload's complete graph at 600 agents with its exits, an
-Erdos-Renyi graph, the summary of a two-seed ``iterative_influence`` sweep,
+Erdos-Renyi graph with and without exits, the summary of a two-seed ``iterative_influence`` sweep,
 a 240-step ``iterative_influence`` run with exits whose public state
 stands still between changes (the steps that reuse their reputation terms),
 and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
@@ -137,6 +137,14 @@ def _small_erdos_renyi() -> dict:
     return doc
 
 
+def _small_erdos_renyi_exits() -> dict:
+    """The Erdos-Renyi variant with an exit rule that fires on several steps: the counts
+    path over a transposed audience index while exits change the totals."""
+    doc = _small_erdos_renyi()
+    doc["exit"] = {"threshold": 0.0, "patience": 10}
+    return doc
+
+
 def _rewired_small_world() -> dict:
     """500 agents on a small world whose every lattice tie rewires: most edges are Python draws."""
     doc = _small_donbass()
@@ -170,6 +178,7 @@ GOLDEN_RUN_CSV = {
     "complete_exits": "54c19a724deb71dc0c3631c96a3ee94fb357c33d2b45a75bdcbbefbe129c0413",
     "dense_exits": "f87c647bb863a23d1f03a661a87faa4bcf835726947db861768e04a54d821a4f",
     "erdos_renyi": "5849b46f8bfd1748be8c74eab3066dbcae4e64f4bdb17387ace1330fe59a8c6a",
+    "erdos_renyi_exits": "7e0b5b9fe3e7240d5ab0d8eafb86a471fc27db29065325abe27c0411676bc77a",
     "iterative_exits": "825700b561fa0bab133d10e32338b8878e51664fd296c2b78f32e144353b860e",
     "rewired_small_world": "714949775ded6696766551f130fbcabce699f96a4ec2653de8576703521601d6",
 }
@@ -250,6 +259,7 @@ def _run_csv(doc: dict, workdir) -> bytes:
         ("iterative_exits", _small_iterative_exits()),
         ("rewired_small_world", _rewired_small_world()),
         ("dense_exits", _dense_exits()),
+        ("erdos_renyi_exits", _small_erdos_renyi_exits()),
     ],
 )
 def test_golden_run_csv_other_networks(name, doc, tmp_path):

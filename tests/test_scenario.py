@@ -28,11 +28,13 @@ from dissentsim import (
     ReputationVariant,
     ScenarioParseError,
     ScenarioValidationError,
+    SocialNetwork,
     StepRecord,
     TruncNormal,
     Uniform,
     donbass_baseline,
     generate_population,
+    influence_scores,
     parse_scenario,
     run,
     serialize_scenario,
@@ -1137,6 +1139,19 @@ def test_spec_constructors_refuse_what_they_do_not_name():
         Group("g", 1, "pro_rebellion", {})
     with pytest.raises(InvalidParameterError, match=r"unknown factors \['Z', 'cost'\]"):
         Group("g", 1, PrivateType.PRO_REBELLION, {"cost": Constant(1.0), "Z": Constant(1.0)})
+    # A value that is no number is refused with the check's own message, not a TypeError.
+    with pytest.raises(InvalidParameterError, match=r"damping must lie in \(0, 1\), got None"):
+        ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.5, damping=None)
+    with pytest.raises(InvalidParameterError, match=r"damping must lie in \(0, 1\), got 'x'"):
+        influence_scores(SocialNetwork(2, [(0, 1, 1.0)]), damping="x")
+    with pytest.raises(InvalidParameterError, match=r"p_edge must lie in \[0, 1\], got '0.5'"):
+        NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge="0.5")
+    with pytest.raises(InvalidParameterError, match=r"rewire_p must lie in \[0, 1\], got '0.1'"):
+        NetworkSpec(NetworkKind.SMALL_WORLD, k=2, rewire_p="0.1")
+    with pytest.raises(InvalidParameterError, match="trunc_normal lo must be finite"):
+        TruncNormal(0, 1, "a")
+    with pytest.raises(InvalidParameterError, match=r"trunc_normal bounds need lo <= hi, got \[0, 'b'\]"):
+        TruncNormal(0, 1, 0, "b")
 
 
 # ---------------------------------------------------------------- baseline

@@ -178,16 +178,18 @@ def counting_calls(name):
 
 def routed(net, variant):
     """The path one step over ``net`` under ``variant`` takes, ``"counts"`` or ``"keyed"``; its
-    reputation record is checked against a fresh keyed pass over every edge, bit for bit."""
+    reputation record is checked against a fresh keyed pass over every edge, bit for bit.
+    A first step on the counts path walks the audiences of every visible agent, once."""
     n = net.n
     params = ParamArrays(**{name: np.ones(n) for name in FACTOR_NAMES}, x_rebel=np.zeros(n, bool))
     state = state_of(net, params, [Position.R] * n, [False] * n)
     spec = ReputationSpec(variant, alpha=1.0)
-    with counting_calls("stance_counts") as counts, counting_calls("keyed_counts") as keyed:
+    with counting_calls("audience_counts") as counts, counting_calls("keyed_counts") as keyed:
         seen = step(state, scenario_of(spec))._memo.seen
     expected = keyed_pass(spec, net, state.y, state.exited)
     assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
     assert len(counts) + len(keyed) == 1
+    assert [call[2].tolist() for call in counts] in ([], [(~state.exited).tolist()])
     return "keyed" if keyed else "counts"
 
 

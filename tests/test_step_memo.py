@@ -497,32 +497,42 @@ def test_in_place_edits_invalidate_only_their_levels():
 def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     """On integral weights a stance edited in place walks the changed agent's audience from
     the kept counts and keeps the totals; an exit edited in place also changes the totals.
-    No keyed pass runs, the terms are made once per changed step, and the kept arrays equal
-    those of a step that keeps nothing."""
+    A changed step makes exactly two walks, from the one changed-agent mask: off the changed
+    agents visible before, at their old stances, and onto those visible now, at their new
+    ones.  No keyed pass runs, the terms are made once per changed step, and the kept arrays
+    equal those of a step that keeps nothing."""
+    def walks(state):
+        """The masks of the two walks a changed step from ``state`` makes."""
+        last = state._memo.seen
+        changed = (state.y != last.y) | (state.exited != last.exited)
+        return [(changed & ~last.exited).tolist(), (changed & ~state.exited).tolist()]
+
     state, scenario = still_world()
-    state = step(state, scenario)
     assert engine.counted(scenario.reputation, state.network)
-    with counting("stance_counts") as counts, counting_levels() as taken:
+    with counting("audience_counts") as counts, counting_levels() as taken:
+        state = step(state, scenario)
+        assert [call[2].tolist() for call in counts] == [(~state.exited).tolist()]
+        counts.clear()
+        taken()
         step(state, scenario)
         assert (len(counts), taken()) == (0, (0, 0))
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 1))
-        assert counts.pop()[4] is not None  # brought up to date from the kept counts
+        assert ([call[2].tolist() for call in counts], taken()) == (walks(state), (0, 1))
         assert new._memo.seen.denom is state._memo.seen.denom
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert (len(counts), taken()) == (1, (0, 1))
+        assert ([call[2].tolist() for call in counts], taken()) == (walks(state), (0, 1))
         assert bits(new._memo.seen.denom) != bits(state._memo.seen.denom)
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert (len(counts), taken()) == (1, (0, 1))
+        assert ([call[2].tolist() for call in counts], taken()) == (walks(new), (0, 1))
         assert bits(again._memo.seen.denom) == bits(state._memo.seen.denom)
 
 
@@ -562,8 +572,9 @@ def keyed_step(state, scenario, real_step=step):
     :func:`seen_kept` says; no kept array with an entry per edge; ``observed_weights`` called
     over every edge when the record before is over another network or spec, and otherwise
     over the out-edges of the observers of the agents whose stance or exit changed, in
-    stored order, or not at all when none did; and read-only counts, totals and terms equal
-    to a fresh keyed pass over every edge, bit for bit.  Returns the new state and how many
+    stored order, or not at all when none did; read-only counts, totals and terms equal
+    to a fresh keyed pass over every edge, bit for bit; and no kept array whose base holds
+    more elements than it does (the totals are not a view of the 3n bins).  Returns the new state and how many
     edges the step walked."""
     with counting("observed_weights") as calls:
         new = real_step(state, scenario)
@@ -590,6 +601,8 @@ def keyed_step(state, scenario, real_step=step):
     kept = (memo.seen.num, memo.seen.denom, memo.seen.rep)
     assert not any(a.flags.writeable for a in kept)
     assert [bits(a) for a in kept] == [bits(a) for a in expected]
+    arrays = [a for a in memo.seen if isinstance(a, np.ndarray)]
+    assert all(a.base is None or a.base.size <= a.size for a in arrays)
     return new, sum(map(len, walked))
 
 
