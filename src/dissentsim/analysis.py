@@ -21,7 +21,6 @@ from .engine import (
     ParamArrays,
     StepRecord,
     effective_params,
-    falsification_penalty,
     integrity_by_stance,
     perceived_probability,
 )
@@ -137,7 +136,7 @@ def zero_support_soft_terms(
     agent's PrivateType or a population's boolean ``x_rebel`` array, in which
     case the integrity terms are arrays.
     """
-    integ = integrity_by_stance(integrity, x, falsification_penalty(integrity, 0))
+    integ = integrity_by_stance(integrity, x, 0)
     return {pos: SoftTerms(rep=0.0, integ=integ[pos]) for pos in Position}
 
 
@@ -219,15 +218,37 @@ class RenderOptions:
     def __post_init__(self):
         if not (_finite(self.width) and _finite(self.height)) or min(self.width, self.height) < 100:
             raise InvalidParameterError("SVG canvas must be finite and at least 100x100")
+        if self.title is not None and not isinstance(self.title, str):
+            raise InvalidParameterError(
+                f"SVG title must be a string or None, got {type(self.title).__name__}"
+            )
 
 
+#: (StepRecord field, legend label, color) of each plotted series.  The shares use
+#: the left axis; ``n_exited`` is scaled to the largest count on the right axis, dashed.
 _SERIES = (
     ("share_R", "rebel", "#c0392b"),
     ("share_U", "support", "#2471a3"),
     ("share_NJ", "abstain", "#7f8c8d"),
+    ("n_exited", "exited", "#8e44ad"),
 )
-_EXIT_COLOR = "#8e44ad"
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
+def _element(name: str, body: str | None = None, **attrs) -> str:
+    """One SVG element, its attributes in the order given with ``_`` written as ``-``.
+
+    A string value is written as it is and any other value (a computed coordinate)
+    with 2 decimals.  With a ``body``, escaped, the element has an open and a close
+    tag; without one it closes itself.
+    """
+    written = " ".join(
+        f'{key.replace("_", "-")}="{value if isinstance(value, str) else format(value, ".2f")}"'
+        for key, value in attrs.items()
+    )
+    if body is None:
+        return f"<{name} {written}/>"
+    return f"<{name} {written}>{body.translate(_ESCAPES)}</{name}>"
 
 
 def render_svg(records: Sequence[StepRecord], options: RenderOptions | None = None) -> str:
@@ -252,100 +273,70 @@ def render_svg(records: Sequence[StepRecord], options: RenderOptions | None = No
     def x_of(t: float) -> float:
         return left + (t - t_min) / t_span * plot_w
 
-    def y_of_share(v: float) -> float:
+    def y_of(v: float) -> float:
         return top + (1.0 - v) * plot_h
 
-    def y_of_exit(v: float) -> float:
-        return top + (1.0 - v / exit_max) * plot_h
-
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{opts.width}" height="{opts.height}" '
-        f'viewBox="0 0 {opts.width} {opts.height}">'
-    )
-    parts.append(f'<rect width="{opts.width}" height="{opts.height}" fill="#ffffff"/>')
+        f'viewBox="0 0 {opts.width} {opts.height}">',
+        _element("rect", width=f"{opts.width}", height=f"{opts.height}", fill="#ffffff"),
+    ]
     if opts.title:
-        parts.append(
-            f'<text x="{opts.width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{opts.title.translate(_ESCAPES)}</text>'
-        )
+        parts.append(_element("text", opts.title, x=opts.width / 2, y="20", text_anchor="middle",
+                              font_family="sans-serif", font_size="14"))
 
     # Frame and horizontal grid lines with share labels.
-    parts.append(
-        f'<rect x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
+    parts.append(_element("rect", x=left, y=top, width=plot_w, height=plot_h, fill="none",
+                          stroke="#333333", stroke_width="1"))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = y_of_share(frac)
-        parts.append(
-            f'<line x1="{left:.2f}" y1="{y:.2f}" x2="{left + plot_w:.2f}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{left - 6:.2f}" y="{y + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="9">{frac:.2f}</text>'
-        )
-        parts.append(
-            f'<text x="{left + plot_w + 6:.2f}" y="{y + 3:.2f}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="9">{frac * exit_max:.0f}</text>'
+        y = y_of(frac)
+        parts += (
+            _element("line", x1=left, y1=y, x2=left + plot_w, y2=y, stroke="#dddddd",
+                     stroke_width="0.5"),
+            _element("text", f"{frac:.2f}", x=left - 6, y=y + 3, text_anchor="end",
+                     font_family="sans-serif", font_size="9"),
+            _element("text", f"{frac * exit_max:.0f}", x=left + plot_w + 6, y=y + 3,
+                     text_anchor="start", font_family="sans-serif", font_size="9"),
         )
 
     # Time ticks: first, mid, last.
     for t in sorted({t_min, (t_min + t_max) // 2, t_max}):
-        x = x_of(t)
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 14:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="9">t={t}</text>'
-        )
+        parts.append(_element("text", f"t={t}", x=x_of(t), y=top + plot_h + 14,
+                              text_anchor="middle", font_family="sans-serif", font_size="9"))
 
     # Event markers.
     for r in records:
         if not r.events:
             continue
         x = x_of(r.t)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top:.2f}" x2="{x:.2f}" y2="{top + plot_h:.2f}" '
-            f'stroke="#b8860b" stroke-width="0.8" stroke-dasharray="3,3"/>'
-        )
-        parts.append(
-            f'<text x="{x + 3:.2f}" y="{top + 10:.2f}" font-family="sans-serif" '
-            f'font-size="8" fill="#b8860b" '
-            f'transform="rotate(90 {x + 3:.2f} {top + 10:.2f})">'
-            f'{";".join(r.events).translate(_ESCAPES)}</text>'
+        parts += (
+            _element("line", x1=x, y1=top, x2=x, y2=top + plot_h, stroke="#b8860b",
+                     stroke_width="0.8", stroke_dasharray="3,3"),
+            _element("text", ";".join(r.events), x=x + 3, y=top + 10, font_family="sans-serif",
+                     font_size="8", fill="#b8860b",
+                     transform=f"rotate(90 {x + 3:.2f} {top + 10:.2f})"),
         )
 
-    # Share series (and exited counts on the right axis).
-    for attr, label, color in _SERIES:
-        points = [(x_of(r.t), y_of_share(getattr(r, attr))) for r in records]
-        parts.append(_series_element(points, color, dashed=False))
-    exit_points = [(x_of(r.t), y_of_exit(r.n_exited)) for r in records]
-    parts.append(_series_element(exit_points, _EXIT_COLOR, dashed=True))
+    # Each series is a polyline, or a dot when there is one record.
+    for attr, _, color in _SERIES:
+        scale, dash = (exit_max, {"stroke_dasharray": "4,3"}) if attr == "n_exited" else (1, {})
+        points = [(x_of(r.t), y_of(getattr(r, attr) / scale)) for r in records]
+        if len(points) == 1:
+            parts.append(_element("circle", cx=points[0][0], cy=points[0][1], r="3", fill=color))
+        else:
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+            parts.append(_element("polyline", points=coords, fill="none", stroke=color,
+                                  stroke_width="1.5", **dash))
 
     # Legend.
-    legend = list(_SERIES) + [("n_exited", "exited", _EXIT_COLOR)]
-    for idx, (_, label, color) in enumerate(legend):
+    for idx, (_, label, color) in enumerate(_SERIES):
         lx = left + 8 + idx * 90
         ly = top + plot_h + 30
-        parts.append(
-            f'<rect x="{lx:.2f}" y="{ly - 8:.2f}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 14:.2f}" y="{ly:.2f}" font-family="sans-serif" '
-            f'font-size="10">{label}</text>'
+        parts += (
+            _element("rect", x=lx, y=ly - 8, width="10", height="10", fill=color),
+            _element("text", label, x=lx + 14, y=ly, font_family="sans-serif", font_size="10"),
         )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _series_element(points: list[tuple[float, float]], color: str, dashed: bool) -> str:
-    dash = ' stroke-dasharray="4,3"' if dashed else ""
-    if len(points) == 1:
-        x, y = points[0]
-        return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return (
-        f'<polyline points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="1.5"{dash}/>'
-    )

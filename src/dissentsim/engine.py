@@ -328,12 +328,7 @@ def integrity_value(spec: IntegritySpec, y, x, d_falsify):
     and over ``d_falsify``; the falsification penalty is computed once for
     the whole ``d_falsify`` array.
     """
-    return _integrity(spec, y, x, falsification_penalty(spec, d_falsify))
-
-
-def _integrity(spec: IntegritySpec, y, x, penalty):
-    """:func:`integrity_value` given the :func:`falsification_penalty` of each agent's streak."""
-    return np.where(consistent(y, x), spec.nu_match, -penalty)[()]
+    return np.where(consistent(y, x), spec.nu_match, -falsification_penalty(spec, d_falsify))[()]
 
 
 def falsification_penalty(spec: IntegritySpec, d_falsify):
@@ -363,14 +358,10 @@ def _steady_streak(spec: IntegritySpec) -> int:
     return lo
 
 
-def integrity_by_stance(spec: IntegritySpec, x, penalty):
-    """:func:`integrity_value` of showing each stance, rows indexed by Position code.
-
-    ``penalty`` is the :func:`falsification_penalty` of each agent's streak,
-    which the caller has already computed.
-    """
+def integrity_by_stance(spec: IntegritySpec, x, d_falsify):
+    """:func:`integrity_value` of showing each stance, rows indexed by Position code."""
     codes = np.arange(len(Position)).reshape((-1,) + (1,) * np.ndim(x))
-    return _integrity(spec, codes, x, penalty)
+    return integrity_value(spec, codes, x, d_falsify)
 
 
 def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patience: int):
@@ -536,8 +527,7 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / max(int(active.sum()), 1)
     eff = last.eff if same_inputs else effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
-    penalty = falsification_penalty(integrity, state.d_falsify)  # raises on a negative streak
-    integ = integrity_by_stance(integrity, pa.x_rebel, penalty)
+    integ = integrity_by_stance(integrity, pa.x_rebel, state.d_falsify)  # raises if a streak < 0
 
     # The kernels' inputs are checked where they are made: the factors and p_base by
     # effective_params, the reputation denominators by keyed_counts or, for counts, by

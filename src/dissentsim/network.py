@@ -396,7 +396,7 @@ def public_sentiment(
         w = weights.get(i)
         if w is None:
             raise NotFoundError(f"no weight supplied for agent {i}")
-        if not np.isfinite(w) or w < 0.0:
+        if not _finite(w) or w < 0.0:
             raise InvalidParameterError(f"weight for agent {i} must be finite and >= 0")
         total += w
         acc += w * SENTIMENT_VALUE[_position(i, y)]

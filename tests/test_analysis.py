@@ -1,6 +1,7 @@
 """Cascade analysis, first movers, threshold inversion, and SVG rendering tests."""
 
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dissentsim import (
     share_space_thresholds,
     zero_support_soft_terms,
 )
+from test_golden import SVG_OPTIONS, svg_cases
 
 
 def params(**kw) -> AgentParams:
@@ -419,9 +421,24 @@ def test_render_options_validation():
     for width, height in ((float("nan"), 480), (800, float("inf")), ("800", 480), (800, None)):
         with pytest.raises(InvalidParameterError, match="SVG canvas must be finite"):
             RenderOptions(width=width, height=height)
+    for title in (5, b"x", ["a"]):
+        with pytest.raises(InvalidParameterError, match="SVG title must be a string or None"):
+            RenderOptions(title=title)
 
 
 def test_svg_title_is_escaped():
     svg = render_svg(_records(), RenderOptions(title='a<b & "c"'))
     assert "a&lt;b &amp; &quot;c&quot;" in svg
     assert 'a<b & "c"' not in svg
+
+
+def test_svg_is_well_formed_xml():
+    """The pinned charts parse as SVG, and the title and event labels read back as given."""
+    ns = "{http://www.w3.org/2000/svg}"
+    for records in svg_cases().values():
+        root = ElementTree.fromstring(render_svg(records, SVG_OPTIONS))
+        assert root.tag == f"{ns}svg"
+        texts = root.findall(f"{ns}text")
+        assert texts[0].text == SVG_OPTIONS.title
+        events = [text.text for text in texts if "transform" in text.attrib]
+        assert events == [";".join(r.events) for r in records if r.events] != []

@@ -12,6 +12,7 @@ Erdos-Renyi graph with and without exits, the summary of a two-seed ``iterative_
 a 240-step ``iterative_influence`` run with exits whose public state
 stands still between changes (the steps that reuse their reputation terms),
 and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
+``GOLDEN_SVG`` pins ``render_svg`` on a titled, odd-sized canvas over a run with exits.
 ``REDRAWN`` pins the sampled population itself: truncated normals that take
 many redraw rounds, overlapping ``c``/``C`` supports whose joint redraws draw a
 truncated normal, and a degenerate ``uniform``.
@@ -24,8 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dissentsim.analysis import RenderOptions, render_svg
 from dissentsim.cli import main
-from dissentsim.engine import FACTOR_NAMES, init_state, sample_params, step
+from dissentsim.engine import FACTOR_NAMES, init_state, run, sample_params, step
 from dissentsim.scenario import (
     Constant,
     Group,
@@ -204,6 +206,14 @@ REDRAWN = PopulationSpec([
 
 GOLDEN_REDRAWN = "6df9f0ac4413f1ce9aff16061bed0e1643fa0b2c35509eeab44f260a83c5d4cd"
 
+#: ``render_svg`` of the Erdos-Renyi exits run (exits, event labels) on an odd-sized,
+#: titled canvas: every record, and the first record alone, which draws circles.
+SVG_OPTIONS = RenderOptions(width=333.3, height=250.5, title='a<b & "c"')
+GOLDEN_SVG = {
+    "all": "bd863c5bafd9bf0b7cbb87044acc672a217c6f656730e9f942c437b161fab8b7",
+    "first": "6bcb2325564397fef1349e46d5d471fb7c991a97719ba77680208b511ce34497",
+}
+
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
 
 
@@ -288,6 +298,17 @@ def test_iterative_exits_scenario_has_still_stretches():
     assert any(still[first_exit:])
     # A still step followed by one where only exits changed: reused terms must be dropped there.
     assert any(still[t] and exit_only[t + 1] for t in range(first_exit, len(still) - 1))
+
+
+def svg_cases() -> dict:
+    """The pinned ``render_svg`` inputs, keyed as in ``GOLDEN_SVG``."""
+    records = run(parse_scenario(json.dumps(_small_erdos_renyi_exits())))
+    return {"all": records, "first": records[:1]}
+
+
+def test_golden_svg_options():
+    for name, records in svg_cases().items():
+        assert _sha(render_svg(records, SVG_OPTIONS).encode("utf-8")) == GOLDEN_SVG[name], name
 
 
 def test_golden_sweep_summary(tmp_path):

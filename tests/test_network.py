@@ -438,6 +438,9 @@ def test_sentiment_errors():
         public_sentiment({0: R, 1: U}, {0: 1.0})
     with pytest.raises(InvalidParameterError):
         public_sentiment({0: R}, {0: -1.0})
+    for w in ("1", 10**400, [1.0], 1 + 0j, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="weight for agent 0 must be finite"):
+            public_sentiment({0: R}, {0: w})
 
 
 # ---------------------------------------------------------------- generators
