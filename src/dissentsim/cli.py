@@ -61,6 +61,7 @@ def __getattr__(name: str):
 
 
 THRESHOLDS_HEADER = "id,x,threshold_R_over_NJ,threshold_NJ_over_U,p0"
+THRESHOLDS_CHUNK = 1 << 16  # rows formatted and written at a time
 
 
 def _read_text(path: str) -> str:
@@ -114,11 +115,15 @@ def cmd_thresholds(args) -> int:
     thr_nj = threshold_nj_over_u(eff, soft[Position.NJ], soft[Position.U])
     p0 = perceived_probability(pa, 0.0, env0)
     rebel, loyal = PrivateType.PRO_REBELLION.value, PrivateType.PRO_STATUS_QUO.value
-    lines = [THRESHOLDS_HEADER]
-    rows = zip(pa.x_rebel.tolist(), thr_r.tolist(), thr_nj.tolist(), p0.tolist())
-    for i, (x_rebel, r, nj, p) in enumerate(rows):
-        lines.append(f"{i},{rebel if x_rebel else loyal},{r:.6f},{nj:.6f},{p:.6f}")
-    Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    columns = (pa.x_rebel, thr_r, thr_nj, p0)
+    with open(args.out, "wb") as sink:
+        sink.write((THRESHOLDS_HEADER + "\n").encode("utf-8"))
+        for start in range(0, len(p0), THRESHOLDS_CHUNK):
+            rows = zip(*(column[start:start + THRESHOLDS_CHUNK].tolist() for column in columns))
+            sink.write("".join(
+                f"{i},{rebel if x_rebel else loyal},{r:.6f},{nj:.6f},{p:.6f}\n"
+                for i, (x_rebel, r, nj, p) in enumerate(rows, start)
+            ).encode("utf-8"))
     print(f"thresholds for {len(p0)} agents csv={args.out}")
     return 0
 

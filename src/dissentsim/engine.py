@@ -72,15 +72,12 @@ from .scenario import (  # re-exported: the spec types are load-time names
     PopulationSpec,
     Position,
     PrivateType,
+    REJECTION_CAP,
     ReputationSpec,
     ReputationVariant,
     TruncNormal,
     Uniform,
 )
-
-#: Rejection-sampling cap: the most redraw rounds one column (a truncated normal) or one
-#: group's (c, C) pair takes; each round redraws every entry still rejected.
-REJECTION_CAP = 1000
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 

@@ -69,9 +69,10 @@ class SocialNetwork:
     target, weight) triples or an (m, 3) array: integral ids in [0, n), no
     self-loops, finite weights >= 0 (-0.0 is stored as 0.0).  They are stored
     stably sorted by source as ``src``, ``dst`` and ``w``; agent i's are
-    ``row_ptr[i]:row_ptr[i + 1]``.
+    ``row_ptr[i]:row_ptr[i + 1]``.  A generated network keeps only its int64
+    ids: its ``w`` is a zero-stride view of one 1.0.
     The ``edges`` tuples and ``out_edges`` are views built on request.
-    Instances are immutable (the arrays are read-only copies), so views, the
+    Instances are immutable (the arrays are read-only), so views, the
     in-edge index and influence scores are cached.
     """
 
@@ -86,18 +87,19 @@ class SocialNetwork:
         triples = np.asarray(edges, dtype=np.float64)
         if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
             raise InvalidParameterError(f"edges need 3 columns (src, dst, w), got {triples.shape}")
-        self._store(n, *triples.reshape(-1, 3).T)
+        self._check(n, *triples.reshape(-1, 3).T)
 
     @classmethod
     def _from_columns(cls, n: int, src, dst, w) -> "SocialNetwork":
         """The network of the edges ``src[e] -> dst[e]`` of weight ``w[e]``, checked as the
-        triples are.  The generators hand their int64 ids over this way, without a float
-        copy; ``src`` and ``dst`` are stored as they are (and made read-only) when int64."""
+        triples are; ``src`` and ``dst`` are stored as they are (and made read-only) when
+        int64 and sorted by source."""
         network = cls.__new__(cls)
-        network._store(_network_size(n), src, dst, w)
+        network._check(_network_size(n), src, dst, w)
         return network
 
-    def _store(self, n: int, src, dst, w) -> None:
+    def _check(self, n: int, src, dst, w) -> None:
+        """Refuse a bad edge, sort the edges stably by source, and store them."""
         if src.dtype.kind == "f" or dst.dtype.kind == "f":  # integer ids are integral
             _refuse_edges((src != np.floor(src)) | (dst != np.floor(dst)), src, dst,
                           "has a non-integral agent id")
@@ -105,14 +107,18 @@ class SocialNetwork:
                       "references an unknown agent id")
         _refuse_edges(src == dst, src, dst, "is a self-loop, which is not allowed")
         _refuse_edges(~np.isfinite(w) | (w < 0.0), src, dst, "weight must be finite and >= 0")
-        if np.any(src[1:] < src[:-1]):  # generators emit their edges in CSR order already
+        if np.any(src[1:] < src[:-1]):
             order = np.argsort(src, kind="stable")
             src, dst, w = src[order], dst[order], w[order]
+        self._store(n, src, dst, w + 0.0)  # a copy, with any -0.0 weight stored as 0.0
+
+    def _store(self, n: int, src, dst, w: np.ndarray) -> None:
+        """Store ids sorted by source, as int64, and their weights, read-only."""
         src = src.astype(np.int64, copy=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst.astype(np.int64, copy=False))
-        object.__setattr__(self, "w", w + 0.0)  # a copy, with any -0.0 weight stored as 0.0
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
         for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
             getattr(self, name).setflags(write=False)
@@ -406,9 +412,13 @@ def public_sentiment(
 
 
 def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray, symmetric: bool = False) -> SocialNetwork:
-    """The generated network, with what its generator knows recorded: unit weights have
-    integral totals, and where every tie runs both ways the CSR rows are the audiences."""
-    network = SocialNetwork._from_columns(n, src, dst, np.ones(len(dst)))
+    """The generated network, stored without the user doors' checks: a generator emits
+    int64 ids in [0, n), sorted by source, with no self-loop, by construction.  Every
+    weight is one read-only 1.0, viewed with stride 0.  What the generator knows is
+    recorded: unit weights have integral totals, and where every tie runs both ways the
+    CSR rows are the audiences."""
+    network = SocialNetwork.__new__(SocialNetwork)
+    network._store(n, src, dst, np.broadcast_to(np.float64(1.0), dst.shape))
     object.__setattr__(network, "_integral_totals", True)  # each total is a degree, below n
     if symmetric:
         object.__setattr__(network, "_audiences", (network.row_ptr, network.dst, network.w))
@@ -435,7 +445,8 @@ def generate_network(spec: NetworkSpec, n: int, seed: int) -> SocialNetwork:
     if spec.kind is NetworkKind.COMPLETE:
         src = np.repeat(np.arange(n), n - 1)
         col = np.tile(np.arange(n - 1), n)
-        return _unit_weight(n, src, col + (col >= src), symmetric=True)  # skip the diagonal
+        col += col >= src  # skip the diagonal
+        return _unit_weight(n, src, col, symmetric=True)
 
     if spec.kind is NetworkKind.ERDOS_RENYI:
         rows = []
@@ -521,8 +532,25 @@ def _small_world(n: int, half: int, rewire_p: float, stream: _RawStream) -> Soci
         kept = max(0, min(ties - t, end - stream.pos))
         t, stream.pos = t + kept, stream.pos + kept
     stream.close()
+    # Every tie as the key i * n + j, both ways, in one buffer, which is sorted in place
+    # and split into the ids; what the walk kept is freed as soon as it has been read.
     lattice = np.flatnonzero(np.frombuffer(alive, dtype=bool))
-    i = lattice % n
-    j = (i + lattice // n + 1) % n
-    keys = np.sort(np.concatenate((i * n + j, j * n + i, np.fromiter(added, np.int64, len(added)))))
-    return _unit_weight(n, keys // n, keys % n, symmetric=True)
+    kept = lattice.size
+    keys = np.empty(2 * kept + len(added), np.int64)
+    keys[2 * kept:] = np.fromiter(added, np.int64, len(added))
+    del alive, added, degree
+    forward, backward = keys[:kept], keys[kept:2 * kept]
+    np.remainder(lattice, n, out=backward)  # i
+    lattice //= n
+    lattice += 1
+    lattice += backward
+    lattice %= n  # j
+    np.multiply(backward, n, out=forward)
+    forward += lattice
+    lattice *= n
+    backward += lattice
+    del lattice
+    keys.sort()
+    dst = keys % n
+    keys //= n
+    return _unit_weight(n, keys, dst, symmetric=True)

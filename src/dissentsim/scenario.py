@@ -46,8 +46,9 @@ DEFAULT_TOL = 1e-12
 #: Default iteration cap for the influence iteration.
 DEFAULT_MAX_ITERS = 200
 
-#: Most directed edges a scenario's network may have (see :func:`edge_count`).  An edge
-#: takes 24 bytes stored and about as much again while built: 5e7 edges need ~2.4 GB.
+#: Most directed edges a scenario's network may have (see :func:`edge_count`).  A generated
+#: edge takes 16 bytes stored (two int64 ids; its weight is an implicit 1.0) and at most
+#: about as much again while built: 5e7 edges need ~1.6 GB.
 EDGE_BUDGET = 50_000_000
 
 #: Most agents a scenario may have.  A run holds about 330 bytes per agent at its peak
@@ -58,6 +59,14 @@ AGENT_BUDGET = 10_000_000
 #: ``erdos_renyi`` draws one per ordered pair whatever ``p_edge`` is, at 3-4 ns each:
 #: 1e11 draws (n of about 3.2e5) take 5-7 minutes, and 10^6 agents about an hour.
 DRAW_BUDGET = 100_000_000_000
+
+#: Rejection-sampling cap: the most redraw rounds one column (a truncated normal) or one
+#: group's (c, C) pair takes; each round redraws every entry still rejected.
+REJECTION_CAP = 1000
+
+#: The largest chance a validated group may have that one of its truncated normal
+#: columns still holds a rejected draw after REJECTION_CAP rounds (a union bound).
+REDRAW_FAILURE_BOUND = 1e-9
 
 #: Most steps a scenario may run.  A run keeps one record per step, about 360 bytes each
 #: (measured: 17 MB for 5*10^4 steps of 89 agents), so 10^6 steps hold about 360 MB.
@@ -370,6 +379,18 @@ class TruncNormal:
     def support(self) -> tuple[float, float]:
         return (self.mean, self.mean) if self.sd == 0 else (self.lo, self.hi)
 
+    def acceptance(self) -> float:
+        """The probability q that one normal draw lands in [lo, hi].  A bound on one side of
+        the mean takes the tail beyond it from ``erfc``, so a tiny q keeps its digits."""
+        if self.sd == 0:
+            return 1.0
+        a, b = ((bound - self.mean) / (self.sd * math.sqrt(2.0)) for bound in (self.lo, self.hi))
+        if a > 0:
+            return (math.erfc(a) - math.erfc(b)) / 2
+        if b < 0:
+            return (math.erfc(-b) - math.erfc(-a)) / 2
+        return (math.erf(b) - math.erf(a)) / 2
+
 
 Distribution = Constant | Uniform | TruncNormal
 
@@ -437,6 +458,7 @@ class Scenario:
             for name, dist in group.factors.items():
                 _validate_factor_support(name, dist, f"{path}.factors.{name}", check)
             _check_costs(group.factors, path, check)
+            _check_redraws(group.label, group.count, group.factors, path, check)
         _check_rules(check, population=self.population, network=self.network)
         if check.violations:
             raise ScenarioValidationError(check.violations)
@@ -714,6 +736,24 @@ def _check_costs(factors: Mapping[str, Distribution], path: str, check: _Check) 
         )
 
 
+def _check_redraws(label, count, factors: Mapping[str, Distribution], path: str,
+                   check: _Check) -> None:
+    """Refuse a truncated normal factor whose ``count`` draws could still hold a rejected
+    one after REJECTION_CAP redraw rounds: ``count * (1 - q)**REJECTION_CAP`` above
+    REDRAW_FAILURE_BOUND, compared in logs, so a count past any float is no error."""
+    if not _is_int(count) or count < 1:
+        return
+    for name, dist in factors.items():
+        q = dist.acceptance() if isinstance(dist, TruncNormal) else 1.0
+        if q < 1.0 and (math.log(count) + REJECTION_CAP * math.log1p(-q)
+                        > math.log(REDRAW_FAILURE_BOUND)):
+            check.fail(f"{path}.factors.{name}",
+                       f"group {label!r}, factor {name}: a draw lands in [{dist.lo!r}, "
+                       f"{dist.hi!r}] with probability q={q:.3g}, so one of {count} draws "
+                       f"may exceed {REJECTION_CAP} redraw rounds (chance above "
+                       f"{REDRAW_FAILURE_BOUND:g})")
+
+
 def _parse_group(doc, path: str, check: _Check) -> Group | None:
     if not check.is_object(doc, path):
         return None
@@ -731,6 +771,7 @@ def _parse_group(doc, path: str, check: _Check) -> Group | None:
             factors[key] = dist
             _validate_factor_support(key, dist, fpath, check)
     _check_costs(factors, path, check)
+    _check_redraws(values.get("label"), values.get("count"), factors, path, check)
 
     if x is None or len(values) < len(_GROUP_FIELDS):
         return None

@@ -224,6 +224,18 @@ def test_thresholds_agree_with_payoff_crossings(tmp_path):
     assert checked >= 20
 
 
+def test_thresholds_chunks_write_the_same_bytes(ladder, tmp_path, monkeypatch):
+    """Rows are formatted and written a chunk at a time; any chunk size gives the same file."""
+    written = []
+    for chunk in (1, 3, 4, 5, cli.THRESHOLDS_CHUNK):
+        monkeypatch.setattr(cli, "THRESHOLDS_CHUNK", chunk)
+        out = tmp_path / f"thr_{chunk}.csv"
+        assert main(["thresholds", str(ladder), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert len(set(written)) == 1
+    assert written[0].count(b"\n") == 11  # the header and the ladder's 10 agents
+
+
 # ---------------------------------------------------------------- equilibrium
 
 def test_equilibrium_ladder(ladder, capsys):

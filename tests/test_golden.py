@@ -16,10 +16,12 @@ and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
 ``REDRAWN`` pins the sampled population itself: truncated normals that take
 many redraw rounds, overlapping ``c``/``C`` supports whose joint redraws draw a
 truncated normal, and a degenerate ``uniform``.
+``GOLDEN_NETWORKS`` pins the generators' ids at sizes past the reference tests' reach.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,17 @@ import pytest
 from dissentsim.analysis import RenderOptions, render_svg
 from dissentsim.cli import main
 from dissentsim.engine import FACTOR_NAMES, init_state, run, sample_params, step
+from dissentsim.network import generate_network
 from dissentsim.scenario import (
     Constant,
     Group,
+    NetworkKind,
+    NetworkSpec,
     PopulationSpec,
     PrivateType,
     TruncNormal,
     Uniform,
+    donbass_baseline,
     parse_scenario,
 )
 
@@ -214,6 +220,18 @@ GOLDEN_SVG = {
     "first": "6bcb2325564397fef1349e46d5d471fb7c991a97719ba77680208b511ce34497",
 }
 
+#: sha256 of ``src.tobytes() + dst.tobytes()`` of a generated network: (spec, n, seed).
+GOLDEN_NETWORKS = {
+    "small_world_3": ((NetworkKind.SMALL_WORLD, {"k": 10, "rewire_p": 0.1}), 20_000, 3,
+                      "93e012a538236207d31040353eef82d935c95fc8cef5c1118e0be47c27430e76"),
+    "small_world_4": ((NetworkKind.SMALL_WORLD, {"k": 10, "rewire_p": 0.1}), 20_000, 4,
+                      "15d17c766030e979132966df28f7f41b0901d333f2e69d2bf9fb8752be309fa4"),
+    "complete": ((NetworkKind.COMPLETE, {}), 400, 0,
+                 "6552999cf09a2ca5fd58d4a695a333d515c13aba95eb877b1e3922ce6e258328"),
+    "erdos_renyi": ((NetworkKind.ERDOS_RENYI, {"p_edge": 0.01}), 2_000, 0,
+                    "47f5343e4675a640da880945fd91a0f6737b970168362633fdcfad1970bb41ef"),
+}
+
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
 
 
@@ -311,6 +329,14 @@ def test_golden_svg_options():
         assert _sha(render_svg(records, SVG_OPTIONS).encode("utf-8")) == GOLDEN_SVG[name], name
 
 
+@pytest.mark.parametrize("name", GOLDEN_NETWORKS)
+def test_golden_generated_network(name):
+    (kind, fields), n, seed, digest = GOLDEN_NETWORKS[name]
+    net = generate_network(NetworkSpec(kind, **fields), n, seed)
+    assert _sha(net.src.tobytes() + net.dst.tobytes()) == digest
+    assert net.w.dtype == np.float64 and net.w.shape == net.dst.shape and (net.w == 1.0).all()
+
+
 def test_golden_sweep_summary(tmp_path):
     (tmp_path / "scenario.json").write_text(json.dumps(_small_iterative()), encoding="utf-8")
     (tmp_path / "spec.json").write_text(json.dumps(SWEEP_SPEC), encoding="utf-8")
@@ -321,6 +347,8 @@ def test_golden_sweep_summary(tmp_path):
 
 
 def test_golden_redrawn_population():
+    # Its redraws finish within the cap, so a scenario made of it validates.
+    replace(donbass_baseline(), population=REDRAWN)
     params = sample_params(REDRAWN, 2024)
     digest = hashlib.sha256()
     for name in FACTOR_NAMES + ("x_rebel",):

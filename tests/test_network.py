@@ -6,6 +6,7 @@ before the implementation ran, and are frozen here as literals.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,8 +172,8 @@ def edge_lists(draw):
 @given(edge_lists())
 @example((3, [[0, 2, 1.0], [1, 1, 1.0], [0, 0.5, 1.0]]))  # a later problem found first in order
 def test_network_constructor_matches_the_reference(case):
-    """The triples and the columns the generators hand over (int64 ids where every id is
-    an integer) give the reference's arrays, or its error message."""
+    """The triples and the checked columns door (int64 ids where every id is an integer)
+    give the reference's arrays, or its error message."""
     n, edges = case
     expected = reference_network(n, edges)
     src, dst, w = np.asarray(edges, dtype=np.float64).reshape(-1, 3).T.copy()
@@ -520,6 +521,30 @@ def test_reputation_spec_validation():
         ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0, tol=0.0)
     with pytest.raises(InvalidParameterError):
         ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=1.0, max_iters=0)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (NetworkSpec(NetworkKind.SMALL_WORLD, k=10, rewire_p=0.1), 10**5),
+    (NetworkSpec(NetworkKind.COMPLETE), 1_000),
+    (NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=0.01), 3_000),
+])
+def test_a_generated_network_stores_two_id_arrays(spec, n):
+    """Building a generated network peaks near the ids it keeps, and its unit weights are
+    a read-only zero-stride view of one 1.0, not an array per edge."""
+    generate_network(spec, 20, seed=0)  # numpy.random's import and first use are not counted
+    tracemalloc.start()
+    try:
+        net = generate_network(spec, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = net.src.nbytes + net.dst.nbytes + net.row_ptr.nbytes
+    assert peak <= 2.25 * kept, peak / kept
+    assert not net.w.flags.writeable and net.w.strides == (0,) and net.w.shape == net.dst.shape
+    owner = net.w
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes <= 8
 
 
 # ------------------------------------------------- small_world against a reference

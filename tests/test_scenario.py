@@ -334,12 +334,17 @@ _F_BELOW_0 = {"F": {"dist": "uniform", "lo": -1.0, "hi": 1.0}}
     (*_in_both({"c": {"dist": "uniform", "lo": 2.0, "hi": 3.0},
                 "C": {"dist": "uniform", "lo": 0.0, "hi": 1.0}}),
      ["population.groups[0].factors: C >= c violated: C support lies entirely below c support"]),
+    (*_in_both({"F": {"dist": "trunc_normal", "mean": 0.0, "sd": 1.0, "lo": 9.0, "hi": 10.0}}),
+     ["population.groups[0].factors.F: group 'rebel_core', factor F: a draw lands in "
+      "[9.0, 10.0] with probability q=1.13e-19, so one of 1000 draws may exceed 1000 redraw "
+      "rounds (chance above 1e-09)"]),
     (*_in_both(_F_BELOW_0, update="async"),
      ["update: only 'synchronous' is supported, got 'async'",
       "population.groups[0].factors.F: F must be >= 0 over the whole support, found lo=-1.0"]),
 ], ids=["negative-horizon", "horizon-budget", "no-agents", "agent-budget", "small-world-k",
         "edge-budget", "draw-budget", "negative-beta-share", "nan-beta-share", "async-update",
-        "F-support", "p-base-support", "cost-order", "update-then-group"])
+        "F-support", "p-base-support", "cost-order", "trunc-normal-acceptance",
+        "update-then-group"])
 def test_a_scenario_built_in_python_is_held_to_the_size_rules(build, edit, expected):
     """Every rule :func:`parse_scenario` applies but the two event rules also holds for a
     Scenario made in Python: the same violations, in the same order, before anything is
@@ -612,6 +617,11 @@ VIOLATION_CORPUS = [
      _factor("F", {"dist": "trunc_normal", "mean": 0.5, "sd": 1.0, "lo": 0.5, "hi": 0.5}),
      ['population.groups[0].factors.F: trunc_normal with sd > 0 never draws the one point '
       'lo = hi = 0.5']),
+    ('tn-acceptance-below-the-cap',  # q = 1.1e-19: sampling would exceed the redraw cap
+     _factor("F", {"dist": "trunc_normal", "mean": 0.0, "sd": 1.0, "lo": 9.0, "hi": 10.0}),
+     ["population.groups[0].factors.F: group 'g', factor F: a draw lands in [9.0, 10.0] with "
+      "probability q=1.13e-19, so one of 1 draws may exceed 1000 redraw rounds "
+      "(chance above 1e-09)"]),
     ('tn-missing-unknown', _factor("F", {"dist": "trunc_normal", "sd": "x", "lo": 0.0, "width": 1}),
      [
          'population.groups[0].factors.F.width: unknown field',
@@ -951,6 +961,18 @@ def test_serialize_solver_keys_only_for_iterative():
     assert iterative["reputation"]["damping"] == 0.85
     assert iterative["reputation"]["tol"] == 1e-12
     assert iterative["reputation"]["max_iters"] == 200
+
+
+def test_trunc_normal_acceptance():
+    """q = P(lo <= X <= hi): the standard normal's tabled values, mirrored tails equal, and
+    a far tail keeps its digits (Phi(-9) - Phi(-10) = 1.1285122e-19)."""
+    assert TruncNormal(0.0, 1.0, 9.0, 10.0).acceptance() == pytest.approx(1.1285122e-19, rel=1e-7)
+    assert TruncNormal(0.0, 1.0, -10.0, -9.0).acceptance() == TruncNormal(0.0, 1.0, 9.0, 10.0).acceptance()
+    assert TruncNormal(2.0, 3.0, 2.0).acceptance() == 0.5
+    assert TruncNormal(0.0, 1.0, -1.0, 1.0).acceptance() == pytest.approx(0.6826894921370859, rel=1e-15)
+    assert TruncNormal(0.0, 1.0, 3.0).acceptance() == pytest.approx(1.3498980316301e-3, rel=1e-12)
+    assert TruncNormal(5.0, 0.0, 0.0, 10.0).acceptance() == 1.0
+    assert TruncNormal(0.0, 1.0, 40.0, 41.0).acceptance() == 0.0  # below the smallest float
 
 
 def test_trunc_normal_unbounded_hi_round_trips():
