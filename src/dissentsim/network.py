@@ -87,22 +87,9 @@ class SocialNetwork:
         triples = np.asarray(edges, dtype=np.float64)
         if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
             raise InvalidParameterError(f"edges need 3 columns (src, dst, w), got {triples.shape}")
-        self._check(n, *triples.reshape(-1, 3).T)
-
-    @classmethod
-    def _from_columns(cls, n: int, src, dst, w) -> "SocialNetwork":
-        """The network of the edges ``src[e] -> dst[e]`` of weight ``w[e]``, checked as the
-        triples are; ``src`` and ``dst`` are stored as they are (and made read-only) when
-        int64 and sorted by source."""
-        network = cls.__new__(cls)
-        network._check(_network_size(n), src, dst, w)
-        return network
-
-    def _check(self, n: int, src, dst, w) -> None:
-        """Refuse a bad edge, sort the edges stably by source, and store them."""
-        if src.dtype.kind == "f" or dst.dtype.kind == "f":  # integer ids are integral
-            _refuse_edges((src != np.floor(src)) | (dst != np.floor(dst)), src, dst,
-                          "has a non-integral agent id")
+        src, dst, w = triples.reshape(-1, 3).T
+        _refuse_edges((src != np.floor(src)) | (dst != np.floor(dst)), src, dst,
+                      "has a non-integral agent id")
         _refuse_edges((src < 0) | (src >= n) | (dst < 0) | (dst >= n), src, dst,
                       "references an unknown agent id")
         _refuse_edges(src == dst, src, dst, "is a self-loop, which is not allowed")
@@ -146,8 +133,9 @@ class SocialNetwork:
         """Each agent's in-edges, as CSR arrays by target: ``ptr``, then the observer and the
         weight of each edge.  A stable transpose of the edges, built on first use."""
         order = np.argsort(self.dst, kind="stable")
+        unit = self.w.strides == (0,)  # a generated network's weights read alike in any order
         index = (np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order),
-                 self.src[order], self.w[order])
+                 self.src[order], self.w if unit else self.w[order])
         for array in index:
             array.setflags(write=False)
         return index
@@ -412,7 +400,7 @@ def public_sentiment(
 
 
 def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray, symmetric: bool = False) -> SocialNetwork:
-    """The generated network, stored without the user doors' checks: a generator emits
+    """The generated network, stored without the constructor's checks: a generator emits
     int64 ids in [0, n), sorted by source, with no self-loop, by construction.  Every
     weight is one read-only 1.0, viewed with stride 0.  What the generator knows is
     recorded: unit weights have integral totals, and where every tie runs both ways the
