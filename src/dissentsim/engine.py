@@ -21,9 +21,9 @@ reach, and :func:`run` reuses the previous record when the decision is reused.
 What a step sees of the public state is one record, made by :func:`_see`: each
 observer's observed weight per stance and its total, from which one formula makes
 the reputation terms.  :func:`_see` finds the agents whose stance or exit changed
-as one mask.  Under the fraction variants on integral weights the counts are
-brought up to date over those agents' audiences; otherwise a keyed pass remakes
-only their observers' rows, replaying a full pass's float additions bit for bit.
+as one mask.  On neighbour counts (``unweighted_fraction``, or ``weighted_fraction`` on
+unit weights) the counts are brought up to date over those agents' audiences; otherwise a
+keyed pass remakes only their observers' rows, replaying a full pass's additions bit for bit.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -528,7 +528,7 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
 
     # The kernels' inputs are checked where they are made: the factors and p_base by
     # effective_params, the reputation denominators by keyed_counts or, for counts, by
-    # network.counted; integ and p are finite by construction.
+    # being neighbour counts; integ and p are finite by construction.
     NJ, U, R = Position.NJ, Position.U, Position.R
     e_nj = nojoin_kernel(eff.S, eff.c, p, rep[:, NJ], integ[NJ], pa.V_NJ)
     e_u = statusquo_kernel(eff.S, eff.A_R, eff.C, p, rep[:, U], integ[U], pa.V_U)
@@ -562,10 +562,10 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     changed = (y != last.y) | (exited != last.exited) if same_net else None
     if counted(spec, net):
         if same_net:
-            num = (last.num - audience_counts(spec, net, changed & ~last.exited, last.y)
-                   + audience_counts(spec, net, changed & ~exited, y))
+            num = (last.num - audience_counts(net, changed & ~last.exited, last.y)
+                   + audience_counts(net, changed & ~exited, y))
         else:
-            num = audience_counts(spec, net, ~exited, y)
+            num = audience_counts(net, ~exited, y)
         denom = last.denom if same_exits else num.sum(axis=1)
     else:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE

@@ -70,8 +70,8 @@ class SocialNetwork:
     self-loops, finite weights >= 0 (-0.0 is stored as 0.0).  They are stored
     stably sorted by source as ``src``, ``dst`` and ``w``; agent i's are
     ``row_ptr[i]:row_ptr[i + 1]``.  A generated network keeps only its int64
-    ids: its ``w`` is a zero-stride view of one 1.0.
-    The ``edges`` tuples and ``out_edges`` are views built on request.
+    ids: its ``w`` is a zero-stride view of one 1.0, so over it the two fraction
+    variants are one model.  ``edges`` tuples and ``out_edges`` are built on request.
     Instances are immutable (the arrays are read-only), so views, the
     in-edge index and influence scores are cached.
     """
@@ -120,22 +120,16 @@ class SocialNetwork:
         return {}
 
     @cached_property
-    def _integral_totals(self) -> bool:
-        """Whether every weight is integral and every observer's total weight is below 2**53.
-        Then each sum of some of an observer's weights is an integer that float64 holds
-        exactly, whatever the order of the additions."""
-        if not np.array_equal(self.w, np.floor(self.w)):
-            return False
-        return bool(np.bincount(self.src, weights=self.w, minlength=self.n).max() < 2.0**53)
+    def _unit_weights(self) -> bool:
+        """Whether every weight is 1.0: then an observer's observed weight is a neighbour count."""
+        return bool((self.w == 1.0).all())
 
     @cached_property
-    def _audiences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each agent's in-edges, as CSR arrays by target: ``ptr``, then the observer and the
-        weight of each edge.  A stable transpose of the edges, built on first use."""
+    def _audiences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each agent's in-edges, as CSR arrays by target: ``ptr`` and the observer of each
+        edge.  A stable transpose of the edges, built on first use."""
         order = np.argsort(self.dst, kind="stable")
-        unit = self.w.strides == (0,)  # a generated network's weights read alike in any order
-        index = (np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order),
-                 self.src[order], self.w if unit else self.w[order])
+        index = np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order), self.src[order]
         for array in index:
             array.setflags(write=False)
         return index
@@ -218,12 +212,12 @@ def terms_from_counts(spec: ReputationSpec, num, denom) -> np.ndarray:
 
 
 def counted(spec: ReputationSpec, network: SocialNetwork) -> bool:
-    """Whether ``spec``'s reputation terms over ``network`` can come from :func:`audience_counts`:
-    under ``unweighted_fraction``, and under ``weighted_fraction`` on integral weights whose
-    every observer's total is below 2**53.  Each count is then an integer that float64 holds
+    """Whether ``spec``'s reputation terms over ``network`` can come from :func:`audience_counts`,
+    the neighbours seen per stance: under ``unweighted_fraction``, and under ``weighted_fraction``
+    on unit weights, where the two are one model.  Each count is an integer that float64 holds
     exactly, so counts kept up to date by audience walks equal the keyed pass's bit for bit."""
     if spec.variant is ReputationVariant.WEIGHTED_FRACTION:
-        return network._integral_totals
+        return network._unit_weights
     return spec.variant is ReputationVariant.UNWEIGHTED_FRACTION
 
 
@@ -239,7 +233,7 @@ def _spans(ptr, ids) -> tuple[np.ndarray, np.ndarray]:
 def observer_rows(network: SocialNetwork, agents):
     """The observers of any agent in the mask ``agents``, ascending, the positions of their
     out-edges in stored order, and the index of each edge's observer among them."""
-    ptr, observers, _ = network._audiences
+    ptr, observers = network._audiences
     watching = np.zeros(network.n, dtype=bool)
     watching[observers[_spans(ptr, np.flatnonzero(agents))[0]]] = True
     rows = np.flatnonzero(watching)
@@ -247,18 +241,16 @@ def observer_rows(network: SocialNetwork, agents):
     return rows, edges, np.repeat(np.arange(rows.size), sizes)
 
 
-def audience_counts(spec: ReputationSpec, network: SocialNetwork, agents, y) -> np.ndarray:
-    """The weights of the in-edges of ``agents`` (a mask), summed per observer and by the
-    stance ``y`` gives each agent: an (n, 3) float64 array, from a walk over those edges."""
-    ptr, observers, weights = network._audiences
+def audience_counts(network: SocialNetwork, agents, y) -> np.ndarray:
+    """How many of ``agents`` (a mask) each observer watches, by the stance ``y`` gives each
+    agent: an (n, 3) float64 array of counts, from a walk over those agents' in-edges."""
+    ptr, observers = network._audiences
     agents = np.flatnonzero(agents)
     edges, sizes = _spans(ptr, agents)
     keys = observers[edges]
     keys *= 3
     keys += np.repeat(y[agents], sizes)
-    weight = None if spec.variant is ReputationVariant.UNWEIGHTED_FRACTION else weights[edges]
-    tally = np.bincount(keys, weights=weight, minlength=3 * network.n)
-    return tally.reshape(-1, 3).astype(np.float64, copy=False)
+    return np.bincount(keys, minlength=3 * network.n).reshape(-1, 3).astype(np.float64)
 
 
 def _position(agent, code) -> Position:
@@ -403,13 +395,13 @@ def _unit_weight(n: int, src: np.ndarray, dst: np.ndarray, symmetric: bool = Fal
     """The generated network, stored without the constructor's checks: a generator emits
     int64 ids in [0, n), sorted by source, with no self-loop, by construction.  Every
     weight is one read-only 1.0, viewed with stride 0.  What the generator knows is
-    recorded: unit weights have integral totals, and where every tie runs both ways the
-    CSR rows are the audiences."""
+    recorded: the weights are units, and where every tie runs both ways the CSR rows are
+    the audiences."""
     network = SocialNetwork.__new__(SocialNetwork)
     network._store(n, src, dst, np.broadcast_to(np.float64(1.0), dst.shape))
-    object.__setattr__(network, "_integral_totals", True)  # each total is a degree, below n
+    object.__setattr__(network, "_unit_weights", True)
     if symmetric:
-        object.__setattr__(network, "_audiences", (network.row_ptr, network.dst, network.w))
+        object.__setattr__(network, "_audiences", (network.row_ptr, network.dst))
     return network
 
 

@@ -856,8 +856,9 @@ def _check_rules(check: _Check, horizon=None, beta_share=0.0, update="synchronou
                  population=None, network=None) -> None:
     """The scenario's own rules, on what is given (the defaults pass): the horizon
     (0..HORIZON_BUDGET steps), beta_share (a finite number >= 0) and update; then the agent
-    count (1..AGENT_BUDGET), small_world's ``k < n`` and the edge and draw budgets.
-    :func:`parse_scenario` and :class:`Scenario` both apply them."""
+    count (1..AGENT_BUDGET), small_world's ``k < n``, and, for sizes that pass those, the edge
+    and draw budgets, so no count past the float range is formed.  :func:`parse_scenario` and
+    :class:`Scenario` both apply them."""
     if horizon is not None and horizon < 0:
         check.fail("horizon", f"must be >= 0, got {horizon!r}")
     elif horizon is not None and horizon > HORIZON_BUDGET:
@@ -877,13 +878,14 @@ def _check_rules(check: _Check, horizon=None, beta_share=0.0, update="synchronou
         return
     if network.kind is NetworkKind.SMALL_WORLD and network.k >= max(n, 1):
         check.fail("network.k", f"must be < total population, got k={network.k}, n={n}")
-    edges, draws = edge_count(network, n), draw_count(network, n)
-    if edges > EDGE_BUDGET:
-        check.fail("network", f"{network.kind.value} over {n} agents has {edges:.3g} edges, "
-                              f"more than the budget of {EDGE_BUDGET:.3g}")
-    if draws > DRAW_BUDGET:
-        check.fail("network", f"{network.kind.value} over {n} agents draws {draws:.3g} uniforms, "
-                              f"more than the budget of {DRAW_BUDGET:.3g}")
+    elif n <= AGENT_BUDGET:
+        edges, draws = edge_count(network, n), draw_count(network, n)
+        if edges > EDGE_BUDGET:
+            check.fail("network", f"{network.kind.value} over {n} agents has {edges:.3g} edges, "
+                                  f"more than the budget of {EDGE_BUDGET:.3g}")
+        if draws > DRAW_BUDGET:
+            check.fail("network", f"{network.kind.value} over {n} agents draws {draws:.3g} "
+                                  f"uniforms, more than the budget of {DRAW_BUDGET:.3g}")
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -474,7 +474,7 @@ def test_permutation_invariance_single_step():
 def relabeled_worlds(draw):
     """A random directed graph and population with exits and an event, whose fraction-variant
     reputation comes from maintained counts (unit weights, ``unweighted_fraction``) or from
-    the keyed pass (non-integral weights, ``weighted_fraction``); and a permutation."""
+    the keyed pass (weights other than 1, ``weighted_fraction``); and a permutation."""
     n = draw(st.integers(2, 12))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     keyed = draw(st.booleans())

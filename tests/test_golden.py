@@ -17,9 +17,13 @@ and 500 agents on a ``small_world`` graph whose every lattice tie rewires.
 many redraw rounds, overlapping ``c``/``C`` supports whose joint redraws draw a
 truncated normal, and a degenerate ``uniform``.
 ``GOLDEN_NETWORKS`` pins the generators' ids at sizes past the reference tests' reach.
+``GOLDEN_HAND_BUILT`` pins ``run`` under ``weighted_fraction`` over a hand-built network
+of 40 agents, with exits and two events: once with weights from {0, 1, 2, 3, 2**40},
+and once with every weight 1.
 """
 
 import hashlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +34,7 @@ import pytest
 from dissentsim.analysis import RenderOptions, render_svg
 from dissentsim.cli import main
 from dissentsim.engine import FACTOR_NAMES, init_state, run, sample_params, step
-from dissentsim.network import generate_network
+from dissentsim.network import SocialNetwork, generate_network
 from dissentsim.scenario import (
     Constant,
     Group,
@@ -42,6 +46,7 @@ from dissentsim.scenario import (
     Uniform,
     donbass_baseline,
     parse_scenario,
+    write_csv,
 )
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
@@ -232,6 +237,13 @@ GOLDEN_NETWORKS = {
                     "47f5343e4675a640da880945fd91a0f6737b970168362633fdcfad1970bb41ef"),
 }
 
+#: sha256 of ``write_csv`` over ``run`` on ``_hand_built_scenario`` over
+#: ``_hand_built_network(weights)``, keyed by the weights drawn from.
+GOLDEN_HAND_BUILT = {
+    (0.0, 1.0, 2.0, 3.0, 2.0**40): "8aabfbf85c84168053f00539a7ce9606a02006f89bd84a3550884ad05880f989",
+    (1.0,): "c5c0e95fc47a7b2b7baf9bfcc55d25dd65a3c22f4acc9730ce3973e35b943be0",
+}
+
 GOLDEN_SWEEP_SUMMARY = "2cd5032137054f639c7e191977e6bb8a523874f39d89840c401b653a0691c7ed"
 
 
@@ -335,6 +347,36 @@ def test_golden_generated_network(name):
     net = generate_network(NetworkSpec(kind, **fields), n, seed)
     assert _sha(net.src.tobytes() + net.dst.tobytes()) == digest
     assert net.w.dtype == np.float64 and net.w.shape == net.dst.shape and (net.w == 1.0).all()
+
+
+def _hand_built_scenario() -> dict:
+    """The baseline's groups at 40 agents, 60 steps, an exit rule that fires, and two events."""
+    doc = _small_donbass()
+    for group, count in zip(doc["population"]["groups"], (4, 6, 30)):
+        group["count"] = count
+    doc["horizon"] = 60
+    doc["exit"] = {"threshold": 0.0, "patience": 3}
+    doc["events"] = [
+        {"step": 5, "label": "protection_pledge", "deltas": {"dA_U": -0.8, "dp": 0.06}},
+        {"step": 20, "label": "militia_attacks", "deltas": {"dC": 0.35, "dc": 0.12, "dp": 0.025}},
+    ]
+    return doc
+
+
+def _hand_built_network(weights, n: int = 40) -> SocialNetwork:
+    """445 edges i -> j where (3i + 5j) % 7 < 2, the weight of each picked from ``weights``."""
+    return SocialNetwork(n, [(i, j, weights[(i * j + j) % len(weights)]) for i in range(n)
+                             for j in range(n) if i != j and (3 * i + 5 * j) % 7 < 2])
+
+
+@pytest.mark.parametrize("weights", GOLDEN_HAND_BUILT)
+def test_golden_hand_built_network(weights):
+    scenario = parse_scenario(json.dumps(_hand_built_scenario()))
+    records = run(scenario, replace(init_state(scenario), network=_hand_built_network(weights)))
+    assert records[-1].n_exited > 0
+    sink = io.BytesIO()
+    write_csv(records, sink)
+    assert _sha(sink.getvalue()) == GOLDEN_HAND_BUILT[weights]
 
 
 def test_golden_sweep_summary(tmp_path):

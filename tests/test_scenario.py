@@ -319,6 +319,7 @@ _F_BELOW_0 = {"F": {"dist": "uniform", "lo": -1.0, "hi": 1.0}}
     (*_scaled(1001, {"kind": "small_world", "k": 0, "rewire_p": 0.0}),
      ["population: has 10010000 agents, more than the budget of 1e+07"]),
     (*_first_group_of(6), ["network.k: must be < total population, got k=10, n=6"]),
+    (*_first_group_of(10**400), [f"population: has {10**400} agents, more than the budget of 1e+07"]),
     (*_scaled(100, {"kind": "complete"}),
      ["network: complete over 1000000 agents has 1e+12 edges, more than the budget of 5e+07"]),
     (*_scaled(100, {"kind": "erdos_renyi", "p_edge": 1e-6}),
@@ -342,8 +343,8 @@ _F_BELOW_0 = {"F": {"dist": "uniform", "lo": -1.0, "hi": 1.0}}
      ["update: only 'synchronous' is supported, got 'async'",
       "population.groups[0].factors.F: F must be >= 0 over the whole support, found lo=-1.0"]),
 ], ids=["negative-horizon", "horizon-budget", "no-agents", "agent-budget", "small-world-k",
-        "edge-budget", "draw-budget", "negative-beta-share", "nan-beta-share", "async-update",
-        "F-support", "p-base-support", "cost-order", "trunc-normal-acceptance",
+        "count-past-float", "edge-budget", "draw-budget", "negative-beta-share", "nan-beta-share",
+        "async-update", "F-support", "p-base-support", "cost-order", "trunc-normal-acceptance",
         "update-then-group"])
 def test_a_scenario_built_in_python_is_held_to_the_size_rules(build, edit, expected):
     """Every rule :func:`parse_scenario` applies but the two event rules also holds for a
@@ -692,6 +693,14 @@ VIOLATION_CORPUS = [
      [
          'network: erdos_renyi over 1000000 agents draws 1e+12 uniforms, more than the budget of 1e+11',
      ]),
+    ('pop-past-float-small-world', _crowd(10**400, {"kind": "small_world", "k": 10, "rewire_p": 0.1}),
+     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+    ('pop-past-float-complete', _crowd(10**400, {"kind": "complete"}),
+     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+    ('pop-past-float-erdos-renyi', _crowd(10**400, {"kind": "erdos_renyi", "p_edge": 0.1}),
+     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+    ('net-sw-k-past-float', _crowd(10_000, {"kind": "small_world", "k": 10**400, "rewire_p": 0.1}),
+     [f'network.k: must be < total population, got k={10**400}, n=10000']),
     ('rep-variant-unknown', _rep(variant="x", alpha=1.0),
      [
          "reputation.variant: must be one of ['unweighted_fraction', 'weighted_fraction', 'iterative_influence'], got 'x'",

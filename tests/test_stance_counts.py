@@ -1,12 +1,13 @@
 """Fraction-variant reputation from maintained stance counts equals the keyed pass, bit for bit.
 
-Under ``unweighted_fraction``, and under ``weighted_fraction`` on integral weights whose
-every observer's total is below 2**53, :func:`step` keeps each observer's observed weight
-per stance and brings it up to date by walking only the in-edges of the agents whose
-stance or exit flag changed.  The reference is the keyed pass over every edge:
+Under ``unweighted_fraction``, and under ``weighted_fraction`` where every weight is 1,
+:func:`step` keeps each observer's visible neighbours per stance and brings them up to
+date by walking only the in-edges of the agents whose stance or exit flag changed.  Any
+other weights take the keyed pass.  The reference is the keyed pass over every edge:
 ``observed_weights``, ``observer_totals`` and ``reputation_terms``.
 """
 
+import io
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from dissentsim import (
     SimState,
     SocialNetwork,
     generate_network,
+    run,
     step,
 )
 from dissentsim.engine import FACTOR_NAMES, Environment, ParamArrays
@@ -39,6 +41,7 @@ from dissentsim.network import (
     observer_totals,
     reputation_terms,
 )
+from dissentsim.scenario import PopulationSpec, donbass_baseline, write_csv
 
 FRACTIONS = (ReputationVariant.UNWEIGHTED_FRACTION, ReputationVariant.WEIGHTED_FRACTION)
 
@@ -84,13 +87,14 @@ def params_of(draw, n):
 
 
 @st.composite
-def counted_runs(draw):
-    """A random directed graph with integral weights (zero among them), a fraction variant,
-    an exit rule or none, and the edits made before each manual step."""
+def fraction_runs(draw):
+    """A random directed graph with unit weights, or integral ones with zero among them, so
+    that ``weighted_fraction`` takes either path; a fraction variant, an exit rule or none,
+    and the edits made before each manual step."""
     n = draw(st.integers(1, 9))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    weight = st.sampled_from([0.0, 1.0, 2.0, 3.0, 2.0**40])
+    weight = draw(st.sampled_from([st.just(1.0), st.sampled_from([0.0, 1.0, 2.0, 3.0, 2.0**40])]))
     net = SocialNetwork(n, [(i, j, draw(weight)) for i, j in chosen])
     spec = ReputationSpec(draw(st.sampled_from(FRACTIONS)), alpha=draw(st.sampled_from([0.3, 1.0])),
                           centered=draw(st.booleans()))
@@ -110,18 +114,23 @@ def counted_runs(draw):
     return state_of(net, params_of(draw, n), y, exited), scenario_of(spec, exit_rule), edits
 
 
-@given(counted_runs())
-@example((  # agent 0 observes 1 and 2 (weight 0), both exit; agent 3 observes nobody
-    state_of(SocialNetwork(4, [(0, 1, 2.0), (0, 2, 0.0), (1, 0, 1.0)]),
-             ParamArrays(**{name: np.ones(4) for name in FACTOR_NAMES},
-                         x_rebel=np.array([True, False, True, False])),
-             [Position.R, Position.U, Position.NJ, Position.R], [False] * 4),
-    scenario_of(ReputationSpec(ReputationVariant.WEIGHTED_FRACTION, alpha=1.0, centered=True)),
-    [None, ("silence", 0, 0), None, ("exited", 1, 0), ("again", 0, 2), ("y", 2, 1)],
-))
+def silenced(weights):
+    """Agent 0 observes 1 and 2 at ``weights``, and both exit; agent 3 observes nobody."""
+    net = SocialNetwork(4, [(0, 1, weights[0]), (0, 2, weights[1]), (1, 0, 1.0)])
+    params = ParamArrays(**{name: np.ones(4) for name in FACTOR_NAMES},
+                         x_rebel=np.array([True, False, True, False]))
+    return (state_of(net, params, [Position.R, Position.U, Position.NJ, Position.R], [False] * 4),
+            scenario_of(ReputationSpec(ReputationVariant.WEIGHTED_FRACTION, alpha=1.0, centered=True)),
+            [None, ("silence", 0, 0), None, ("exited", 1, 0), ("again", 0, 2), ("y", 2, 1)])
+
+
+@given(fraction_runs())
+@example(silenced((1.0, 1.0)))  # the counts path
+@example(silenced((2.0, 0.0)))  # the keyed pass
 def test_counts_equal_the_keyed_pass_at_every_step(world):
     state, scenario, edits = world
     spec, history = scenario.reputation, [state]
+    unit = (state.network.w == 1.0).all() or spec.variant is ReputationVariant.UNWEIGHTED_FRACTION
     for edit in edits:
         if edit is not None:
             kind, i, shift = edit
@@ -137,7 +146,7 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
         num, denom, rep = keyed_pass(spec, state.network, state.y, state.exited)
         new = step(state, scenario)
         seen = new._memo.seen
-        assert counted(spec, state.network)
+        assert counted(spec, state.network) == unit
         assert (bits(seen.num), bits(seen.denom), bits(seen.rep)) == (bits(num), bits(denom), bits(rep))
         fresh = step(replace(state, _memo=None), scenario)
         assert bits(new.y) == bits(fresh.y) and bits(new.exited) == bits(fresh.exited)
@@ -189,25 +198,23 @@ def routed(net, variant):
     expected = keyed_pass(spec, net, state.y, state.exited)
     assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
     assert len(counts) + len(keyed) == 1
-    assert [call[2].tolist() for call in counts] in ([], [(~state.exited).tolist()])
+    assert [call[1].tolist() for call in counts] in ([], [(~state.exited).tolist()])
     return "keyed" if keyed else "counts"
 
 
-def test_non_integral_weights_take_the_keyed_pass():
-    net = SocialNetwork(3, [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 2.0)])
-    assert routed(net, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
-    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"  # every weight is 1
-    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE) == "keyed"
-
-
-def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
-    """Integral weights, but one observer's total reaches 2**53, where float64 stops holding
-    every integer: its sums could depend on their order."""
-    below = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52 - 1), (1, 2, 1.0)])
-    at = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52), (1, 2, 1.0)])
-    assert routed(below, ReputationVariant.WEIGHTED_FRACTION) == "counts"
-    assert routed(at, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
-    overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # integral, total inf
+def test_weights_other_than_one_take_the_keyed_pass():
+    """Under ``weighted_fraction`` only unit weights are neighbour counts: a network with any
+    other weight, integral ones and observer totals from 2**53 among them, takes the keyed
+    pass, while ``unweighted_fraction`` counts neighbours over any weights."""
+    for weights in ((0.5, 1.0, 2.0), (2.0, 1.0, 1.0), (0.0, 1.0, 1.0),
+                    (2.0**52, 2.0**52 - 1, 1.0), (2.0**52, 2.0**52, 1.0)):
+        net = SocialNetwork(3, [(0, 1, weights[0]), (0, 2, weights[1]), (1, 2, weights[2])])
+        assert routed(net, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
+        assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
+        assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE) == "keyed"
+    ones = SocialNetwork(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    assert routed(ones, ReputationVariant.WEIGHTED_FRACTION) == "counts"
+    overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # total inf
     with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
         routed(overflowing, ReputationVariant.WEIGHTED_FRACTION)
     assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
@@ -244,13 +251,44 @@ def test_a_generated_small_world_keeps_no_per_edge_array(variant):
 ])
 def test_generated_networks_record_their_audiences_and_totals(spec):
     """What a generator records equals what the network would work out: the symmetric
-    generators' CSR rows are the transpose, and unit weights have integral totals."""
+    generators' CSR rows are the transpose, and the weights are units, so each observer's
+    total is its out-degree."""
     net = generate_network(spec, 30, 11)
-    assert "_integral_totals" in vars(net)  # recorded by the generator, not worked out
+    assert "_unit_weights" in vars(net)  # recorded by the generator, not worked out
     assert ("_audiences" in vars(net)) is (spec.kind is not NetworkKind.ERDOS_RENYI)
     transpose = type(net)._audiences.func(net)
+    assert len(net._audiences) == len(transpose) == 2
     assert all(np.array_equal(a, b) for a, b in zip(net._audiences, transpose))
-    assert net._integral_totals and type(net)._integral_totals.func(net)
+    assert net._unit_weights and type(net)._unit_weights.func(net)
+    totals = np.bincount(net.src, weights=net.w, minlength=net.n)
+    assert bits(totals) == bits(np.diff(net.row_ptr).astype(np.float64))
+
+
+@pytest.mark.parametrize("exit_rule", [None, ExitSpec(threshold=0.0, patience=3)],
+                         ids=["no-exits", "exits"])
+@pytest.mark.parametrize("network", [
+    NetworkSpec(NetworkKind.COMPLETE),
+    NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=0.05),
+    NetworkSpec(NetworkKind.SMALL_WORLD, k=10, rewire_p=0.1),
+], ids=lambda spec: spec.kind.value)
+def test_over_a_generated_network_the_fraction_variants_are_one_model(network, exit_rule):
+    """Every generated weight is 1, so ``run`` writes the same CSV bytes under
+    ``weighted_fraction`` as under ``unweighted_fraction``: the baseline's groups at 300
+    agents over its first 60 steps."""
+    baseline = donbass_baseline()
+    groups = [replace(g, count=c) for g, c in zip(baseline.population.groups, (30, 45, 225))]
+    written = []
+    for variant in FRACTIONS:
+        scenario = replace(baseline, population=PopulationSpec(groups), network=network,
+                           exit=exit_rule, horizon=60,
+                           events=tuple(e for e in baseline.events if e.step < 60),
+                           reputation=replace(baseline.reputation, variant=variant))
+        records = run(scenario)
+        sink = io.BytesIO()
+        write_csv(records, sink)
+        written.append(sink.getvalue())
+    assert written[0] == written[1]
+    assert (records[-1].n_exited > 0) is (exit_rule is not None)
 
 
 # ---------------------------------------------------------------- the row-local keyed pass

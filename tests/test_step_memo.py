@@ -256,8 +256,8 @@ def still_world(kappa=0.0, nu0=0.6, d_falsify=(0, 0, 0), exit=None, horizon=6, w
     """Three agents who all keep showing NJ.  Agents 0 and 1 prefer U and do best at 0.65
     (penalty 0.6), agent 2 prefers R and does best at 4.65; all three falsify, so their
     penalties move while ``kappa > 0`` and the penalty is below its cap of 1.  The ring's
-    edges all weigh ``weight``: the default is integral, so the weighted reputation comes
-    from maintained counts; 0.5 takes the keyed pass over every edge."""
+    edges all weigh ``weight``: the default is 1, so the weighted reputation comes from
+    maintained counts; 0.5 takes the keyed pass over every edge."""
     net = SocialNetwork(3, [(0, 1, weight), (1, 2, weight), (2, 0, weight)])
     n = 3
     params = ParamArrays(
@@ -462,7 +462,7 @@ def counting_levels():
 
 
 def test_in_place_edits_invalidate_only_their_levels():
-    """Non-integral weights take the keyed pass.  A stance or an exit edited in place remakes
+    """Weights other than 1 take the keyed pass.  A stance or an exit edited in place remakes
     the observed weights of the edited agent's observers alone, over their out-edges, and
     the terms once; either way the kept arrays equal those of a step that keeps nothing.
     On the ring 0 -> 1 -> 2 -> 0 agent 0's one observer is 2, whose one edge goes to 0, and
@@ -495,7 +495,7 @@ def test_in_place_edits_invalidate_only_their_levels():
 
 
 def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
-    """On integral weights a stance edited in place walks the changed agent's audience from
+    """On unit weights a stance edited in place walks the changed agent's audience from
     the kept counts and keeps the totals; an exit edited in place also changes the totals.
     A changed step makes exactly two walks, from the one changed-agent mask: off the changed
     agents visible before, at their old stances, and onto those visible now, at their new
@@ -511,28 +511,28 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     assert engine.counted(scenario.reputation, state.network)
     with counting("audience_counts") as counts, counting_levels() as taken:
         state = step(state, scenario)
-        assert [call[2].tolist() for call in counts] == [(~state.exited).tolist()]
+        assert [call[1].tolist() for call in counts] == [(~state.exited).tolist()]
         counts.clear()
         taken()
         step(state, scenario)
         assert (len(counts), taken()) == (0, (0, 0))
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert ([call[2].tolist() for call in counts], taken()) == (walks(state), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 1))
         assert new._memo.seen.denom is state._memo.seen.denom
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert ([call[2].tolist() for call in counts], taken()) == (walks(state), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 1))
         assert bits(new._memo.seen.denom) != bits(state._memo.seen.denom)
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert ([call[2].tolist() for call in counts], taken()) == (walks(new), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(new), (0, 1))
         assert bits(again._memo.seen.denom) == bits(state._memo.seen.denom)
 
 
@@ -607,7 +607,7 @@ def keyed_step(state, scenario, real_step=step):
 
 
 def test_the_keyed_pass_keeps_no_per_edge_array():
-    """Non-integral weights take the keyed pass: a still step, a stance and an exit edited in
+    """Weights other than 1 take the keyed pass: a still step, a stance and an exit edited in
     place, and the exit undone.  A fourth edge makes the edges more than the agents.  The
     first step walks all four edges; agent 0's stance, seen by 2, walks row 2; its return to
     NJ with 2's exit walks every row, as 2 is seen by 0 and 1; the exit undone, rows 0 and 1."""
