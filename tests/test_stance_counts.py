@@ -202,22 +202,39 @@ def routed(net, variant):
     return "keyed" if keyed else "counts"
 
 
+def test_non_integral_weights_take_the_keyed_pass():
+    net = SocialNetwork(3, [(0, 1, 0.5), (0, 2, 1.0), (1, 2, 2.0)])
+    assert routed(net, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
+    assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"  # every weight is 1
+    assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE) == "keyed"
+
+
+def test_observer_totals_from_two_to_the_53_take_the_keyed_pass():
+    """Integral weights whose observer totals reach 2**53, where float64 stops holding every
+    integer, take the keyed pass under ``weighted_fraction``; so do totals just below it,
+    since no weight other than 1 is a neighbour count."""
+    below = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52 - 1), (1, 2, 1.0)])
+    at = SocialNetwork(3, [(0, 1, 2.0**52), (0, 2, 2.0**52), (1, 2, 1.0)])
+    assert routed(below, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
+    assert routed(at, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
+    assert routed(at, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
+    overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # integral, total inf
+    with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
+        routed(overflowing, ReputationVariant.WEIGHTED_FRACTION)
+    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
+
+
 def test_weights_other_than_one_take_the_keyed_pass():
     """Under ``weighted_fraction`` only unit weights are neighbour counts: a network with any
-    other weight, integral ones and observer totals from 2**53 among them, takes the keyed
-    pass, while ``unweighted_fraction`` counts neighbours over any weights."""
-    for weights in ((0.5, 1.0, 2.0), (2.0, 1.0, 1.0), (0.0, 1.0, 1.0),
-                    (2.0**52, 2.0**52 - 1, 1.0), (2.0**52, 2.0**52, 1.0)):
+    other weight, integral ones and zero among them, takes the keyed pass, while
+    ``unweighted_fraction`` counts neighbours over any weights."""
+    for weights in ((2.0, 1.0, 1.0), (0.0, 1.0, 1.0)):
         net = SocialNetwork(3, [(0, 1, weights[0]), (0, 2, weights[1]), (1, 2, weights[2])])
         assert routed(net, ReputationVariant.WEIGHTED_FRACTION) == "keyed"
         assert routed(net, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
         assert routed(net, ReputationVariant.ITERATIVE_INFLUENCE) == "keyed"
     ones = SocialNetwork(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     assert routed(ones, ReputationVariant.WEIGHTED_FRACTION) == "counts"
-    overflowing = SocialNetwork(3, [(0, 1, 1e308), (0, 2, 1e308)])  # total inf
-    with pytest.raises(InvalidParameterError, match="total observed weight must be finite"):
-        routed(overflowing, ReputationVariant.WEIGHTED_FRACTION)
-    assert routed(overflowing, ReputationVariant.UNWEIGHTED_FRACTION) == "counts"
 
 
 # ---------------------------------------------------------------- what the memo keeps
