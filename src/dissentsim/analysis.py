@@ -61,12 +61,7 @@ def cascade_trajectory(
     itself.  ``p_of_share`` must be monotone non-decreasing, which bounds the
     trajectory by n+1 productive updates.
     """
-    return _trajectory(_clean_thresholds(thresholds), p_of_share, s0)
-
-
-def _trajectory(sorted_thr: np.ndarray, p_of_share: Callable[[float], float],
-                s0: float) -> list[float]:
-    """:func:`cascade_trajectory` over thresholds already checked and sorted."""
+    sorted_thr = _clean_thresholds(thresholds)
     n = len(sorted_thr)
     if not 0.0 <= s0 <= 1.0:
         raise InvalidParameterError(f"s0 must lie in [0, 1], got {s0!r}")
@@ -96,34 +91,27 @@ def cascade_equilibria(
 ) -> CascadeReport:
     """Full cascade report: every lattice fixed point plus the tipping seed.
 
-    Fixed points are verified by definition — count(threshold < p_of_share(e))
-    equals n*e exactly, for every lattice share e = k/n at once: ``p_of_share``
-    is called on each in turn and one ``searchsorted`` counts the movers.  The
-    tipping seed is the minimal k such that iterating the share map from k/n
-    converges to the largest equilibrium; because the map is monotone the
-    reachable limit is monotone in k, so the scan is a binary search over k.
+    ``p_of_share`` is called once on each lattice share k/n, in ascending order, and one
+    ``searchsorted`` counts the movers at all of them.  A fixed point is a k whose count
+    is k.  The tipping seed is read off the same counts: the first k above the
+    second-largest fixed point whose count is at least k, or else the largest fixed point.
     """
     sorted_thr = _clean_thresholds(thresholds)
     n = len(sorted_thr)
 
     p = np.array([p_of_share(k / n) for k in range(n + 1)], dtype=np.float64)
-    fixed = np.flatnonzero(np.searchsorted(sorted_thr, p, side="left") == np.arange(n + 1))
-    equilibria = tuple(k / n for k in fixed.tolist())
-    if not equilibria:
+    gap = np.searchsorted(sorted_thr, p, side="left") - np.arange(n + 1)  # movers at k/n, less k
+    fixed = np.flatnonzero(gap == 0).tolist()
+    if not fixed:
         return CascadeReport(tuple(sorted_thr), (), None)
-    largest = equilibria[-1]
-
-    def reaches_largest(k: int) -> bool:
-        return _trajectory(sorted_thr, p_of_share, k / n)[-1] == largest
-
-    lo, hi = 0, n  # reaches_largest(n) always holds: from 1.0 the map descends to the largest fixed point
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches_largest(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return CascadeReport(tuple(sorted_thr), equilibria, lo)
+    # A monotone map climbs from k to the nearest fixed point above it when gap[k] > 0 and
+    # falls to the nearest below when gap[k] < 0.  Between fixed points gap drops by at
+    # most 1 a step, so it never passes from above 0 to below 0: the shares that climb to
+    # the largest fixed point form a suffix of those above the second largest, and the
+    # largest, where gap is 0, ends it.
+    lo = fixed[-2] + 1 if len(fixed) > 1 else 0
+    tipping_seed = lo + int(np.argmax(gap[lo:] >= 0))
+    return CascadeReport(tuple(sorted_thr), tuple(k / n for k in fixed), tipping_seed)
 
 
 def zero_support_soft_terms(

@@ -77,6 +77,7 @@ from .scenario import (  # re-exported: the spec types are load-time names
     ReputationVariant,
     TruncNormal,
     Uniform,
+    _shown,
 )
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -370,7 +371,7 @@ def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patienc
     below it).  Mask arithmetic, which does not branch per element.
     """
     if exit_patience < 1:
-        raise InvalidParameterError(f"exit patience must be >= 1, got {exit_patience!r}")
+        raise InvalidParameterError(f"exit patience must be >= 1, got {_shown(exit_patience)}")
     low = np.less(best_payoff, exit_threshold)
     return _exits(streak, exited, low, low, exit_patience)
 

@@ -32,6 +32,7 @@ from .scenario import (  # re-exported: the spec types, defaults and budgets are
     ReputationVariant,
     _finite,
     _is_int,
+    _shown,
     draw_count,
     edge_count,
 )
@@ -46,9 +47,10 @@ def _network_size(n) -> int:
     if isinstance(n, (bool, np.bool_)) or not (_is_int(n) or _finite(n) and n == np.floor(n)):
         raise InvalidParameterError(f"a network's size must be an integer, got n={n!r}")
     if n < 1:
-        raise InvalidParameterError(f"a network needs at least one agent, got n={n!r}")
+        raise InvalidParameterError(f"a network needs at least one agent, got n={_shown(n)}")
     if n >= 2**63:
-        raise InvalidParameterError(f"a network's ids are int64, so n must be < 2**63, got n={n!r}")
+        raise InvalidParameterError(
+            f"a network's ids are int64, so n must be < 2**63, got n={_shown(n)}")
     if n > AGENT_BUDGET:
         raise InvalidParameterError(f"a network has at most {AGENT_BUDGET:.0e} agents, got n={n!r}")
     return int(n)

@@ -107,6 +107,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``value`` as a message shows it: its repr, but an integer past the float range by its
+    size, so no message prints hundreds of digits or asks ``str`` for more than it formats."""
+    if _is_int(value) and not _finite(value):
+        return f"~{'-' if value < 0 else ''}1e+{math.log10(abs(value)):.0f}"
+    return repr(value)
+
+
 def _store_int(spec, name: str, label: str) -> None:
     """Store the field ``name`` of the spec being built as a Python int, or refuse a value
     that :func:`_is_int` does not accept (4.0 included) with an error naming ``label``."""
@@ -150,8 +158,8 @@ class ReputationSpec:
     ``alpha`` scales the whole term; ``centered`` subtracts 1/2 from the
     conforming fraction before scaling, making minority stances cost
     reputation instead of merely earning less.  The iterative variant also
-    needs solver controls (damping, tol, max_iters); they default sensibly
-    and are ignored by the fraction variants.
+    needs solver controls (damping, tol, max_iters); they default sensibly,
+    and the fraction variants, which run no solver, take only the defaults.
     """
 
     variant: ReputationVariant
@@ -163,16 +171,21 @@ class ReputationSpec:
 
     def __post_init__(self):
         if not isinstance(self.variant, ReputationVariant):
-            raise InvalidParameterError(f"unknown reputation variant {self.variant!r}")
+            raise InvalidParameterError(f"unknown reputation variant {_shown(self.variant)}")
+        if self.variant is not ReputationVariant.ITERATIVE_INFLUENCE and (
+                (self.damping, self.tol, self.max_iters)
+                != (DEFAULT_DAMPING, DEFAULT_TOL, DEFAULT_MAX_ITERS)):
+            raise InvalidParameterError(
+                f"{self.variant.value} takes no solver controls (damping, tol, max_iters)")
         if not _finite(self.alpha) or self.alpha < 0.0:
-            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {_shown(self.alpha)}")
         if not (_finite(self.damping) and 0.0 < self.damping < 1.0):
-            raise InvalidParameterError(f"damping must lie in (0, 1), got {self.damping!r}")
+            raise InvalidParameterError(f"damping must lie in (0, 1), got {_shown(self.damping)}")
         if not _finite(self.tol) or self.tol <= 0.0:
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol!r}")
+            raise InvalidParameterError(f"tol must be > 0, got {_shown(self.tol)}")
         _store_int(self, "max_iters", "max_iters")
         if self.max_iters < 1:
-            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters!r}")
+            raise InvalidParameterError(f"max_iters must be >= 1, got {_shown(self.max_iters)}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, NetworkKind):
-            raise InvalidParameterError(f"unknown network kind {self.kind!r}")
+            raise InvalidParameterError(f"unknown network kind {_shown(self.kind)}")
         if self.kind is NetworkKind.COMPLETE:
             if self.p_edge is not None or self.k is not None or self.rewire_p is not None:
                 raise InvalidParameterError("complete networks take no shape parameters")
@@ -194,15 +207,17 @@ class NetworkSpec:
             if self.k is not None or self.rewire_p is not None:
                 raise InvalidParameterError("erdos_renyi takes only p_edge")
             if not (_finite(self.p_edge) and 0.0 <= self.p_edge <= 1.0):
-                raise InvalidParameterError(f"p_edge must lie in [0, 1], got {self.p_edge!r}")
+                raise InvalidParameterError(f"p_edge must lie in [0, 1], got {_shown(self.p_edge)}")
         else:  # SMALL_WORLD
             if self.p_edge is not None:
                 raise InvalidParameterError("small_world takes k and rewire_p, not p_edge")
             _store_int(self, "k", "k")
             if self.k < 0 or self.k % 2 != 0:
-                raise InvalidParameterError(f"k must be a non-negative even integer, got {self.k!r}")
+                raise InvalidParameterError(
+                    f"k must be a non-negative even integer, got {_shown(self.k)}")
             if not (_finite(self.rewire_p) and 0.0 <= self.rewire_p <= 1.0):
-                raise InvalidParameterError(f"rewire_p must lie in [0, 1], got {self.rewire_p!r}")
+                raise InvalidParameterError(
+                    f"rewire_p must lie in [0, 1], got {_shown(self.rewire_p)}")
 
 
 def edge_count(spec: NetworkSpec, n: int) -> float:
@@ -240,7 +255,7 @@ class IntegritySpec:
         for name in ("nu_match", "nu0", "kappa", "cap"):
             value = getattr(self, name)
             if not _finite(value) or value < 0.0:
-                raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+                raise InvalidParameterError(f"{name} must be finite and >= 0, got {_shown(value)}")
         if self.cap <= 0.0:
             raise InvalidParameterError(f"cap must be > 0, got {self.cap!r}")
         if self.nu0 > self.cap:
@@ -270,7 +285,7 @@ class Environment:
         for name in DELTA_FIELDS + ("beta_share",):
             value = getattr(self, name)
             if not _finite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+                raise InvalidParameterError(f"{name} must be finite, got {_shown(value)}")
         if self.beta_share < 0.0:
             raise InvalidParameterError(f"beta_share must be >= 0, got {self.beta_share!r}")
 
@@ -287,7 +302,7 @@ class Event:
         object.__setattr__(self, "deltas", dict(self.deltas))
         _store_int(self, "step", "event step")
         if self.step < 0:
-            raise InvalidParameterError(f"event step must be >= 0, got {self.step!r}")
+            raise InvalidParameterError(f"event step must be >= 0, got {_shown(self.step)}")
         if not self.label or not set(self.label) <= _LABEL_SAFE:
             raise InvalidParameterError(
                 f"event label {self.label!r} must be non-empty and use only "
@@ -295,9 +310,10 @@ class Event:
             )
         for key, value in self.deltas.items():
             if key not in DELTA_FIELDS:
-                raise InvalidParameterError(f"unknown event delta {key!r}")
+                raise InvalidParameterError(f"unknown event delta {_shown(key)}")
             if not _finite(value):
-                raise InvalidParameterError(f"event delta {key} must be finite, got {value!r}")
+                raise InvalidParameterError(
+                    f"event delta {key} must be finite, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -313,7 +329,7 @@ class ExitSpec:
             raise InvalidParameterError("exit threshold must be a real value or -inf")
         _store_int(self, "patience", "exit patience")
         if self.patience < 1:
-            raise InvalidParameterError(f"exit patience must be >= 1, got {self.patience!r}")
+            raise InvalidParameterError(f"exit patience must be >= 1, got {_shown(self.patience)}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +340,7 @@ class Constant:
 
     def __post_init__(self):
         if not _finite(self.value):
-            raise InvalidParameterError(f"constant value must be finite, got {self.value!r}")
+            raise InvalidParameterError(f"constant value must be finite, got {_shown(self.value)}")
 
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
@@ -340,7 +356,7 @@ class Uniform:
     def __post_init__(self):
         if not (_finite(self.lo) and _finite(self.hi)) or self.lo > self.hi:
             raise InvalidParameterError(
-                f"uniform bounds need finite lo <= hi, got [{self.lo!r}, {self.hi!r}]"
+                f"uniform bounds need finite lo <= hi, got [{_shown(self.lo)}, {_shown(self.hi)}]"
             )
 
     def support(self) -> tuple[float, float]:
@@ -360,13 +376,14 @@ class TruncNormal:
     def __post_init__(self):
         if not (_finite(self.mean) and _finite(self.sd)) or self.sd < 0:
             raise InvalidParameterError(
-                f"trunc_normal needs finite mean and sd >= 0, got mean={self.mean!r}, sd={self.sd!r}"
+                f"trunc_normal needs finite mean and sd >= 0, "
+                f"got mean={_shown(self.mean)}, sd={_shown(self.sd)}"
             )
         if not _finite(self.lo):
             raise InvalidParameterError("trunc_normal lo must be finite")
         if not ((_finite(self.hi) or self.hi == math.inf) and self.lo <= self.hi):  # also NaN
             raise InvalidParameterError(
-                f"trunc_normal bounds need lo <= hi, got [{self.lo!r}, {self.hi!r}]"
+                f"trunc_normal bounds need lo <= hi, got [{self.lo!r}, {_shown(self.hi)}]"
             )
         if self.sd == 0 and not self.lo <= self.mean <= self.hi:
             raise InvalidParameterError(
@@ -410,9 +427,10 @@ class Group:
             raise InvalidParameterError("group label must be non-empty")
         _store_int(self, "count", "group count")
         if self.count < 0:
-            raise InvalidParameterError(f"group count must be >= 0, got {self.count!r}")
+            raise InvalidParameterError(f"group count must be >= 0, got {_shown(self.count)}")
         if not isinstance(self.x, PrivateType):
-            raise InvalidParameterError(f"group private type must be a PrivateType, got {self.x!r}")
+            raise InvalidParameterError(
+                f"group private type must be a PrivateType, got {_shown(self.x)}")
         unknown = set(self.factors) - set(FACTOR_NAMES)
         if unknown:
             raise InvalidParameterError(f"unknown factors {sorted(unknown)}")
@@ -449,7 +467,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         if not _SEED.accepts(self.seed):
-            raise InvalidParameterError(f"seed must be {_SEED.name}, got {self.seed!r}")
+            raise InvalidParameterError(f"seed must be {_SEED.name}, got {_shown(self.seed)}")
         _store_int(self, "horizon", "horizon")
         check = _Check()  # the parser's rules in its order; the warnings are the parser's
         _check_rules(check, self.horizon, self.beta_share, self.update)
@@ -748,8 +766,8 @@ def _check_redraws(label, count, factors: Mapping[str, Distribution], path: str,
         if q < 1.0 and (math.log(count) + REJECTION_CAP * math.log1p(-q)
                         > math.log(REDRAW_FAILURE_BOUND)):
             check.fail(f"{path}.factors.{name}",
-                       f"group {label!r}, factor {name}: a draw lands in [{dist.lo!r}, "
-                       f"{dist.hi!r}] with probability q={q:.3g}, so one of {count} draws "
+                       f"group {_shown(label)}, factor {name}: a draw lands in [{dist.lo!r}, "
+                       f"{dist.hi!r}] with probability q={q:.3g}, so one of {_shown(count)} draws "
                        f"may exceed {REJECTION_CAP} redraw rounds (chance above "
                        f"{REDRAW_FAILURE_BOUND:g})")
 
@@ -841,15 +859,32 @@ _SECTIONS = {
 
 def _load_json(text: str, what: str = ""):
     """The JSON document ``text``; raises ScenarioParseError, with line and column, when it
-    is malformed.  ``what`` names the document in the message."""
+    is malformed, and without them for a repeated key in one object or past the reader's
+    limits (nesting depth, digits in an integer).  ``what`` names the document in the
+    message."""
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioParseError(f"{what}invalid JSON: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ScenarioParseError:  # a repeated key, from unique_keys
+        raise
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{what}invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             column=exc.colno,
         ) from None
+    except RecursionError:
+        raise ScenarioParseError(f"{what}JSON past the reader's limit: nested too deeply") from None
+    except ValueError:  # Python's limit on the digits of an integer it reads
+        raise ScenarioParseError(
+            f"{what}JSON past the reader's limit: an integer has too many digits") from None
 
 
 def _check_rules(check: _Check, horizon=None, beta_share=0.0, update="synchronous",
@@ -860,24 +895,27 @@ def _check_rules(check: _Check, horizon=None, beta_share=0.0, update="synchronou
     and draw budgets, so no count past the float range is formed.  :func:`parse_scenario` and
     :class:`Scenario` both apply them."""
     if horizon is not None and horizon < 0:
-        check.fail("horizon", f"must be >= 0, got {horizon!r}")
+        check.fail("horizon", f"must be >= 0, got {_shown(horizon)}")
     elif horizon is not None and horizon > HORIZON_BUDGET:
-        check.fail("horizon", f"has {horizon} steps, more than the budget of {HORIZON_BUDGET:.3g}")
+        check.fail("horizon", f"has {_shown(horizon)} steps, more than the budget of "
+                              f"{HORIZON_BUDGET:.3g}")
     if not _finite(beta_share) or beta_share < 0:
-        check.fail("beta_share", f"must be finite and >= 0, got {beta_share!r}")
+        check.fail("beta_share", f"must be finite and >= 0, got {_shown(beta_share)}")
     if update != "synchronous":
-        check.fail("update", f"only 'synchronous' is supported, got {update!r}")
+        check.fail("update", f"only 'synchronous' is supported, got {_shown(update)}")
     if population is None:
         return
     n = population.n_total
     if n < 1:
         check.fail("population", "total agent count must be >= 1")
     elif n > AGENT_BUDGET:
-        check.fail("population", f"has {n} agents, more than the budget of {AGENT_BUDGET:.3g}")
+        check.fail("population", f"has {_shown(n)} agents, more than the budget of "
+                                 f"{AGENT_BUDGET:.3g}")
     if network is None:
         return
     if network.kind is NetworkKind.SMALL_WORLD and network.k >= max(n, 1):
-        check.fail("network.k", f"must be < total population, got k={network.k}, n={n}")
+        check.fail("network.k",
+                   f"must be < total population, got k={_shown(network.k)}, n={_shown(n)}")
     elif n <= AGENT_BUDGET:
         edges, draws = edge_count(network, n), draw_count(network, n)
         if edges > EDGE_BUDGET:
@@ -904,7 +942,7 @@ def parse_scenario(text: str) -> Scenario:
     top = check.fields(doc, "", _TOP_FIELDS)
     seed, horizon, beta_share, update = top["seed"], top.get("horizon"), top["beta_share"], top["update"]
     if not _SEED.accepts(seed):
-        check.fail("seed", f"must be {_SEED.name}, got {seed!r}")
+        check.fail("seed", f"must be {_SEED.name}, got {_shown(seed)}")
     _check_rules(check, horizon, beta_share, update)
 
     sections = {}
@@ -917,7 +955,8 @@ def parse_scenario(text: str) -> Scenario:
     _check_rules(check, population=population, network=network)
     for idx, event in enumerate(events):
         if horizon is not None and event.step >= horizon:  # steps run 0..horizon-1: it never fires
-            check.fail(f"events[{idx}].step", f"must be < horizon ({horizon}), got {event.step}")
+            check.fail(f"events[{idx}].step",
+                       f"must be < horizon ({_shown(horizon)}), got {_shown(event.step)}")
     steps = [e.step for e in events]
     if steps != sorted(steps):
         check.fail("events", "must be sorted by step (ascending)")
@@ -957,7 +996,7 @@ _GRID_FIELDS = {"lo": (_FINITE, _REQUIRED), "hi": (_FINITE, _REQUIRED), "count":
 def _grid(lo: float, hi: float, count: int) -> tuple[float, float, int]:
     if not lo <= hi or count < 1:
         raise InvalidParameterError(
-            f"grid needs lo <= hi and count >= 1, got lo={lo!r}, hi={hi!r}, count={count!r}"
+            f"grid needs lo <= hi and count >= 1, got lo={lo!r}, hi={hi!r}, count={_shown(count)}"
         )
     return lo, hi, count
 
@@ -990,7 +1029,8 @@ def parse_sweep_spec(text: str) -> tuple[str, list[float], list[int] | None]:
         seeds = check.elements(seeds, "spec.seeds", _SEED)
     cells = (grid[2] if grid else len(values or ())) * len(seeds or [None])
     if cells > SWEEP_CELL_BUDGET:
-        check.fail("spec", f"has {cells} cells, more than the budget of {SWEEP_CELL_BUDGET:.3g}")
+        check.fail("spec", f"has {_shown(cells)} cells, more than the budget of "
+                           f"{SWEEP_CELL_BUDGET:.3g}")
     if check.violations:
         raise ScenarioValidationError(check.violations)
     if grid:

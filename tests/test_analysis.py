@@ -180,16 +180,25 @@ def monotone_maps(draw):
 @example([math.inf], lambda s: 0.5)
 @example([-math.inf, -math.inf, 0.5, 0.5], lambda s: 0.5 + s / 2)
 def test_lattice_scan_in_one_pass_matches_the_scalar_scan(thresholds, p_of_share):
-    """Same report, and the same calls of ``p_of_share`` in the same order."""
-    want_calls, got_calls = [], []
+    """Same report, from one call of ``p_of_share`` per lattice share, in ascending order."""
+    calls = []
+    report = cascade_equilibria(thresholds, lambda s: calls.append(s) or p_of_share(s))
+    assert (report.sorted_thresholds, report.equilibria, report.tipping_seed) == (
+        reference_report(thresholds, p_of_share))
+    n = len(thresholds)
+    assert calls == [k / n for k in range(n + 1)]
 
-    def recorded(calls):
-        return lambda s: calls.append(s) or p_of_share(s)
 
-    want = reference_report(thresholds, recorded(want_calls))
-    report = cascade_equilibria(thresholds, recorded(got_calls))
-    assert (report.sorted_thresholds, report.equilibria, report.tipping_seed) == want
-    assert got_calls == want_calls
+def test_the_riot_ladder_tips_from_no_leader_in_one_scan():
+    """Granovetter's riot ladder: each share moves one more agent, so the one fixed point is
+    everybody and no leader is needed.  A trajectory from any share would walk the ladder;
+    the report calls ``p_of_share`` once per lattice share and no more."""
+    n = 10**5
+    calls = []
+    report = cascade_equilibria([(k - 1) / n for k in range(n)],
+                                lambda s: calls.append(s) or s)
+    assert report.equilibria == (1.0,) and report.tipping_seed == 0
+    assert len(calls) == n + 1
 
 
 def test_cascade_input_validation():

@@ -597,6 +597,31 @@ def test_equal_costs_warn_once_per_command(cost, command, tmp_path):
     assert ["C == c" in str(w.message) for w in caught] == [True]
 
 
+def _baseline_with_seed(seed: str) -> str:
+    text = (REPO_ROOT / "scenarios" / "donbass.json").read_text()
+    return text.replace('"seed": 20140301', f'"seed": {seed}', 1)
+
+
+@pytest.mark.parametrize("command, scenario, spec", [
+    ("validate", '{"horizon": 120, "horizon": 7}', None),
+    ("validate", '{"horizon": 5, "a": ' + "[" * 100_000 + "]" * 100_000 + "}", None),
+    ("validate", _baseline_with_seed("1" + "0" * 5000), None),
+    ("sweep", _baseline_with_seed("7"), '{"path": "beta_share", "values": [1' + "0" * 5000 + "]}"),
+], ids=["duplicate-key", "deep-nesting", "5000-digit-seed", "sweep-5000-digit-value"])
+def test_json_the_reader_refuses_exits_one_with_one_error_line(command, scenario, spec, tmp_path):
+    """Through the module entry point: exit 1 and one ``error:`` line, with no traceback."""
+    paths = [tmp_path / "scenario.json"]
+    paths[0].write_text(scenario)
+    if spec is not None:
+        paths += [tmp_path / "spec.json", "--out", tmp_path / "cells"]
+        paths[1].write_text(spec)
+    proc = subprocess.run([sys.executable, "-m", "dissentsim", command, *map(str, paths)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------- entry point
 
 def test_module_entry_point(tmp_path):

@@ -272,6 +272,11 @@ def test_falsification_penalty_rejects_a_negative_streak_in_any_shape():
             falsification_penalty(spec, bad)
 
 
+def test_exit_update_shows_a_patience_past_the_digit_limit_by_its_size():
+    with pytest.raises(InvalidParameterError, match=r"^exit patience must be >= 1, got ~-1e\+5000$"):
+        exit_update(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.zeros(1), 0.0, -10**5000)
+
+
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 

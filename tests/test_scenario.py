@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -41,7 +42,7 @@ from dissentsim import (
     write_csv,
 )
 from dissentsim.network import AGENT_BUDGET
-from dissentsim.scenario import HORIZON_BUDGET
+from dissentsim.scenario import HORIZON_BUDGET, parse_sweep_spec
 
 MINIMAL_DOC = """
 {"horizon": 3,
@@ -107,6 +108,32 @@ def test_malformed_json_reports_line_and_column():
     assert excinfo.value.line == 2
     assert excinfo.value.column == 11
     assert "line 2" in str(excinfo.value)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_scenario, f'{{"horizon": 5, "a": {_DEEP}}}', "JSON past the reader's limit: nested too deeply"),
+    (parse_scenario, f'{{"horizon": 5, "seed": {_DIGITS}}}',
+     "JSON past the reader's limit: an integer has too many digits"),
+    (parse_scenario, '{"horizon": 120, "horizon": 7}', "invalid JSON: duplicate key 'horizon'"),
+    (parse_scenario, '{"horizon": 5, "network": {"kind": "complete", "kind": "small_world"}}',
+     "invalid JSON: duplicate key 'kind'"),
+    (parse_sweep_spec, f'{{"path": "beta_share", "values": {_DEEP}}}',
+     "sweep spec: JSON past the reader's limit: nested too deeply"),
+    (parse_sweep_spec, f'{{"path": "beta_share", "values": [{_DIGITS}]}}',
+     "sweep spec: JSON past the reader's limit: an integer has too many digits"),
+    (parse_sweep_spec, '{"path": "beta_share", "values": [0.1], "values": [0.2]}',
+     "sweep spec: invalid JSON: duplicate key 'values'"),
+], ids=["deep-nesting", "5000-digit-seed", "duplicate-key", "nested-duplicate-key",
+        "sweep-deep-nesting", "sweep-5000-digit-value", "sweep-duplicate-key"])
+def test_json_the_reader_refuses_is_a_parse_error(parse, text, message):
+    """A repeated key would let the last one win, and a document past the reader's limits
+    would raise Python's own error: each is a ScenarioParseError that gives its reason."""
+    with pytest.raises(ScenarioParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_validation_collects_multiple_violations():
@@ -319,7 +346,7 @@ _F_BELOW_0 = {"F": {"dist": "uniform", "lo": -1.0, "hi": 1.0}}
     (*_scaled(1001, {"kind": "small_world", "k": 0, "rewire_p": 0.0}),
      ["population: has 10010000 agents, more than the budget of 1e+07"]),
     (*_first_group_of(6), ["network.k: must be < total population, got k=10, n=6"]),
-    (*_first_group_of(10**400), [f"population: has {10**400} agents, more than the budget of 1e+07"]),
+    (*_first_group_of(10**400), ["population: has ~1e+400 agents, more than the budget of 1e+07"]),
     (*_scaled(100, {"kind": "complete"}),
      ["network: complete over 1000000 agents has 1e+12 edges, more than the budget of 5e+07"]),
     (*_scaled(100, {"kind": "erdos_renyi", "p_edge": 1e-6}),
@@ -694,13 +721,13 @@ VIOLATION_CORPUS = [
          'network: erdos_renyi over 1000000 agents draws 1e+12 uniforms, more than the budget of 1e+11',
      ]),
     ('pop-past-float-small-world', _crowd(10**400, {"kind": "small_world", "k": 10, "rewire_p": 0.1}),
-     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+     ['population: has ~1e+400 agents, more than the budget of 1e+07']),
     ('pop-past-float-complete', _crowd(10**400, {"kind": "complete"}),
-     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+     ['population: has ~1e+400 agents, more than the budget of 1e+07']),
     ('pop-past-float-erdos-renyi', _crowd(10**400, {"kind": "erdos_renyi", "p_edge": 0.1}),
-     [f'population: has {10**400} agents, more than the budget of 1e+07']),
+     ['population: has ~1e+400 agents, more than the budget of 1e+07']),
     ('net-sw-k-past-float', _crowd(10_000, {"kind": "small_world", "k": 10**400, "rewire_p": 0.1}),
-     [f'network.k: must be < total population, got k={10**400}, n=10000']),
+     ['network.k: must be < total population, got k=~1e+400, n=10000']),
     ('rep-variant-unknown', _rep(variant="x", alpha=1.0),
      [
          "reputation.variant: must be one of ['unweighted_fraction', 'weighted_fraction', 'iterative_influence'], got 'x'",
@@ -852,7 +879,7 @@ VIOLATION_CORPUS = [
     ('top-beta-minus-2^64', _top(beta_share=-2**64),
      ['beta_share: must be finite and >= 0, got -18446744073709551616']),
     ('top-beta-past-float', _top(beta_share=10**400),
-     [f'beta_share: must be finite and >= 0, got {10**400}']),
+     ['beta_share: must be finite and >= 0, got ~1e+400']),
     ('delta-past-float', _events({"step": 0, "label": "x", "deltas": {"dC": 10**400}}),
      ['events[0]: event delta dC must be finite, got inf']),
 ]
@@ -886,12 +913,37 @@ def test_integers_past_2_64_read_as_floats():
     (lambda: TruncNormal(0.0, 1.0, lo=10**400, hi=math.inf), "lo must be finite"),
     (lambda: ExitSpec(threshold=10**400, patience=1), "exit threshold"),
     (lambda: ReputationSpec(ReputationVariant.UNWEIGHTED_FRACTION, alpha="1"), "alpha"),
+    # Past Python's 4,300-digit limit, ``str`` of the integer would raise: the message shows
+    # its size instead.
+    (lambda: Constant(10**5000), r"^constant value must be finite, got ~1e\+5000$"),
+    (lambda: ExitSpec(0.0, -10**5000), r"^exit patience must be >= 1, got ~-1e\+5000$"),
+    (lambda: ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.5, max_iters=-10**5000),
+     r"^max_iters must be >= 1, got ~-1e\+5000$"),
+    (lambda: NetworkSpec(NetworkKind.SMALL_WORLD, k=10**5000 + 1, rewire_p=0.1),
+     r"^k must be a non-negative even integer, got ~1e\+5000$"),
+    (lambda: Group("g", -10**5000, PrivateType.PRO_REBELLION, {}),
+     r"^group count must be >= 0, got ~-1e\+5000$"),
+    (lambda: Environment(dF=10**5000), r"^dF must be finite, got ~1e\+5000$"),
+    (lambda: Event(-10**5000, "shock", {}), r"^event step must be >= 0, got ~-1e\+5000$"),
+    (lambda: TruncNormal(-10**5000, 1.0, lo=0.0), r"got mean=~-1e\+5000, sd=1.0$"),
+    (lambda: SocialNetwork(10**5000, []), r"got n=~1e\+5000$"),
 ])
 def test_spec_checks_refuse_integers_past_float_range(make, needle):
     """Built directly (the parser reads such integers as +-inf), a spec refuses an integer
     too large for a float, or a value that is no number, with its own error."""
     with pytest.raises(InvalidParameterError, match=needle):
         make()
+
+
+def test_a_scenario_with_a_count_past_the_digit_limit_gets_the_budget_violation():
+    """A count whose digits Python will not format is shown by its size, so a Scenario built
+    with one fails the agent budget, not the message's ``str``."""
+    baseline = donbass_baseline()
+    first = replace(baseline.population.groups[0], count=10**5000)
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        replace(baseline, population=PopulationSpec([first]))
+    assert excinfo.value.violations == [
+        "population: has ~1e+5000 agents, more than the budget of 1e+07"]
 
 
 @pytest.mark.parametrize("label, field, build", [
@@ -1183,6 +1235,13 @@ def test_spec_constructors_refuse_what_they_do_not_name():
         TruncNormal(0, 1, "a")
     with pytest.raises(InvalidParameterError, match=r"trunc_normal bounds need lo <= hi, got \[0, 'b'\]"):
         TruncNormal(0, 1, 0, "b")
+    # The fraction variants run no solver, so they take only its default controls: another
+    # value would be dropped by serialize_scenario.
+    for controls in ({"damping": 0.3}, {"tol": 1e-9}, {"max_iters": 5}):
+        for variant in (ReputationVariant.UNWEIGHTED_FRACTION, ReputationVariant.WEIGHTED_FRACTION):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{variant.value} takes no solver controls"):
+                ReputationSpec(variant, 0.5, **controls)
 
 
 # ---------------------------------------------------------------- baseline
