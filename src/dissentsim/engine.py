@@ -23,7 +23,10 @@ observer's observed weight per stance and its total, from which one formula make
 the reputation terms.  :func:`_see` finds the agents whose stance or exit changed
 as one mask.  On neighbour counts (``unweighted_fraction``, or ``weighted_fraction`` on
 unit weights) the counts are brought up to date over those agents' audiences; otherwise a
-keyed pass remakes only their observers' rows, replaying a full pass's additions bit for bit.
+keyed pass remakes only their observers' rows (or every row, when they are most of them),
+replaying a full pass's additions bit for bit.  A state keeps one generation of what the next
+step reads: the counts, not the terms made from them, and one set of effective factors per
+population, in the parameters' own slot.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -56,6 +59,7 @@ from .network import (
     influence_scores,
     keyed_counts,
     observed_weights,
+    observer_edges,
     observer_rows,
     terms_from_counts,
 )
@@ -133,7 +137,9 @@ class ParamArrays:
     The private preference is stored as the boolean ``x_rebel``.  The
     elementwise model formulas accept it wherever they accept AgentParams.
     The columns are read-only (the arrays passed in are marked so), which
-    lets :func:`step` recognise unchanged parameters by identity.
+    lets :func:`step` recognise unchanged parameters by identity.  Each instance
+    also holds one slot for its effective factors under one environment (see
+    :func:`_effective`); :func:`dataclasses.replace` makes one with an empty slot.
     """
 
     F: np.ndarray
@@ -151,6 +157,7 @@ class ParamArrays:
     def __post_init__(self):
         for name in FACTOR_NAMES + ("x_rebel",):
             getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "_effective", None)  # one (environment, factors) pair
 
     @classmethod
     def from_params(cls, params: Sequence[AgentParams]) -> "ParamArrays":
@@ -173,14 +180,15 @@ class ParamArrays:
 
 
 class _Seen(NamedTuple):
-    """A step's reputation terms ``rep``, from each observer's observed weight per stance
-    ``num`` (n x 3) and its total ``denom``.  Valid while ``network`` is the same object,
-    ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies) are
-    equal by content.  No per-edge array is kept, nor a view of a larger one.  The next step
-    over the same network and spec works from the one mask of the agents whose stance or exit
-    differs from these (see :func:`_see`): the keyed path remakes only their observers' rows,
-    bit for bit as a pass over every edge would, as ``np.bincount`` adds each bin's weights in
-    order from 0.0, a row's bins take only its own edges, and a row not remade saw no change."""
+    """Each observer's observed weight per stance ``num`` (n x 3) and its total ``denom``, from
+    which :attr:`rep` makes a step's reputation terms.  Valid while ``network`` is the same
+    object, ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies)
+    are equal by content.  Only these are kept: no terms, no per-edge array, nor a view of a
+    larger one.  The next step over the same network and spec works from the one mask of the
+    agents whose stance or exit differs from these (see :func:`_see`): the keyed path remakes
+    only their observers' rows, bit for bit as a pass over every edge would, as ``np.bincount``
+    adds each bin's weights in order from 0.0, a row's bins take only its own edges, and a row
+    not remade saw no change."""
 
     network: SocialNetwork
     reputation: ReputationSpec
@@ -188,7 +196,11 @@ class _Seen(NamedTuple):
     y: np.ndarray
     num: np.ndarray
     denom: np.ndarray
-    rep: np.ndarray
+
+    @property
+    def rep(self) -> np.ndarray:
+        """The reputation terms, made anew on each read by :func:`terms_from_counts`."""
+        return terms_from_counts(self.reputation, self.num, self.denom)
 
 
 class _StepMemo(NamedTuple):
@@ -198,9 +210,9 @@ class _StepMemo(NamedTuple):
     :func:`_tail_masks`) is valid while ``seen`` is the same object and the parameters (by
     identity: their columns are read-only), the environment after events (see
     :func:`_same_env`), the integrity and exit specs and the falsification streaks clipped
-    at :func:`_steady_streak` (a private copy) match; the effective factors ``eff`` while
-    the parameters and the environment do.  States share memos, so a step never updates a
-    kept array in place; the kept arrays are read-only.
+    at :func:`_steady_streak` (a private copy) match.  The effective factors are not kept
+    here but in the parameters' own slot (see :func:`_effective`).  States share memos, so a
+    step never updates a kept array in place; the kept arrays are read-only.
     """
 
     seen: _Seen
@@ -208,7 +220,6 @@ class _StepMemo(NamedTuple):
     exit: ExitSpec | None
     params: ParamArrays
     env: Environment
-    eff: ParamArrays
     streaks: np.ndarray
     p: np.ndarray
     y_next: np.ndarray
@@ -479,6 +490,17 @@ def _same_env(a: Environment, b: Environment) -> bool:
     return first == second
 
 
+def _effective(pa: ParamArrays, env: Environment) -> ParamArrays:
+    """:func:`effective_params` of ``pa`` under ``env``, kept in ``pa``'s one slot with the
+    environment it was made under, and reused under one of the same bits (see
+    :func:`_same_env`).  The kept set is dropped before another is made, so at most one is
+    alive per ``ParamArrays``, and it dies with it."""
+    if pa._effective is None or not _same_env(pa._effective[0], env):
+        object.__setattr__(pa, "_effective", None)
+        object.__setattr__(pa, "_effective", (env, effective_params(pa, env)))
+    return pa._effective[1]
+
+
 def _tail_masks(chosen, best, y, exited, x_rebel, exit_rule):
     """The step's new stances, and the int64 masks ``grow, keep`` of the falsification
     streaks and ``low, hold`` of the low-payoff streaks (None without an exit rule).
@@ -486,16 +508,20 @@ def _tail_masks(chosen, best, y, exited, x_rebel, exit_rule):
     Exited agents keep their stance and both streaks.  An active agent's falsification
     streak grows while its new stance contradicts its preference, its low-payoff streak
     while its best payoff is below the exit threshold, and either resets otherwise.  Masks
-    of the streaks' int64 dtype keep the updates free of casts.
+    of the streaks' int64 dtype keep the updates free of casts.  While nobody has exited,
+    ``keep`` is ``grow`` itself and ``hold`` is ``low``.
     """
-    active = ~exited
+    active, anyone_out = ~exited, exited.any()
     y_next = (chosen * active + y * exited).astype(np.int8, copy=False)
-    grow = active & ~consistent(y_next, x_rebel)
-    grow, keep = grow.astype(np.int64), (grow | exited).astype(np.int64)
+
+    def held(mask):  # the mask and the mask or exited, as int64
+        grown = mask.astype(np.int64)
+        return grown, (mask | exited).astype(np.int64) if anyone_out else grown
+
+    grow, keep = held(active & ~consistent(y_next, x_rebel))
     low = hold = None
     if exit_rule is not None:
-        low = active & np.less(best, exit_rule.threshold)
-        low, hold = low.astype(np.int64), (low | exited).astype(np.int64)
+        low, hold = held(active & np.less(best, exit_rule.threshold))
     return y_next, grow, keep, low, hold
 
 
@@ -520,20 +546,11 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
     ):
         return last
 
-    y_prev, exited, rep = seen.y, seen.exited, seen.rep
+    y_prev, exited = seen.y, seen.exited
     active = ~exited
     share_R_prev = float((y_prev[active] == int(Position.R)).sum()) / max(int(active.sum()), 1)
-    eff = last.eff if same_inputs else effective_params(pa, env)
     p = perceived_probability(pa, share_R_prev, env)
-    integ = integrity_by_stance(integrity, pa.x_rebel, state.d_falsify)  # raises if a streak < 0
-
-    # The kernels' inputs are checked where they are made: the factors and p_base by
-    # effective_params, the reputation denominators by keyed_counts or, for counts, by
-    # being neighbour counts; integ and p are finite by construction.
-    NJ, U, R = Position.NJ, Position.U, Position.R
-    e_nj = nojoin_kernel(eff.S, eff.c, p, rep[:, NJ], integ[NJ], pa.V_NJ)
-    e_u = statusquo_kernel(eff.S, eff.A_R, eff.C, p, rep[:, U], integ[U], pa.V_U)
-    e_r = rebel_kernel(eff.F, eff.A_U, p, rep[:, R], integ[R], pa.V_R)
+    e_nj, e_u, e_r = _payoffs(_effective(pa, env), p, seen, integrity, state.d_falsify)
     chosen = choose_positions(e_nj, e_u, e_r, y_prev)
     best = np.maximum(np.maximum(e_nj, e_u), e_r)
     y_next, grow, keep, low, hold = _tail_masks(chosen, best, y_prev, exited, pa.x_rebel,
@@ -542,9 +559,40 @@ def _decide(state: SimState, scenario, env: Environment) -> _StepMemo:
         if kept is not None:
             kept.setflags(write=False)
     return _StepMemo(
-        seen=seen, integrity=integrity, exit=scenario.exit, params=pa, env=env, eff=eff,
+        seen=seen, integrity=integrity, exit=scenario.exit, params=pa, env=env,
         streaks=streaks, p=p, y_next=y_next, grow=grow, keep=keep, low=low, hold=hold,
     )
+
+
+def _payoffs(eff: ParamArrays, p, seen: _Seen, integrity: IntegritySpec, d_falsify):
+    """The payoffs of showing NJ, U and R at ``p``.  Each stance's reputation terms and
+    integrity values are made for its own payoff alone, so one column of terms and at most
+    two rows of integrity values are alive at a time.
+
+    The kernels' inputs are checked where they are made: the factors and p_base by
+    effective_params, the reputation denominators by keyed_counts or, for counts, by
+    being neighbour counts; the terms, the integrity values and p are finite by construction.
+    """
+    integ = _integrity_rows(integrity, eff.x_rebel, d_falsify)  # in Position order: NJ, U, R
+
+    def soft(code):
+        return terms_from_counts(seen.reputation, seen.num[:, code], seen.denom), next(integ)
+
+    return (nojoin_kernel(eff.S, eff.c, p, *soft(Position.NJ), eff.V_NJ),
+            statusquo_kernel(eff.S, eff.A_R, eff.C, p, *soft(Position.U), eff.V_U),
+            rebel_kernel(eff.F, eff.A_U, p, *soft(Position.R), eff.V_R))
+
+
+def _integrity_rows(spec: IntegritySpec, x, d_falsify):
+    """The rows of :func:`integrity_by_stance`, one at a time in Position order, from one
+    :func:`falsification_penalty` (which raises if a streak < 0): the last row is written
+    over the negated penalty itself."""
+    cost = -falsification_penalty(spec, d_falsify)
+    *first, last = Position
+    for code in first:
+        yield np.where(consistent(code, x), spec.nu_match, cost)
+    np.copyto(cost, spec.nu_match, where=consistent(last, x))
+    yield cost
 
 
 def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
@@ -553,7 +601,9 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     paths work from ``last`` and the one mask ``changed`` of the agents whose stance or exit
     differs: the :func:`counted` path takes off those agents' audiences as ``last`` saw them
     and adds them as seen now, and the keyed pass remakes their observers' rows from their
-    out-edges in stored order.  Otherwise each path walks every edge."""
+    out-edges in stored order, or every row when those are more than half of them (it gives
+    the same bits, see :class:`_Seen`, with no per-edge positions or copied ids).  Otherwise
+    each path walks every edge."""
     same_net = last is not None and last.network is net and last.reputation == spec
     same_exits = same_net and np.array_equal(last.exited, exited)
     if same_exits and np.array_equal(last.y, y):
@@ -563,26 +613,28 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     changed = (y != last.y) | (exited != last.exited) if same_net else None
     if counted(spec, net):
         if same_net:
-            num = (last.num - audience_counts(net, changed & ~last.exited, last.y)
-                   + audience_counts(net, changed & ~exited, y))
+            num = last.num - audience_counts(net, changed & ~last.exited, last.y)
+            num += audience_counts(net, changed & ~exited, y)
         else:
-            num = audience_counts(net, ~exited, y)
+            num = audience_counts(net, ~exited, y).astype(np.float64)
         denom = last.denom if same_exits else num.sum(axis=1)
     else:
         iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
-        rows, edges, row = (observer_rows(net, changed) if same_net
-                            else (np.arange(net.n), slice(None), net.src))
+        rows = observer_rows(net, changed) if same_net else None
+        if rows is None or 2 * rows.size > net.n:
+            rows, edges, row = None, slice(None), net.src
+        else:
+            edges, row = observer_edges(net, rows)
         dst = net.dst[edges]
         weight = observed_weights(spec, net.w[edges], dst, exited[dst], scores)
-        num, denom = keyed_counts(row, weight, y[dst], rows.size)
-        if same_net:  # the kept rows, with the remade ones written over
+        num, denom = keyed_counts(row, weight, y[dst], net.n if rows is None else rows.size)
+        if rows is not None:  # the kept rows, with the remade ones written over
             part, num, denom = (num, denom), last.num.copy(), last.denom.copy()
             num[rows], denom[rows] = part
-    rep = terms_from_counts(spec, num, denom)
-    for kept in (exited, y, num, denom, rep):
+    for kept in (exited, y, num, denom):
         kept.setflags(write=False)
-    return _Seen(net, spec, exited, y, num, denom, rep)
+    return _Seen(net, spec, exited, y, num, denom)
 
 
 def _record_from(state: SimState) -> StepRecord:

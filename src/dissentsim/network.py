@@ -202,10 +202,11 @@ def reputation_terms(spec: ReputationSpec, row, weight, stance, n: int) -> np.nd
 
 def terms_from_counts(spec: ReputationSpec, num, denom) -> np.ndarray:
     """:func:`reputation_terms` from each observer's observed weight per stance ``num``, an
-    (n, 3) array, and its total ``denom``."""
+    (n, 3) array, and its total ``denom``; or one stance's terms, from that stance's column
+    ``num`` alone."""
     has_obs = denom > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rep = num / np.where(has_obs, denom, 1.0)[:, None]  # the fractions, in place below
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 where nobody is seen: set to 0 below
+        rep = (num.T / denom).T  # the fractions, in place below
     if spec.centered:
         rep -= 0.5
     rep *= spec.alpha
@@ -232,27 +233,32 @@ def _spans(ptr, ids) -> tuple[np.ndarray, np.ndarray]:
     return positions, sizes
 
 
-def observer_rows(network: SocialNetwork, agents):
-    """The observers of any agent in the mask ``agents``, ascending, the positions of their
-    out-edges in stored order, and the index of each edge's observer among them."""
+def observer_rows(network: SocialNetwork, agents) -> np.ndarray:
+    """The observers of any agent in the mask ``agents``, ascending."""
     ptr, observers = network._audiences
     watching = np.zeros(network.n, dtype=bool)
     watching[observers[_spans(ptr, np.flatnonzero(agents))[0]]] = True
-    rows = np.flatnonzero(watching)
+    return np.flatnonzero(watching)
+
+
+def observer_edges(network: SocialNetwork, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the out-edges of the observers ``rows`` in stored order, and the
+    index of each edge's observer among ``rows``."""
     edges, sizes = _spans(network.row_ptr, rows)
-    return rows, edges, np.repeat(np.arange(rows.size), sizes)
+    return edges, np.repeat(np.arange(rows.size), sizes)
 
 
 def audience_counts(network: SocialNetwork, agents, y) -> np.ndarray:
     """How many of ``agents`` (a mask) each observer watches, by the stance ``y`` gives each
-    agent: an (n, 3) float64 array of counts, from a walk over those agents' in-edges."""
+    agent: an (n, 3) int64 array of counts, from a walk over those agents' in-edges."""
     ptr, observers = network._audiences
     agents = np.flatnonzero(agents)
     edges, sizes = _spans(ptr, agents)
     keys = observers[edges]
+    del edges  # a per-edge array: not alive at the bincount below
     keys *= 3
     keys += np.repeat(y[agents], sizes)
-    return np.bincount(keys, minlength=3 * network.n).reshape(-1, 3).astype(np.float64)
+    return np.bincount(keys, minlength=3 * network.n).reshape(-1, 3)
 
 
 def _position(agent, code) -> Position:

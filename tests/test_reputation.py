@@ -313,8 +313,9 @@ def test_one_network_under_two_specs():
 
 
 def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
-    """During ``run``: one kernel call per step whose (y, exited) differs from the previous
-    step's; the first step counts as changed."""
+    """During ``run``: one keyed pass per step whose (y, exited) differs from the previous
+    step's, the first step counting as changed, and the terms of each stance made once per
+    decision made."""
     doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json").read_text())
     for group, count in zip(doc["population"]["groups"], (30, 45, 225)):
         group["count"] = count
@@ -323,19 +324,21 @@ def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
     doc["horizon"] = 240
     scenario = parse_scenario(json.dumps(doc))
 
-    inputs, calls = [], []
-    real_step, real_terms = engine.step, engine.terms_from_counts
+    inputs, calls, terms, decisions = [], [], [], []
+    real_step = engine.step
 
     def recording_step(state, scenario):
         inputs.append((state.y.copy(), state.exited.copy()))
         return real_step(state, scenario)
 
-    def counting_terms(*args):
-        calls.append(args)
-        return real_terms(*args)
+    def counting(name, calls):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args: calls.append(args) or real(*args))
 
     monkeypatch.setattr(engine, "step", recording_step)
-    monkeypatch.setattr(engine, "terms_from_counts", counting_terms)
+    for name, record in (("keyed_counts", calls), ("terms_from_counts", terms),
+                         ("choose_positions", decisions)):
+        counting(name, record)
     run(scenario)
     changed = 1 + sum(
         not (np.array_equal(y, y0) and np.array_equal(e, e0))
@@ -343,3 +346,4 @@ def test_reputation_terms_run_once_per_step_whose_inputs_changed(monkeypatch):
     )
     assert len(inputs) == 240
     assert len(calls) == changed < 240
+    assert len(terms) == 3 * len(decisions)

@@ -155,6 +155,35 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
         state = new
 
 
+def test_a_cascade_takes_both_keyed_routes_bit_for_bit(monkeypatch):
+    """The every-step check over a cascade of the dynamics: the baseline's groups at 300
+    agents under ``iterative_influence``, with exits, over 240 steps.  A step whose changed
+    agents' observers are at most half the rows remakes those rows alone, and one whose
+    observers are more remakes every row; both routes run after the first step, and each
+    step's record equals a keyed pass over every edge, bit for bit."""
+    baseline = donbass_baseline()
+    groups = [replace(g, count=c) for g, c in zip(baseline.population.groups, (30, 45, 225))]
+    scenario = replace(baseline, population=PopulationSpec(groups), horizon=240,
+                       reputation=ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, alpha=0.5),
+                       exit=ExitSpec(threshold=1.0, patience=20))
+    walked, edges, real_step = [], set(), engine.step
+
+    def checked(state, scenario):
+        with counting_calls("observed_weights") as calls:
+            new = real_step(state, scenario)
+        seen, expected = new._memo.seen, keyed_pass(scenario.reputation, state.network,
+                                                     state.y, state.exited)
+        assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
+        walked.extend(call[2].size for call in calls)
+        edges.add(state.network.src.size)
+        return new
+
+    monkeypatch.setattr(engine, "step", checked)
+    run(scenario)
+    (m,) = edges
+    assert walked[0] == m and m in walked[1:] and any(0 < size < m for size in walked[1:])
+
+
 def test_counts_start_afresh_on_a_new_network_or_spec():
     """Counts kept over one network or spec are not carried over to another, even where no
     stance or exit changed between the steps."""
@@ -254,7 +283,7 @@ def test_a_generated_small_world_keeps_no_per_edge_array(variant):
     for _ in range(4):
         state = step(state, scenario)
         kept = [*state._memo, *state._memo.seen]
-        kept += [getattr(state._memo.eff, name) for name in FACTOR_NAMES]
+        kept += [getattr(state.params._effective[1], name) for name in FACTOR_NAMES]
         assert all(np.size(a) != m for a in kept if isinstance(a, np.ndarray))
         assert counted(scenario.reputation, net)
     assert net._audiences[1] is net.dst and net._audiences[0] is net.row_ptr
@@ -349,7 +378,8 @@ def keyed_chains(draw):
 def test_the_row_local_keyed_pass_equals_a_pass_over_every_edge(chain):
     """After each edit, the record :func:`engine._see` makes from the one before equals the
     record it makes from nothing, bit for bit, and walks only the out-edges of the observers
-    of the agents whose stance or exit changed."""
+    of the agents whose stance or exit changed, or every edge when those observers are more
+    than half the rows."""
     net, spec, y, exited, edits = chain
     assert not counted(spec, net)
     y, exited = y.copy(), exited.copy()
@@ -376,6 +406,6 @@ def test_the_row_local_keyed_pass_equals_a_pass_over_every_edge(chain):
             assert record == [bits(a) for a in (fresh.num, fresh.denom, fresh.rep)]
             changed = set(np.flatnonzero((y_now != last.y) | (exited_now != last.exited)).tolist())
             watching = {i for i, j, _ in net.edges if j in changed}
-            walked = [j for i, j, _ in net.edges if i in watching]
+            walked = [j for i, j, _ in net.edges if i in watching or 2 * len(watching) > net.n]
             assert [call[2].tolist() for call in calls] == ([walked] if changed else [])
             last = seen

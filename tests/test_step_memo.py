@@ -9,7 +9,9 @@ nothing the record reads.  The reference everywhere is the same step with
 the memo cleared, which computes everything afresh: results must be bit-equal.
 """
 
+import io
 import json
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +40,7 @@ from dissentsim import (
 from dissentsim import engine
 from dissentsim.engine import DELTA_FIELDS, FACTOR_NAMES, Environment, ParamArrays
 from dissentsim.network import observed_weights, observer_totals, reputation_terms
+from dissentsim.scenario import write_csv
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
 
@@ -450,8 +453,9 @@ def memo_bits(memo, state=None, scenario=None):
 @contextmanager
 def counting_levels():
     """Counts, per step, the calls that recompute each memo level below the network: the exit
-    level (``observed_weights``) and the stance level (``terms_from_counts``); yields a
-    function that returns and resets the two counts."""
+    level (``observed_weights``) and the stance level (``terms_from_counts``, made for each
+    stance's payoff, so three calls per decision made); yields a function that returns and
+    resets the two counts."""
     with counting("observed_weights") as weights, counting("terms_from_counts") as terms:
         def taken():
             counts = (len(weights), len(terms))
@@ -463,10 +467,12 @@ def counting_levels():
 
 def test_in_place_edits_invalidate_only_their_levels():
     """Weights other than 1 take the keyed pass.  A stance or an exit edited in place remakes
-    the observed weights of the edited agent's observers alone, over their out-edges, and
-    the terms once; either way the kept arrays equal those of a step that keeps nothing.
-    On the ring 0 -> 1 -> 2 -> 0 agent 0's one observer is 2, whose one edge goes to 0, and
-    agent 1's is 0, whose one edge goes to 1."""
+    the observed weights of the edited agent's observers alone, over their out-edges, while
+    they are at most half the rows, and of every row otherwise, and the terms of each stance
+    once; either
+    way the kept arrays equal those of a step that keeps nothing.  On the ring
+    0 -> 1 -> 2 -> 0 agent 0's one observer is 2, whose one edge goes to 0, and agent 1's
+    is 0, whose one edge goes to 1."""
     state, scenario = still_world(weight=0.5)
     state = step(state, scenario)
     with counting("observed_weights") as weights, counting("terms_from_counts") as terms:
@@ -480,17 +486,17 @@ def test_in_place_edits_invalidate_only_their_levels():
         assert taken() == ([], 0)
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert taken() == ([[0]], 1)  # row 2 alone: its one edge, to 0
+        assert taken() == ([[0]], 3)  # row 2 alone: its one edge, to 0
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert taken() == ([[1, 0]], 1)  # rows 0 and 2: agent 0's stance is still edited
+        assert taken() == ([[1, 2, 0]], 3)  # rows 0 and 2 (agent 0's stance is still edited): every row
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         taken()
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert taken() == ([[1, 0]], 1)  # agent 0 is back at NJ, agent 1 visible again
+        assert taken() == ([[1, 2, 0]], 3)  # agent 0 back at NJ, agent 1 visible again: rows 0 and 2
         assert memo_bits(again._memo, new, scenario) == memo_bits(fresh_step(new, scenario)._memo)
 
 
@@ -499,7 +505,8 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
     the kept counts and keeps the totals; an exit edited in place also changes the totals.
     A changed step makes exactly two walks, from the one changed-agent mask: off the changed
     agents visible before, at their old stances, and onto those visible now, at their new
-    ones.  No keyed pass runs, the terms are made once per changed step, and the kept arrays
+    ones.  No keyed pass runs, the terms of each stance are made once per changed step, and
+    the kept arrays
     equal those of a step that keeps nothing."""
     def walks(state):
         """The masks of the two walks a changed step from ``state`` makes."""
@@ -518,21 +525,21 @@ def test_in_place_edits_on_the_counts_path_invalidate_only_their_levels():
         assert (len(counts), taken()) == (0, (0, 0))
         state.y[0] = Position.U
         new = step(state, scenario)
-        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 3))
         assert new._memo.seen.denom is state._memo.seen.denom
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = True
         new = step(state, scenario)
-        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(state), (0, 3))
         assert bits(new._memo.seen.denom) != bits(state._memo.seen.denom)
         assert memo_bits(new._memo, state, scenario) == memo_bits(fresh_step(state, scenario)._memo)
         counts.clear()
         taken()  # not the fresh step's calls
         state.exited[1] = False  # also ``new``'s flags (no exit rule), which its step read as True
         again = step(new, scenario)
-        assert ([call[1].tolist() for call in counts], taken()) == (walks(new), (0, 1))
+        assert ([call[1].tolist() for call in counts], taken()) == (walks(new), (0, 3))
         assert bits(again._memo.seen.denom) == bits(state._memo.seen.denom)
 
 
@@ -552,7 +559,7 @@ def test_replaced_network_or_spec_rebuilds_the_base_weights():
         assert (len(scores), taken()) == (0, (0, 0))
         for new_state, new_scenario in ((reversed_ring, scenario), (state, rescaled)):
             new = step(new_state, new_scenario)
-            assert (len(scores), taken()) == (1, (1, 1))
+            assert (len(scores), taken()) == (1, (1, 3))
             assert len(new_state.network._influence_memo) == 1  # solved once per network
             new_bits = memo_bits(new._memo, new_state, new_scenario)
             assert new_bits == memo_bits(fresh_step(new_state, new_scenario)._memo)
@@ -569,27 +576,32 @@ def walked_edges(net, changed):
 
 def keyed_step(state, scenario, real_step=step):
     """One step that takes the keyed pass, with its record checked: kept exactly as
-    :func:`seen_kept` says; no kept array with an entry per edge; ``observed_weights`` called
-    over every edge when the record before is over another network or spec, and otherwise
-    over the out-edges of the observers of the agents whose stance or exit changed, in
-    stored order, or not at all when none did; read-only counts, totals and terms equal
-    to a fresh keyed pass over every edge, bit for bit; and no kept array whose base holds
-    more elements than it does (the totals are not a view of the 3n bins).  Returns the new state and how many
-    edges the step walked."""
+    :func:`seen_kept` says; no kept array with an entry per edge, the effective factors in
+    the parameters' slot included; ``observed_weights`` called over every edge when the
+    record before is over another network or spec, and otherwise over the out-edges of the
+    observers of the agents whose stance or exit changed, in stored order, while those
+    observers are at most half the rows, over every edge when they are more, or not at all
+    when no agent changed; read-only counts, totals and factors, and counts, totals and
+    terms equal to a fresh keyed pass over every edge, bit for bit; and no kept array whose
+    base holds more elements than it does (the totals are not a view of the 3n bins).
+    Returns the new state and how many edges the step walked."""
     with counting("observed_weights") as calls:
         new = real_step(state, scenario)
     seen_kept(new._memo, state, scenario)
     memo, net, spec = new._memo, state.network, scenario.reputation
     last = None if state._memo is None else state._memo.seen
     m = net.src.size
-    kept = [*memo, *memo.seen] + [getattr(memo.eff, name) for name in FACTOR_NAMES]
+    factors = [getattr(new.params._effective[1], name) for name in FACTOR_NAMES]
+    kept = [*memo, *memo.seen] + factors
     assert m not in (net.n, 3 * net.n)
     assert all(a.size != m for a in kept if isinstance(a, np.ndarray))
     if last is None or last.network is not net or last.reputation != spec:
         walked = [net.dst.tolist()]
     else:
         changed = set(np.flatnonzero((state.y != last.y) | (state.exited != last.exited)).tolist())
-        walked = [walked_edges(net, changed)] if changed else []
+        rows = {i for i, j, _ in net.edges if j in changed}
+        walked = [net.dst.tolist() if 2 * len(rows) > net.n else walked_edges(net, changed)]
+        walked = walked if changed else []
     assert [call[2].tolist() for call in calls] == walked
     iterative = spec.variant is ReputationVariant.ITERATIVE_INFLUENCE
     scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
@@ -598,9 +610,9 @@ def keyed_step(state, scenario, real_step=step):
     num = np.bincount(3 * net.src + stance, weights=weight, minlength=3 * net.n).reshape(-1, 3)
     expected = (num, observer_totals(net.src, weight, net.n),
                 reputation_terms(spec, net.src, weight, stance, net.n))
-    kept = (memo.seen.num, memo.seen.denom, memo.seen.rep)
-    assert not any(a.flags.writeable for a in kept)
-    assert [bits(a) for a in kept] == [bits(a) for a in expected]
+    assert not any(a.flags.writeable for a in (memo.seen.num, memo.seen.denom, *factors))
+    record = (memo.seen.num, memo.seen.denom, memo.seen.rep)
+    assert [bits(a) for a in record] == [bits(a) for a in expected]
     arrays = [a for a in memo.seen if isinstance(a, np.ndarray)]
     assert all(a.base is None or a.base.size <= a.size for a in arrays)
     return new, sum(map(len, walked))
@@ -610,7 +622,8 @@ def test_the_keyed_pass_keeps_no_per_edge_array():
     """Weights other than 1 take the keyed pass: a still step, a stance and an exit edited in
     place, and the exit undone.  A fourth edge makes the edges more than the agents.  The
     first step walks all four edges; agent 0's stance, seen by 2, walks row 2; its return to
-    NJ with 2's exit walks every row, as 2 is seen by 0 and 1; the exit undone, rows 0 and 1."""
+    NJ with 2's exit walks every row, as 2 is seen by 0 and 1; the exit undone, rows 0 and 1,
+    more than half the rows, so every edge."""
     state, scenario = still_world(weight=0.5)
     state = replace(state, network=SocialNetwork(3, [*state.network.edges, (0, 2, 0.5)]))
     walked = []
@@ -619,7 +632,7 @@ def test_the_keyed_pass_keeps_no_per_edge_array():
             getattr(state, edit[0])[edit[1]] = edit[2]
         state, edges = keyed_step(state, scenario)
         walked.append(edges)
-    assert walked == [4, 0, 1, 4, 3]
+    assert walked == [4, 0, 1, 4, 4]
 
 
 def test_the_keyed_pass_keeps_no_per_edge_array_through_an_iterative_run(monkeypatch):
@@ -719,6 +732,69 @@ def test_effective_factors_are_made_once_per_environment():
     fired = {ev.step for ev in scenario.events if 0 < ev.step < scenario.horizon}
     assert changes < len(fired)
     assert len(calls) == 1 + changes < len(chosen)
+
+
+def csv_bytes(records) -> bytes:
+    sink = io.BytesIO()
+    write_csv(records, sink)
+    return sink.getvalue()
+
+
+def test_the_factor_slot_is_never_stale(monkeypatch):
+    """The effective factors live in one slot of their ``ParamArrays``, keyed by the
+    environment's bits.  One ``ParamArrays`` run under two environments in alternation, and
+    a ``replace``d one with equal content, writes the CSV bytes of runs on a fresh copy, and
+    its slot then holds the read-only factors ``effective_params`` makes under the run's
+    environment.  ``A_R`` is -0.0 everywhere: an offset ``dA_R`` of -0.0 keeps that sign and
+    one of 0.0 does not, so a slot keyed by ``==`` alone would hand out stale factors.  The
+    slot is empty whenever a new set is made: the old set is not alive beside it."""
+    made, slots = engine.effective_params, []
+    monkeypatch.setattr(engine, "effective_params",
+                        lambda pa, env: slots.append(pa._effective) or made(pa, env))
+    scenario = replace(iterative_exits_scenario(), events=(), horizon=30)
+    start = engine.init_state(scenario)
+    params = replace(start.params, A_R=np.full(start.n, -0.0))
+    twin = replace(params)
+    plain, shocked = start.env, replace(start.env, dC=0.5)
+    signed = replace(plain, dA_R=-0.0)
+    assert signed == plain and not engine._same_env(signed, plain)
+    assert bits(made(params, signed).A_R) != bits(made(params, plain).A_R)
+    for pa, env in ((params, plain), (params, signed), (params, shocked), (twin, signed),
+                    (params, signed), (params, plain), (twin, plain), (params, shocked),
+                    (twin, shocked), (params, signed)):
+        records = run(scenario, replace(start, params=pa, env=env))
+        assert csv_bytes(records) == csv_bytes(run(scenario, replace(start, params=replace(pa), env=env)))
+        factors, expected = pa._effective[1], made(pa, env)
+        assert [bits(getattr(factors, name)) for name in FACTOR_NAMES] == [
+            bits(getattr(expected, name)) for name in FACTOR_NAMES]
+        assert not any(getattr(factors, name).flags.writeable for name in FACTOR_NAMES)
+    assert len(slots) > 10 and not any(slots)
+
+
+def test_the_steps_keep_one_generation_at_two_hundred_thousand_agents():
+    """The baseline at 2 * 10**5 agents, over 5 steps with the events before step 5.  What
+    the steps leave alive is one generation, about 116 bytes an agent: the six effective
+    factors (48), the counts and totals (32), ``p``, the clipped streaks and the one mask
+    while nobody has exited (24), the state's falsification streaks (8), and the stances and
+    exit flags (4).  No step holds two sets of factors, or the terms, or a second mask, so
+    the steps peak below 240 bytes an agent above the state they start from."""
+    doc = json.loads(DONBASS_PATH.read_text(encoding="utf-8"))
+    groups, n = doc["population"]["groups"], 2 * 10**5
+    total = sum(group["count"] for group in groups)
+    for group in groups:
+        group["count"] = group["count"] * n // total
+    doc.update(horizon=5, events=[ev for ev in doc["events"] if ev["step"] < 5])
+    scenario = parse_scenario(json.dumps(doc))
+    state = engine.init_state(scenario)
+    tracemalloc.start()
+    try:
+        for _ in range(scenario.horizon):
+            state = step(state, scenario)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 120 * state.n, kept / state.n
+    assert peak <= 240 * state.n, peak / state.n
 
 
 def test_marker_events_recompute_nothing():
