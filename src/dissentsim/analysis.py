@@ -21,7 +21,7 @@ from .engine import (
     ParamArrays,
     StepRecord,
     effective_params,
-    integrity_by_stance,
+    integrity_rows,
     perceived_probability,
 )
 from .errors import InvalidParameterError
@@ -120,12 +120,12 @@ def zero_support_soft_terms(
     """Soft terms for an agent deciding before any public signal exists.
 
     No stance has an audience yet, so every reputation term is zero;
-    integrity is evaluated at a zero falsification streak.  ``x`` is one
-    agent's PrivateType or a population's boolean ``x_rebel`` array, in which
-    case the integrity terms are arrays.
+    integrity is the step's own :func:`integrity_rows` at a zero falsification
+    streak.  ``x`` is one agent's PrivateType, whose integrity terms are numpy
+    scalars, or a population's boolean ``x_rebel`` array, whose terms are arrays.
     """
-    integ = integrity_by_stance(integrity, x, 0)
-    return {pos: SoftTerms(rep=0.0, integ=integ[pos]) for pos in Position}
+    rows = integrity_rows(integrity, x, np.zeros(np.shape(x), dtype=np.int64))
+    return {pos: SoftTerms(rep=0.0, integ=row[()]) for pos, row in zip(Position, rows)}
 
 
 def _arrays(agents: Sequence[AgentParams] | ParamArrays) -> ParamArrays:

@@ -12,21 +12,23 @@ Every per-agent rule is written once, elementwise: ``effective_params``,
 low-payoff streak rule ``exit_update`` take one agent's values or the whole
 population's arrays, and :func:`step` and the cascade analysis call them on
 the arrays.  The single-agent calls (``check_exit`` here, and the reputation
-functions in :mod:`network`) are n=1 views over the same kernels.
+functions in :mod:`network`) are n=1 views over the same kernels.  The
+integrity of showing each stance has one maker, :func:`integrity_rows`, which
+both the step's payoffs and the zero-support analysis read.
 
 Stances under preference falsification stand still for long stretches and then
 flip in cascades, so each state carries a memo of the step that made it
 (:class:`_StepMemo`): the next step recomputes only what its changed inputs
 reach, and :func:`run` reuses the previous record when the decision is reused.
 What a step sees of the public state is one record, made by :func:`_see`: each
-observer's observed weight per stance and its total, from which one formula makes
-the reputation terms.  :func:`_see` finds the agents whose stance or exit changed
-as one mask.  On neighbour counts (``unweighted_fraction``, or ``weighted_fraction`` on
-unit weights) the counts are brought up to date over those agents' audiences; otherwise a
-keyed pass remakes only their observers' rows (or every row, when they are most of them),
-replaying a full pass's additions bit for bit.  A state keeps one generation of what the next
-step reads: the counts, not the terms made from them, and one set of effective factors per
-population, in the parameters' own slot.
+observer's observed weight per stance and its total, from which one formula,
+:func:`terms_from_counts`, makes the reputation terms.  :func:`_see` finds the agents
+whose stance or exit changed as one mask.  On neighbour counts (``unweighted_fraction``,
+or ``weighted_fraction`` on unit weights) the counts are brought up to date over those
+agents' audiences; otherwise a keyed pass remakes only their observers' rows (or every
+row, when they are most of them), replaying a full pass's additions bit for bit.  A state
+keeps one generation of what the next step reads: the counts, not the terms made from
+them, and one set of effective factors per population, in the parameters' own slot.
 The per-element rules are mask arithmetic, which does not branch per element.
 """
 
@@ -181,7 +183,8 @@ class ParamArrays:
 
 class _Seen(NamedTuple):
     """Each observer's observed weight per stance ``num`` (n x 3) and its total ``denom``, from
-    which :attr:`rep` makes a step's reputation terms.  Valid while ``network`` is the same
+    which :func:`terms_from_counts` makes a step's reputation terms in :func:`_payoffs`, one
+    stance at a time.  Valid while ``network`` is the same
     object, ``reputation`` compares equal, and ``exited`` and ``y`` (read-only private copies)
     are equal by content.  Only these are kept: no terms, no per-edge array, nor a view of a
     larger one.  The next step over the same network and spec works from the one mask of the
@@ -196,11 +199,6 @@ class _Seen(NamedTuple):
     y: np.ndarray
     num: np.ndarray
     denom: np.ndarray
-
-    @property
-    def rep(self) -> np.ndarray:
-        """The reputation terms, made anew on each read by :func:`terms_from_counts`."""
-        return terms_from_counts(self.reputation, self.num, self.denom)
 
 
 class _StepMemo(NamedTuple):
@@ -365,12 +363,6 @@ def _steady_streak(spec: IntegritySpec) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if penalty(mid) == steady else (mid + 1, hi)
     return lo
-
-
-def integrity_by_stance(spec: IntegritySpec, x, d_falsify):
-    """:func:`integrity_value` of showing each stance, rows indexed by Position code."""
-    codes = np.arange(len(Position)).reshape((-1,) + (1,) * np.ndim(x))
-    return integrity_value(spec, codes, x, d_falsify)
 
 
 def exit_update(streak, exited, best_payoff, exit_threshold: float, exit_patience: int):
@@ -573,7 +565,7 @@ def _payoffs(eff: ParamArrays, p, seen: _Seen, integrity: IntegritySpec, d_falsi
     effective_params, the reputation denominators by keyed_counts or, for counts, by
     being neighbour counts; the terms, the integrity values and p are finite by construction.
     """
-    integ = _integrity_rows(integrity, eff.x_rebel, d_falsify)  # in Position order: NJ, U, R
+    integ = integrity_rows(integrity, eff.x_rebel, d_falsify)  # in Position order: NJ, U, R
 
     def soft(code):
         return terms_from_counts(seen.reputation, seen.num[:, code], seen.denom), next(integ)
@@ -583,11 +575,12 @@ def _payoffs(eff: ParamArrays, p, seen: _Seen, integrity: IntegritySpec, d_falsi
             rebel_kernel(eff.F, eff.A_U, p, *soft(Position.R), eff.V_R))
 
 
-def _integrity_rows(spec: IntegritySpec, x, d_falsify):
-    """The rows of :func:`integrity_by_stance`, one at a time in Position order, from one
-    :func:`falsification_penalty` (which raises if a streak < 0): the last row is written
-    over the negated penalty itself."""
-    cost = -falsification_penalty(spec, d_falsify)
+def integrity_rows(spec: IntegritySpec, x, d_falsify):
+    """:func:`integrity_value` of showing each stance, one row at a time in Position order
+    (NJ, U, R), from one :func:`falsification_penalty` (which raises if a streak < 0): the
+    last row is written over the negated penalty itself.  Each row has the broadcast shape
+    of ``x`` and ``d_falsify``, a 0-d array for one agent."""
+    cost = np.asarray(-falsification_penalty(spec, d_falsify))
     *first, last = Position
     for code in first:
         yield np.where(consistent(code, x), spec.nu_match, cost)

@@ -51,8 +51,8 @@ DEFAULT_MAX_ITERS = 200
 #: about as much again while built: 5e7 edges need ~1.6 GB.
 EDGE_BUDGET = 50_000_000
 
-#: Most agents a scenario may have.  A run holds about 330 bytes per agent at its peak
-#: (measured with no edges: 68 MB at 10^5 agents, 362 MB at 10^6), so 10^7 need ~3.3 GB.
+#: Most agents a scenario may have.  A run holds about 320 bytes per agent at its peak
+#: (measured with no edges: 69 MB at 10^5 agents, 352 MB at 10^6), so 10^7 need ~3.2 GB.
 AGENT_BUDGET = 10_000_000
 
 #: Most uniforms a scenario's network generator may draw (see :func:`draw_count`).

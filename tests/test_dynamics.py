@@ -49,6 +49,7 @@ from dissentsim import (
 )
 from dissentsim.engine import FACTOR_NAMES, ParamArrays, _record_from
 from dissentsim.model import SoftTerms, decide
+from dissentsim.network import terms_from_counts
 
 R, U, NJ = Position.R, Position.U, Position.NJ
 
@@ -525,7 +526,9 @@ def test_relabeling_the_agents_relabels_every_step(drawn):
         forward, moved = step(forward, scenario), step(moved, scenario)
         for name in agents:
             assert getattr(moved, name)[perm].tobytes() == getattr(forward, name).tobytes()
-        assert moved._memo.seen.rep[perm].tobytes() == forward._memo.seen.rep.tobytes()
+        rep = [terms_from_counts(seen.reputation, seen.num, seen.denom)
+               for seen in (moved._memo.seen, forward._memo.seen)]
+        assert rep[0][perm].tobytes() == rep[1].tobytes()
 
 
 def test_monotone_fear_dC():

@@ -291,20 +291,23 @@ def integrity_specs(draw):
     return IntegritySpec(nu_match=0.0, nu0=nu0, kappa=kappa, cap=cap)
 
 
-@given(integrity_specs(), st.sampled_from([0.0, -0.0, 0.5, 2.0]),
+@given(integrity_specs(), st.sampled_from([0.0, -0.0, 0.5, 2.0]), st.booleans(), st.booleans(),
        st.lists(st.tuples(st.booleans(), st.integers(0, INT64_MAX)), max_size=6))
-def test_the_step_s_integrity_rows_are_integrity_by_stance(spec, nu_match, agents):
-    """The rows the step makes one at a time, the last over the negated penalty, are
-    ``integrity_by_stance``'s bit for bit, and a negative streak still raises."""
-    spec = IntegritySpec(nu_match=nu_match, nu0=spec.nu0, kappa=spec.kappa, cap=spec.cap)
+def test_each_integrity_row_is_integrity_value(spec, nu_match, zero_nu0, zero_kappa, agents):
+    """Each row ``integrity_rows`` makes, the last over the negated penalty, is
+    ``integrity_value`` of its stance bit for bit, with ``-0.0`` for ``nu_match``, ``nu0`` or
+    ``kappa`` and streaks up to the int64 maximum; a negative streak still raises."""
+    spec = IntegritySpec(nu_match=nu_match, nu0=-0.0 if zero_nu0 else spec.nu0,
+                         kappa=-0.0 if zero_kappa else spec.kappa, cap=spec.cap)
     x = np.array([rebel for rebel, _ in agents], dtype=bool)
     d = np.array([streak for _, streak in agents], dtype=np.int64)
     with np.errstate(over="ignore"):  # kappa * d may pass the float64 range: the cap holds
-        rows = [row.tobytes() for row in engine._integrity_rows(spec, x, d)]
-        expected = [row.tobytes() for row in engine.integrity_by_stance(spec, x, d)]
+        rows = [(row.shape, row.tobytes()) for row in engine.integrity_rows(spec, x, d)]
+        expected = [(x.shape, np.asarray(engine.integrity_value(spec, code, x, d)).tobytes())
+                    for code in (Position.NJ, Position.U, Position.R)]
     assert rows == expected
     with pytest.raises(InvalidParameterError, match="d_falsify must be >= 0"):
-        next(engine._integrity_rows(spec, x, np.append(d, -1)))
+        next(engine.integrity_rows(spec, x, np.append(d, -1)))
 
 
 @given(integrity_specs(), st.lists(st.integers(0, INT64_MAX), max_size=4))

@@ -40,6 +40,7 @@ from dissentsim.network import (
     observed_weights,
     observer_totals,
     reputation_terms,
+    terms_from_counts,
 )
 from dissentsim.scenario import PopulationSpec, donbass_baseline, write_csv
 
@@ -48,6 +49,11 @@ FRACTIONS = (ReputationVariant.UNWEIGHTED_FRACTION, ReputationVariant.WEIGHTED_F
 
 def bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
+
+
+def seen_record(seen):
+    """A step's counts and totals, and the reputation terms made from them."""
+    return seen.num, seen.denom, terms_from_counts(seen.reputation, seen.num, seen.denom)
 
 
 def keyed_pass(spec, net, y, exited):
@@ -147,7 +153,7 @@ def test_counts_equal_the_keyed_pass_at_every_step(world):
         new = step(state, scenario)
         seen = new._memo.seen
         assert counted(spec, state.network) == unit
-        assert (bits(seen.num), bits(seen.denom), bits(seen.rep)) == (bits(num), bits(denom), bits(rep))
+        assert [bits(a) for a in seen_record(seen)] == [bits(a) for a in (num, denom, rep)]
         fresh = step(replace(state, _memo=None), scenario)
         assert bits(new.y) == bits(fresh.y) and bits(new.exited) == bits(fresh.exited)
         assert bits(new._memo.p) == bits(fresh._memo.p)
@@ -173,7 +179,7 @@ def test_a_cascade_takes_both_keyed_routes_bit_for_bit(monkeypatch):
             new = real_step(state, scenario)
         seen, expected = new._memo.seen, keyed_pass(scenario.reputation, state.network,
                                                      state.y, state.exited)
-        assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
+        assert [bits(a) for a in seen_record(seen)] == [bits(a) for a in expected]
         walked.extend(call[2].size for call in calls)
         edges.add(state.network.src.size)
         return new
@@ -198,7 +204,7 @@ def test_counts_start_afresh_on_a_new_network_or_spec():
         state = replace(state, network=net)
         expected = keyed_pass(spec, net, state.y, state.exited)
         seen = step(state, scenario_of(spec))._memo.seen
-        assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
+        assert [bits(a) for a in seen_record(seen)] == [bits(a) for a in expected]
 
 
 # ---------------------------------------------------------------- which path a step takes
@@ -225,7 +231,7 @@ def routed(net, variant):
     with counting_calls("audience_counts") as counts, counting_calls("keyed_counts") as keyed:
         seen = step(state, scenario_of(spec))._memo.seen
     expected = keyed_pass(spec, net, state.y, state.exited)
-    assert [bits(a) for a in (seen.num, seen.denom, seen.rep)] == [bits(a) for a in expected]
+    assert [bits(a) for a in seen_record(seen)] == [bits(a) for a in expected]
     assert len(counts) + len(keyed) == 1
     assert [call[1].tolist() for call in counts] in ([], [(~state.exited).tolist()])
     return "keyed" if keyed else "counts"
@@ -402,8 +408,8 @@ def test_the_row_local_keyed_pass_equals_a_pass_over_every_edge(chain):
             with counting_calls("observed_weights") as calls:
                 seen = engine._see(net, spec, y_now, exited_now, last)
             fresh = engine._see(net, spec, y_now, exited_now, None)
-            record = [bits(a) for a in (seen.num, seen.denom, seen.rep)]
-            assert record == [bits(a) for a in (fresh.num, fresh.denom, fresh.rep)]
+            record = [bits(a) for a in seen_record(seen)]
+            assert record == [bits(a) for a in seen_record(fresh)]
             changed = set(np.flatnonzero((y_now != last.y) | (exited_now != last.exited)).tolist())
             watching = {i for i, j, _ in net.edges if j in changed}
             walked = [j for i, j, _ in net.edges if i in watching or 2 * len(watching) > net.n]

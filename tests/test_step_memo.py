@@ -39,7 +39,7 @@ from dissentsim import (
 )
 from dissentsim import engine
 from dissentsim.engine import DELTA_FIELDS, FACTOR_NAMES, Environment, ParamArrays
-from dissentsim.network import observed_weights, observer_totals, reputation_terms
+from dissentsim.network import observed_weights, observer_totals, reputation_terms, terms_from_counts
 from dissentsim.scenario import write_csv
 
 DONBASS_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "donbass.json"
@@ -446,7 +446,8 @@ def memo_bits(memo, state=None, scenario=None):
     if state is not None:
         seen_kept(memo, state, scenario)
     seen = memo.seen
-    levels = (seen.num, seen.denom, seen.rep, memo.p, memo.y_next, memo.grow, memo.keep)
+    rep = terms_from_counts(seen.reputation, seen.num, seen.denom)
+    levels = (seen.num, seen.denom, rep, memo.p, memo.y_next, memo.grow, memo.keep)
     return tuple(bits(a) for a in levels)
 
 
@@ -611,7 +612,8 @@ def keyed_step(state, scenario, real_step=step):
     expected = (num, observer_totals(net.src, weight, net.n),
                 reputation_terms(spec, net.src, weight, stance, net.n))
     assert not any(a.flags.writeable for a in (memo.seen.num, memo.seen.denom, *factors))
-    record = (memo.seen.num, memo.seen.denom, memo.seen.rep)
+    seen = memo.seen
+    record = (seen.num, seen.denom, terms_from_counts(seen.reputation, seen.num, seen.denom))
     assert [bits(a) for a in record] == [bits(a) for a in expected]
     arrays = [a for a in memo.seen if isinstance(a, np.ndarray)]
     assert all(a.base is None or a.base.size <= a.size for a in arrays)

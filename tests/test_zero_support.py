@@ -29,7 +29,7 @@ from dissentsim import (
     zero_support_soft_terms,
 )
 from dissentsim.engine import ParamArrays
-from dissentsim.model import SoftTerms, decide, threshold_nj_over_u, threshold_r_over_nj
+from dissentsim.model import decide, threshold_nj_over_u, threshold_r_over_nj
 
 R, U, NJ = Position.R, Position.U, Position.NJ
 
@@ -93,8 +93,9 @@ def reference(population, env0, integrity):
         eff = effective_params(agent, env0)
         p0 = perceived_probability(agent, 0.0, env0)
         soft = zero_support_soft_terms(integrity, agent.x)
-        assert soft == {pos: SoftTerms(0.0, integrity_value(integrity, pos, agent.x, 0))
-                        for pos in (NJ, U, R)}
+        for pos in (NJ, U, R):  # numpy scalars, bit for bit the public rule's
+            assert soft[pos].rep == 0.0 and type(soft[pos].integ) is np.float64
+            assert bits(soft[pos].integ) == bits(integrity_value(integrity, pos, agent.x, 0))
         if decide(eff, p0, soft, previous=NJ) is R:
             movers.append(i)
         r = threshold_r_over_nj(eff, soft[R], soft[NJ])
@@ -138,6 +139,9 @@ def test_array_pass_matches_per_agent_loop(population, env0, integrity):
     pa = ParamArrays.from_params(population)
     eff = effective_params(pa, env0)
     soft = zero_support_soft_terms(integrity, pa.x_rebel)
+    for pos in (NJ, U, R):  # one array per stance, bit for bit the public rule's
+        assert type(soft[pos].integ) is np.ndarray and soft[pos].integ.shape == pa.x_rebel.shape
+        assert bits(soft[pos].integ) == bits(integrity_value(integrity, pos, pa.x_rebel, 0))
     assert first_movers(pa, env0, integrity) == movers
     assert bits(rebellion_thresholds_zero_support(pa, env0, integrity)) == bits(thr_r)
     assert bits(threshold_nj_over_u(eff, soft[NJ], soft[U])) == bits(thr_nj)
