@@ -61,7 +61,7 @@ def __getattr__(name: str):
 
 
 THRESHOLDS_HEADER = "id,x,threshold_R_over_NJ,threshold_NJ_over_U,p0"
-THRESHOLDS_CHUNK = 1 << 16  # rows formatted and written at a time
+THRESHOLDS_CHUNK = 1 << 12  # rows formatted and written at a time
 
 
 def _read_text(path: str) -> str:

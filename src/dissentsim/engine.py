@@ -55,6 +55,7 @@ from .model import (  # the payoff_* are bound here for perfbench/trace_cli.py's
 )
 from .network import (
     SocialNetwork,
+    _edge_sources,
     audience_counts,
     counted,
     generate_network,
@@ -595,8 +596,8 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
     differs: the :func:`counted` path takes off those agents' audiences as ``last`` saw them
     and adds them as seen now, and the keyed pass remakes their observers' rows from their
     out-edges in stored order, or every row when those are more than half of them (it gives
-    the same bits, see :class:`_Seen`, with no per-edge positions or copied ids).  Otherwise
-    each path walks every edge."""
+    the same bits, see :class:`_Seen`, with no per-edge positions; the edges' sources are
+    made from ``row_ptr`` for the pass).  Otherwise each path walks every edge."""
     same_net = last is not None and last.network is net and last.reputation == spec
     same_exits = same_net and np.array_equal(last.exited, exited)
     if same_exits and np.array_equal(last.y, y):
@@ -616,7 +617,7 @@ def _see(net, spec, y, exited, last: _Seen | None) -> _Seen:
         scores = influence_scores(net, spec.damping, spec.tol, spec.max_iters) if iterative else None
         rows = observer_rows(net, changed) if same_net else None
         if rows is None or 2 * rows.size > net.n:
-            rows, edges, row = None, slice(None), net.src
+            rows, edges, row = None, slice(None), _edge_sources(net.row_ptr)
         else:
             edges, row = observer_edges(net, rows)
         dst = net.dst[edges]

@@ -63,23 +63,28 @@ def _refuse_edges(bad, src, dst, problem: str) -> None:
         raise InvalidParameterError(f"edge ({src[first]:g}, {dst[first]:g}) {problem}")
 
 
+def _edge_sources(row_ptr) -> np.ndarray:
+    """The source of each edge of the CSR rows ``row_ptr``, a new writable int64 array."""
+    return np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
+
+
 @dataclass(frozen=True, eq=False)
 class SocialNetwork:
     """Directed weighted graph over agents 0..n-1, stored as CSR arrays.
 
     An edge i->j means "i observes j".  ``edges`` is a list of (source,
     target, weight) triples or an (m, 3) array: integral ids in [0, n), no
-    self-loops, finite weights >= 0 (-0.0 is stored as 0.0).  They are stored
-    stably sorted by source as ``src``, ``dst`` and ``w``; agent i's are
-    ``row_ptr[i]:row_ptr[i + 1]``.  A generated network keeps only its int64
-    ids: its ``w`` is a zero-stride view of one 1.0, so over it the two fraction
-    variants are one model.  ``edges`` tuples and ``out_edges`` are built on request.
-    Instances are immutable (the arrays are read-only), so views, the
+    self-loops, finite weights >= 0 (-0.0 is stored as 0.0).  They are sorted
+    stably by source and stored as CSR arrays: ``row_ptr``, ``dst`` and ``w``,
+    agent i's edges at ``row_ptr[i]:row_ptr[i + 1]``.  The source of each edge,
+    ``src``, is built from ``row_ptr`` on request.  A generated network keeps only
+    its int64 ids: its ``w`` is a zero-stride view of one 1.0, so over it the two
+    fraction variants are one model.  ``edges`` tuples and ``out_edges`` are built
+    on request.  Instances are immutable (the arrays are read-only), so views, the
     in-edge index and influence scores are cached.
     """
 
     n: int
-    src: np.ndarray
     dst: np.ndarray
     w: np.ndarray
     row_ptr: np.ndarray
@@ -102,15 +107,21 @@ class SocialNetwork:
         self._store(n, src, dst, w + 0.0)  # a copy, with any -0.0 weight stored as 0.0
 
     def _store(self, n: int, src, dst, w: np.ndarray) -> None:
-        """Store ids sorted by source, as int64, and their weights, read-only."""
-        src = src.astype(np.int64, copy=False)
+        """Store edges sorted by source as CSR arrays: int64 targets and row bounds, and
+        the weights, read-only.  ``src`` itself is not kept."""
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst.astype(np.int64, copy=False))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "row_ptr", np.searchsorted(src, np.arange(n + 1)))
-        for name in ("src", "dst", "w", "row_ptr"):  # the caches below rely on it
+        for name in ("dst", "w", "row_ptr"):  # the caches below rely on it
             getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """The int64 source of each edge, read-only: agent i repeated ``row_ptr``'s span times."""
+        src = _edge_sources(self.row_ptr)
+        src.setflags(write=False)
+        return src
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -131,7 +142,8 @@ class SocialNetwork:
         """Each agent's in-edges, as CSR arrays by target: ``ptr`` and the observer of each
         edge.  A stable transpose of the edges, built on first use."""
         order = np.argsort(self.dst, kind="stable")
-        index = np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order), self.src[order]
+        index = (np.searchsorted(self.dst, np.arange(self.n + 1), sorter=order),
+                 _edge_sources(self.row_ptr)[order])
         for array in index:
             array.setflags(write=False)
         return index
@@ -329,19 +341,20 @@ def influence_scores(
     if cached is not None:
         return cached
 
-    n = network.n
-    src, dst, w = network.src, network.dst, network.w
-    out_strength = np.bincount(src, weights=w, minlength=n)
+    n, w = network.n, network.w
+    sources = _edge_sources(network.row_ptr)
+    out_strength = np.bincount(sources, weights=w, minlength=n)
     dangling = out_strength == 0.0
-    # Per-edge transition probability: weight / total outgoing weight of source.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        edge_p = np.where(out_strength[src] > 0.0, w / out_strength[src], 0.0)
+    # Per-edge transition probability: weight / total outgoing weight of source, else the
+    # total's +0.0.  (With no edges, bincount's totals are int64: the cast copies only then.)
+    strength = out_strength[sources].astype(np.float64, copy=False)
+    edge_p = np.divide(w, strength, out=strength, where=strength > 0.0)
 
     x = np.full(n, 1.0 / n, dtype=np.float64)
     # The iterations allocate no per-edge array: the mass each edge carries is refilled in
-    # place, and the ids are writable copies made once, because take and bincount copy a
+    # place, and the ids are writable arrays made once, because take and bincount copy a
     # read-only index array on every call (as take does its output in its "raise" mode).
-    sources, targets, moved = src.copy(), dst.copy(), np.empty(len(src))
+    targets, moved = network.dst.copy(), np.empty(len(sources))
     for _ in range(max_iters):
         np.take(x, sources, out=moved, mode="clip")  # every id is in range: clip moves none
         moved *= edge_p

@@ -47,8 +47,9 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 200
 
 #: Most directed edges a scenario's network may have (see :func:`edge_count`).  A generated
-#: edge takes 16 bytes stored (two int64 ids; its weight is an implicit 1.0) and at most
-#: about as much again while built: 5e7 edges need ~1.6 GB.
+#: edge takes 8 bytes stored (its int64 target; its source is read off the row bounds
+#: ``row_ptr`` on request and its weight is an implicit 1.0) and up to about 22 while built:
+#: 5e7 edges need ~0.4 GB kept and ~1.1 GB at their build.
 EDGE_BUDGET = 50_000_000
 
 #: Most agents a scenario may have.  A run holds about 320 bytes per agent at its peak

@@ -7,6 +7,7 @@ before the implementation ran, and are frozen here as literals.
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,14 @@ from dissentsim import (
     SocialNetwork,
     generate_network,
     influence_scores,
+    init_state,
     public_sentiment,
     reputation_fraction,
     reputation_iterative,
+    run,
 )
+from dissentsim.network import counted
+from dissentsim.scenario import PopulationSpec, donbass_baseline
 
 UNW = ReputationSpec(ReputationVariant.UNWEIGHTED_FRACTION, alpha=1.0, centered=False)
 R, U, NJ = Position.R, Position.U, Position.NJ
@@ -531,7 +536,8 @@ def test_a_generated_network_stores_two_id_arrays(spec, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = net.src.nbytes + net.dst.nbytes + net.row_ptr.nbytes
+    assert "src" not in vars(net)  # the sources are row_ptr's: only the targets are stored
+    kept = 2 * net.dst.nbytes + net.row_ptr.nbytes  # the bound as when src was kept
     assert peak <= 2.25 * kept, peak / kept
     assert not net.w.flags.writeable and net.w.strides == (0,) and net.w.shape == net.dst.shape
     assert all(a.dtype == np.int64 for a in net._audiences)  # the in-edge index holds ids only
@@ -539,6 +545,33 @@ def test_a_generated_network_stores_two_id_arrays(spec, n):
     while owner.base is not None:
         owner = owner.base
     assert owner.nbytes <= 8
+
+
+def test_a_network_builds_its_sources_only_on_request():
+    """No generator, the constructor, a run on the counts path or the keyed pass, or
+    influence_scores stores ``src``; read, it is row_ptr's rows as read-only int64 ids."""
+    baseline = donbass_baseline()
+    groups = [replace(g, count=c) for g, c in zip(baseline.population.groups, (30, 45, 225))]
+    small = replace(baseline, population=PopulationSpec(groups), horizon=4)
+    iterative = replace(small, reputation=ReputationSpec(ReputationVariant.ITERATIVE_INFLUENCE, 0.5))
+    networks = [generate_network(NetworkSpec(NetworkKind.COMPLETE), 7, seed=1),
+                generate_network(NetworkSpec(NetworkKind.ERDOS_RENYI, p_edge=0.3), 30, seed=1),
+                generate_network(NetworkSpec(NetworkKind.SMALL_WORLD, k=4, rewire_p=0.3), 30, seed=1),
+                SocialNetwork(4, [(3, 0, 1.0), (0, 2, 0.5), (3, 1, 2.0)]),
+                SocialNetwork(2, [])]
+    for scenario in (small, iterative):  # counted, then the keyed pass over every edge
+        state = init_state(scenario)
+        assert counted(scenario.reputation, state.network) is (scenario is small)
+        run(scenario, state)
+        networks.append(state.network)
+    for net in networks:
+        influence_scores(net)
+        net._audiences
+        assert "src" not in vars(net)
+        src = net.src
+        assert "src" in vars(net) and net.src is src
+        assert src.dtype == np.int64 and not src.flags.writeable
+        assert np.array_equal(src, np.repeat(np.arange(net.n), np.diff(net.row_ptr)))
 
 
 # ------------------------------------------------- small_world against a reference
