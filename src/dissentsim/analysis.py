@@ -5,7 +5,8 @@ the perceived-win-probability threshold above which they would rebel — and
 iterates the aggregate best-response map ``s -> fraction of thresholds
 strictly below p_of_share(s)``.  Strict inequality is deliberate: an agent
 exactly at their threshold does not move, so knife-edge populations stall
-instead of cascading.
+instead of cascading.  Every zero-support analysis reads its t=0 inputs from
+one pass, :func:`_zero_support`.
 """
 
 from __future__ import annotations
@@ -128,8 +129,14 @@ def zero_support_soft_terms(
     return {pos: SoftTerms(rep=0.0, integ=row[()]) for pos, row in zip(Position, rows)}
 
 
-def _arrays(agents: Sequence[AgentParams] | ParamArrays) -> ParamArrays:
-    return agents if isinstance(agents, ParamArrays) else ParamArrays.from_params(agents)
+def _zero_support(agents: Sequence[AgentParams] | ParamArrays, env0: Environment,
+                  integrity: IntegritySpec):
+    """The t=0 inputs of every zero-support analysis, in one pass: the population as arrays,
+    its effective factors and its perceived probability at share 0 under ``env0``, and the
+    :func:`zero_support_soft_terms`, bit for bit the step-0 decision's but for reputation."""
+    pa = agents if isinstance(agents, ParamArrays) else ParamArrays.from_params(agents)
+    return (pa, effective_params(pa, env0), perceived_probability(pa, 0.0, env0),
+            zero_support_soft_terms(integrity, pa.x_rebel))
 
 
 def first_movers(
@@ -142,17 +149,10 @@ def first_movers(
     Each agent decides at previous rebel share 0 under the t=0 environment,
     zero reputation terms, and a fresh integrity state.  These are the
     cascade's sparks: agents whose own stakes and tastes already favor
-    rebelling before anyone else has moved.  One elementwise pass over the
-    population.
+    rebelling before anyone else has moved.
     """
-    pa = _arrays(agents)
-    codes = decide(
-        effective_params(pa, env0),
-        perceived_probability(pa, 0.0, env0),
-        zero_support_soft_terms(integrity, pa.x_rebel),
-        previous=Position.NJ,
-    )
-    return np.flatnonzero(codes == Position.R).tolist()
+    _, eff, p0, soft = _zero_support(agents, env0, integrity)
+    return np.flatnonzero(decide(eff, p0, soft, previous=Position.NJ) == Position.R).tolist()
 
 
 def rebellion_thresholds_zero_support(
@@ -161,9 +161,8 @@ def rebellion_thresholds_zero_support(
     integrity: IntegritySpec,
 ) -> np.ndarray:
     """Per-agent rebel-over-abstain probability thresholds at zero public support, in id order."""
-    pa = _arrays(agents)
-    soft = zero_support_soft_terms(integrity, pa.x_rebel)
-    return threshold_r_over_nj(effective_params(pa, env0), soft[Position.R], soft[Position.NJ])
+    _, eff, _, soft = _zero_support(agents, env0, integrity)
+    return threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ])
 
 
 def share_space_thresholds(
@@ -181,9 +180,8 @@ def share_space_thresholds(
     probability is capped at 1, never strictly above) or who cannot be moved
     because share feedback is off (``beta_share == 0``) gets +inf.
     """
-    pa = _arrays(agents)
-    thr = rebellion_thresholds_zero_support(pa, env0, integrity)
-    p0 = perceived_probability(pa, 0.0, env0)
+    pa, eff, p0, soft = _zero_support(agents, env0, integrity)
+    thr = threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ])
     if env0.beta_share == 0.0:
         reachable = np.full(thr.shape, np.inf)
     else:

@@ -35,10 +35,9 @@ from .scenario import (
 #: The numpy-backed names the commands call, by module.  :func:`_bind_kernels` imports
 #: them once a command has parsed its scenario, so ``validate`` imports no numpy.
 _KERNELS = {
-    "analysis": ("cascade_equilibria", "first_movers", "render_svg", "share_space_thresholds",
-                 "zero_support_soft_terms"),
-    "engine": ("apply_events", "effective_params", "init_state", "perceived_probability", "run",
-               "sample_population"),
+    "analysis": ("_zero_support", "cascade_equilibria", "first_movers", "render_svg",
+                 "share_space_thresholds"),
+    "engine": ("apply_events", "init_state", "run", "sample_population"),
     "model": ("threshold_nj_over_u", "threshold_r_over_nj"),
 }
 
@@ -107,13 +106,10 @@ def cmd_run(args) -> int:
 def cmd_thresholds(args) -> int:
     scenario = parse_scenario(_read_text(args.scenario))
     _bind_kernels()
-    pa = sample_population(scenario)
-    env0 = _env0(scenario)
-    eff = effective_params(pa, env0)
-    soft = zero_support_soft_terms(scenario.integrity, pa.x_rebel)
+    pa, eff, p0, soft = _zero_support(sample_population(scenario), _env0(scenario),
+                                      scenario.integrity)
     thr_r = threshold_r_over_nj(eff, soft[Position.R], soft[Position.NJ])
     thr_nj = threshold_nj_over_u(eff, soft[Position.NJ], soft[Position.U])
-    p0 = perceived_probability(pa, 0.0, env0)
     rebel, loyal = PrivateType.PRO_REBELLION.value, PrivateType.PRO_STATUS_QUO.value
     columns = (pa.x_rebel, thr_r, thr_nj, p0)
     with open(args.out, "wb") as sink:

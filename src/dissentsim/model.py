@@ -227,6 +227,7 @@ def _extended_ratio(numerator, denominator):
     return np.where(denominator == 0.0, np.where(numerator > 0.0, np.inf, -np.inf), ratio)[()]
 
 
+@np.errstate(over="ignore")  # a numerator past the float range has |ratio| > 1: kept as +-inf
 def threshold_nj_over_u(
     params: AgentParams, soft_nj: SoftTerms, soft_u: SoftTerms
 ) -> float:
@@ -246,6 +247,7 @@ def threshold_nj_over_u(
     return _extended_ratio(numerator, params.A_R)
 
 
+@np.errstate(over="ignore")  # as threshold_nj_over_u's; an overflowed denominator is refused
 def threshold_r_over_nj(
     params: AgentParams, soft_r: SoftTerms, soft_nj: SoftTerms
 ) -> float:
@@ -253,6 +255,7 @@ def threshold_r_over_nj(
 
     Closed form of payoff_rebel > payoff_nojoin solved for p; extended real
     with the same degenerate-denominator convention as threshold_nj_over_u.
+    Raises InvalidParameterError where F + S + A_U overflows to infinity.
     """
     _check_finite(
         F=params.F, S=params.S, A_U=params.A_U, c=params.c,
@@ -265,4 +268,6 @@ def threshold_r_over_nj(
         + params.V_NJ - params.V_R
     )
     denominator = params.F + params.S + params.A_U
+    _require(np.isfinite(denominator), "F + S + A_U must not overflow the float range",
+             F=params.F, S=params.S, A_U=params.A_U)
     return _extended_ratio(numerator, denominator)

@@ -622,6 +622,25 @@ def test_json_the_reader_refuses_exits_one_with_one_error_line(command, scenario
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["thresholds", "equilibrium"])
+def test_an_overflowing_threshold_denominator_exits_one_with_one_error_line(command, tmp_path):
+    """F + S overflows to inf, where the true threshold is 0.5: refused before any output, with
+    one ``error:`` line and no warning or traceback.  ``run`` reads no threshold and runs."""
+    doc = json.loads(flat_doc(n=3))
+    huge = {"dist": "constant", "value": 1e308}
+    doc["population"]["groups"][0]["factors"].update(F=huge, S=huge)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "t.csv")] if command == "thresholds" else []
+    proc = subprocess.run([sys.executable, "-m", "dissentsim", command, str(path), *out],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: F + S + A_U must not overflow the float range, "
+                           "got F=1e+308, S=1e+308, A_U=0.0\n")
+    assert not (tmp_path / "t.csv").exists()
+    assert main(["run", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+
+
 # ---------------------------------------------------------------- entry point
 
 def test_module_entry_point(tmp_path):

@@ -25,6 +25,7 @@ from dissentsim import (
     threshold_nj_over_u,
     threshold_r_over_nj,
 )
+from dissentsim.engine import ParamArrays
 
 Z = SoftTerms(0.0, 0.0)
 
@@ -222,6 +223,32 @@ def test_threshold_r_over_nj_degenerate_denominator():
     assert threshold_r_over_nj(params(c=1.0), Z, Z) == -math.inf  # numerator -1
     assert threshold_r_over_nj(params(), SoftTerms(0.0, 0.0), SoftTerms(0.0, 1.0)) == math.inf
     assert threshold_r_over_nj(params(), Z, Z) == -math.inf  # numerator 0
+
+
+def test_threshold_r_over_nj_refuses_an_overflowed_denominator():
+    # The true threshold is S / (F + S) = 0.5; F + S overflows to inf, which read 0.0.
+    with pytest.raises(InvalidParameterError, match=r"^F \+ S \+ A_U must not overflow the "
+                       r"float range, got F=1e\+308, S=1e\+308, A_U=0\.0$"):
+        threshold_r_over_nj(params(F=1e308, S=1e308), Z, Z)
+
+
+def test_thresholds_over_arrays_name_the_first_overflowed_denominator():
+    agents = ParamArrays.from_params([params(F=1.0, S=1.0), params(F=1e308, S=1e308, A_U=2.0),
+                                      params(F=1e308, S=1e308)])
+    zero = SoftTerms(np.zeros(3), np.zeros(3))
+    with pytest.raises(InvalidParameterError, match=r"got F=1e\+308, S=1e\+308, A_U=2\.0$"):
+        threshold_r_over_nj(agents, zero, zero)  # and no overflow warning (warnings are errors)
+
+
+def test_an_overflowed_numerator_keeps_its_infinity():
+    # |true threshold| is above 1, so +inf and -inf still read "never" and "always" for p in [0, 1].
+    agents = ParamArrays.from_params([params(F=1.0, A_R=1.0, V_NJ=1e308, V_R=-1e308, V_U=-1e308),
+                                      params(F=1.0, A_R=1.0, V_NJ=-1e308, V_R=1e308, V_U=1e308)])
+    zero = SoftTerms(np.zeros(2), np.zeros(2))
+    assert threshold_r_over_nj(agents, zero, zero).tolist() == [math.inf, -math.inf]
+    assert threshold_nj_over_u(agents, zero, zero).tolist() == [-math.inf, math.inf]
+    for agent, r_over_nj in zip(agents.to_params(), (math.inf, -math.inf)):
+        assert threshold_r_over_nj(agent, Z, Z) == r_over_nj
 
 
 def _random_agent(rng):
